@@ -46,28 +46,22 @@ from .approx import (
     branch_point_series,
     continued_log_recursion_wm1,
     derive_branch_coefficients,
-    exp_recursion_w0,
-    log_recursion_w0,
     rational_fit_eval,
 )
 from .bench import (
     BenchRecord,
     BenchReport,
     checksum_pass,
-    format_table,
     run_benchmark,
     steps_to_converge,
-    write_records,
 )
 from .branches import Branch
 from .errors import DomainError, SingularityError
 from .iteration import (
     SCHEMES,
-    IterationTrace,
     defining_residual,
     fritsch_step,
     halley_step,
-    iterate,
 )
 from .oracle import reference_w
 from .physics import (
@@ -99,7 +93,6 @@ __all__ = [
     "GaisserHillasParams",
     "GhRoots",
     "GridSpec",
-    "IterationTrace",
     "MAX_SERIES_ORDER",
     "MINUS_INV_E",
     "MOYAL_PEAK",
@@ -123,8 +116,6 @@ __all__ = [
     "delta_accuracy",
     "derive_branch_coefficients",
     "dispatch_region",
-    "exp_recursion_w0",
-    "format_table",
     "fritsch_step",
     "gaisser_hillas",
     "gh_inverse",
@@ -132,20 +123,17 @@ __all__ = [
     "gh_profile_inverse",
     "gh_rescale",
     "halley_step",
-    "iterate",
     "lambert_w",
     "lambert_w0",
     "lambert_w0_approximation",
     "lambert_wm1",
     "lambert_wm1_approximation",
     "lambert_w_approximation",
-    "log_recursion_w0",
     "moyal",
     "moyal_inverse",
     "rational_fit_eval",
     "reference_w",
     "run_benchmark",
     "steps_to_converge",
-    "write_records",
     "write_report",
 ]

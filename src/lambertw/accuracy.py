@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .api import lambert_w, lambert_w_approximation, dispatch_region
+from .api import _refine, dispatch_region, lambert_w, lambert_w_approximation
 from .branches import Branch
-from .iteration import SINGULARITY_GUARD, fritsch_step, halley_step
 from .oracle import MINUS_INV_E, reference_w
 
 # Value reported when approximation and reference agree bit-for-bit.  A
@@ -129,13 +128,8 @@ def _stage_value(branch: Branch, stage: str, x: float) -> float:
     w = lambert_w_approximation(branch, x)
     if stage == "approximation":
         return w
-    # So close to the branch point that a step would divide by ~0; the
-    # seed is already machine-accurate there.
-    if abs(1.0 + w) <= SINGULARITY_GUARD:
-        return w
-    if stage == "one-halley":
-        return halley_step(x, w)
-    return fritsch_step(x, w)
+    scheme = "halley" if stage == "one-halley" else "fritsch"
+    return _refine(x, w, scheme, max_steps=1)[0]
 
 
 def accuracy_sweep(branch: int, stage: str, grid: GridSpec, output=None) -> AccuracyReport:

@@ -1,16 +1,18 @@
-"""Public evaluation entry points and region dispatch.
+"""Public evaluation entry points, region dispatch and the refinement loop.
 
-The evaluation strategy follows a fixed recipe: pick the initial
-approximation whose region contains x, apply one Fritsch step, verify
-the defining residual |w*e^w - x| <= 1e-14 * max(|x|, 1), and fall back
-to at most three more steps if the check fails (it does not in practice;
-the fallback is insurance, not a tuning knob).
+Every evaluation takes one path: ``dispatch_region`` validates the branch
+and x and picks the region whose initial approximation (the seed) serves
+x; the seed is evaluated; ``_refine`` applies Fritsch steps until the
+defining residual |w*e^w - x| <= 1e-14 * max(|x|, 1), at most four of
+them (one suffices below x ~ 5e29; the rest is insurance, not a tuning
+knob).  A seed that is already exact (w = 0 at x = 0, w = -1 at the
+branch point) is returned unrefined.
 
 Three call shapes are exposed:
 
 * ``lambert_w0(x)`` / ``lambert_wm1(x)`` return the value alone;
 * ``lambert_w0_approximation(x)`` / ``lambert_wm1_approximation(x)``
-  return the unrefined dispatch approximation;
+  return the unrefined seed;
 * ``lambert_w(branch, x)`` resolves the branch at runtime and returns an
   :class:`EvalResult` carrying diagnostics.
 """
@@ -18,6 +20,7 @@ Three call shapes are exposed:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .approx import (
@@ -34,7 +37,7 @@ from .approx import (
 )
 from .branches import Branch
 from .errors import DomainError
-from .iteration import SINGULARITY_GUARD, defining_residual, fritsch_step
+from .iteration import SCHEMES, SINGULARITY_GUARD, defining_residual, fritsch_step, halley_step
 
 # Residual acceptance scale for refined results.
 RESIDUAL_TOL = 1e-14
@@ -65,6 +68,11 @@ WM1_REGIONS: tuple[ApproximationRegion, ...] = (
     ApproximationRegion(Branch.LOWER, _WM1_FIT_END, 0.0, "continued-log"),
 )
 
+# Inner region boundaries: region i serves _BREAKS[i-1] <= x < _BREAKS[i].
+# x within the rounding band below -1/e lands in the series region.
+_W0_BREAKS = tuple(region.upper for region in W0_REGIONS[:-1])
+_WM1_BREAKS = tuple(region.upper for region in WM1_REGIONS[:-1])
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -72,8 +80,8 @@ class EvalResult:
 
     value : the branch value W(x)
     region : kind of the initial approximation that seeded the result
-    refinement_steps : Fritsch steps actually applied (0 for the exact
-        special cases x = 0 and the branch point)
+    refinement_steps : Fritsch steps actually applied (0 where the seed
+        is exact: x = 0 and the branch point)
     residual : |value * exp(value) - x| as last checked
     """
 
@@ -95,18 +103,16 @@ def _check_domain(b: Branch, x: float) -> None:
 
 
 def dispatch_region(branch: int, x: float) -> ApproximationRegion:
-    """Region of the dispatch table that evaluates x on this branch."""
+    """Region of the dispatch table that evaluates x on this branch.
+
+    The one place where ``(branch, x)`` is validated: raises ValueError
+    for a branch other than 0 or -1 and DomainError for x outside it.
+    """
     b = Branch(branch)
     _check_domain(b, x)
-    if x < MINUS_INV_E:
-        x = MINUS_INV_E
-    regions = W0_REGIONS if b is Branch.PRINCIPAL else WM1_REGIONS
-    if b is Branch.PRINCIPAL and math.isinf(x):
-        return regions[-1]
-    for region in regions:
-        if x in region:
-            return region
-    raise AssertionError(f"dispatch table has a gap at x = {x!r}")
+    if b is Branch.PRINCIPAL:
+        return W0_REGIONS[bisect_right(_W0_BREAKS, x)]
+    return WM1_REGIONS[bisect_right(_WM1_BREAKS, x)]
 
 
 # Series order used by the dispatcher.  Branch -1 runs two orders hotter
@@ -115,18 +121,48 @@ def dispatch_region(branch: int, x: float) -> ApproximationRegion:
 _SERIES_ORDER = {Branch.PRINCIPAL: 9, Branch.LOWER: 11}
 
 
-def _approximation(b: Branch, x: float, region: ApproximationRegion) -> float:
+def _seed(region: ApproximationRegion, x: float) -> float:
+    """Initial approximation of W(x) by the family that serves ``region``.
+
+    x in the rounding band below -1/e needs no clamp: the series clamps
+    its root argument and returns exactly -1 there, as at -1/e itself.
+    """
+    b = region.branch
     kind = region.kind
     if kind == "branch-point-series":
         return branch_point_series(b, x, order=_SERIES_ORDER[b])
     if kind == "rational-fit-1":
-        fit = W0_FIT_1 if b is Branch.PRINCIPAL else WM1_FIT
-        return rational_fit_eval(fit, x)
+        return rational_fit_eval(W0_FIT_1 if b is Branch.PRINCIPAL else WM1_FIT, x)
     if kind == "rational-fit-2":
         return rational_fit_eval(W0_FIT_2, x)
     if kind == "asymptotic":
         return asymptotic_series(b, x)
     return continued_log_recursion_wm1(x)
+
+
+def _refine(
+    x: float, w: float, scheme: str = "fritsch", max_steps: int = 4
+) -> tuple[float, int, float]:
+    """Refine the estimate w of W(x); the package's one stopping rule.
+
+    Returns ``(w, steps, residual)``.  An exact seed (w = 0, or w within
+    SINGULARITY_GUARD of -1, where a step would divide by ~0) comes back
+    unrefined with 0 steps.  Otherwise ``scheme`` steps are applied until
+    the residual is <= RESIDUAL_TOL * max(|x|, 1) or ``max_steps`` steps
+    have been taken; the residual is only checked after a step.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
+        return w, 0, defining_residual(x, w)
+    tol = RESIDUAL_TOL * max(abs(x), 1.0)
+    steps = 0
+    while True:
+        w = fritsch_step(x, w) if scheme == "fritsch" else halley_step(x, w)
+        steps += 1
+        residual = defining_residual(x, w)
+        if residual <= tol or steps >= max_steps:
+            return w, steps, residual
 
 
 def lambert_w_approximation(branch: int, x: float) -> float:
@@ -136,12 +172,10 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     principal branch); intended as the seed for one refinement step or
     for throughput-critical callers that can live with that accuracy.
     """
-    b = Branch(branch)
-    _check_domain(b, x)
-    if b is Branch.PRINCIPAL and math.isinf(x):
+    region = dispatch_region(branch, x)
+    if math.isinf(x):
         return math.inf
-    region = dispatch_region(b, x)
-    return _approximation(b, x if x > MINUS_INV_E else MINUS_INV_E, region)
+    return _seed(region, x)
 
 
 def lambert_w0_approximation(x: float) -> float:
@@ -161,28 +195,10 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     included).  x = +inf on branch 0 returns +inf with a NaN residual,
     the one place the defining identity cannot be formed.
     """
-    b = Branch(branch)
-    _check_domain(b, x)
-    if b is Branch.PRINCIPAL and math.isinf(x):
-        return EvalResult(math.inf, "asymptotic", 0, math.nan)
-    region = dispatch_region(b, x)
-    if x < MINUS_INV_E or x == MINUS_INV_E:
-        # At (or within rounding of) the branch point the value is -1.
-        return EvalResult(-1.0, region.kind, 0, defining_residual(x, -1.0))
-    if b is Branch.PRINCIPAL and x == 0.0:
-        return EvalResult(0.0, region.kind, 0, 0.0)
-    w = _approximation(b, x, region)
-    if abs(w + 1.0) < SINGULARITY_GUARD:
-        # Too close to the branch point to refine; series is exact here.
-        return EvalResult(w, region.kind, 0, defining_residual(x, w))
-    tol = RESIDUAL_TOL * max(abs(x), 1.0)
-    steps = 0
-    while True:
-        w = fritsch_step(x, w)
-        steps += 1
-        residual = defining_residual(x, w)
-        if residual <= tol or steps >= 4:
-            break
+    region = dispatch_region(branch, x)
+    if math.isinf(x):
+        return EvalResult(math.inf, region.kind, 0, math.nan)
+    w, steps, residual = _refine(x, _seed(region, x))
     return EvalResult(w, region.kind, steps, residual)
 
 

@@ -8,8 +8,7 @@ interval where the dispatcher (see :mod:`lambertw.api`) selects it:
 * rational fits in x, refreshed to full double precision by least
   squares (see ``tools/refit_rational.py``);
 * the classic two-logarithm asymptotic expansion for large arguments;
-* a continued-logarithm recursion for branch -1 near zero, plus the
-  companion log- and exp-recursions for the principal branch.
+* a continued-logarithm recursion for branch -1 near zero.
 
 All polynomials are evaluated in Horner form, lowest coefficient last.
 """
@@ -242,7 +241,7 @@ WM1_FIT = RationalFit(
 
 
 # ---------------------------------------------------------------------------
-# Recursions
+# Continued logarithm
 # ---------------------------------------------------------------------------
 
 def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
@@ -267,43 +266,6 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
             )
         r = lx - math.log(-r)
     return r
-
-
-def log_recursion_w0(x: float, depth: int = 9) -> float:
-    """Iterated logarithm for branch 0 above e.
-
-    L_0 = ln x, L_n = ln x - ln L_{n-1}.  Kept for study and comparison;
-    the dispatcher prefers the asymptotic form on this range.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if math.isnan(x) or x <= math.e:
-        raise DomainError(f"log recursion needs x > e, got x = {x!r}")
-    lx = math.log(x)
-    val = lx
-    for _ in range(depth):
-        if val <= 0.0:
-            raise SingularityError(
-                f"recursion left the positive range at L = {val!r}"
-            )
-        val = lx - math.log(val)
-    return val
-
-
-def exp_recursion_w0(x: float, depth: int = 9) -> float:
-    """Fixed point iteration E_n = x / exp(E_{n-1}) for branch 0.
-
-    Contracts only for |W| < 1, i.e. on (-1/e, e); the fixed point is
-    W_0(x).  At x = 1 this generates the omega constant.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if math.isnan(x) or not MINUS_INV_E < x < math.e:
-        raise DomainError(f"exp recursion needs -1/e < x < e, got x = {x!r}")
-    val = x
-    for _ in range(depth):
-        val = x / math.exp(val)
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -11,32 +11,24 @@ both applied here:
   as an overhead baseline and subtracted, so the reported figure is the
   net cost per call.
 
-Wall-clock numbers vary by machine; the durable observable is the step
-count: how many refinement steps each scheme needs to reach the
-1e-14-scale residual from the dispatch approximation.
+Both schemes run through the evaluation path's own refinement loop
+(``lambertw.api._refine``), so they stop on the same rule as
+``lambert_w``.  Wall-clock numbers vary by machine; the durable
+observable is the step count: how many refinement steps each scheme
+needs to reach the 1e-14-scale residual from the dispatch approximation.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import statistics
 import time
 from dataclasses import dataclass
 
 from .accuracy import GridSpec
-from .api import RESIDUAL_TOL, dispatch_region, lambert_w_approximation
+from .api import _refine, dispatch_region, lambert_w_approximation
 from .branches import Branch
-from .iteration import (
-    SCHEMES,
-    SINGULARITY_GUARD,
-    defining_residual,
-    fritsch_step,
-    halley_step,
-)
-
-_STEP = {"halley": halley_step, "fritsch": fritsch_step}
-_MAX_STEPS = 8
+from .iteration import SCHEMES
 
 # Relative shrink applied across one timing loop; small enough never to
 # cross a domain boundary, large enough to defeat result caching.
@@ -45,38 +37,18 @@ _PERTURBATION = 1e-9
 
 def _refined(branch: Branch, x: float, scheme: str) -> float:
     """Full evaluation pipeline with a selectable refinement scheme."""
-    w = lambert_w_approximation(branch, x)
-    # w = 0 (x = 0) is exact, and at the branch-point clamp a step would
-    # divide by ~0; both are returned unrefined, as in lambert_w.
-    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
-        return w
-    limit = RESIDUAL_TOL * max(abs(x), 1.0)
-    step = _STEP[scheme]
-    for _ in range(_MAX_STEPS):
-        w = step(x, w)
-        if defining_residual(x, w) <= limit:
-            break
-    return w
+    return _refine(x, lambert_w_approximation(branch, x), scheme)[0]
 
 
 def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     """Refinement steps needed to reach the residual tolerance at x.
 
     Counts the steps the evaluation pipeline actually takes: at least
-    one (the residual is only checked after a step), zero only at the
-    branch-point clamp where stepping is skipped entirely.
+    one (the residual is only checked after a step), at most four, and
+    zero only where the seed is exact (x = 0 and the branch point).
+    Raises ValueError for a scheme not in SCHEMES.
     """
-    b = Branch(branch)
-    w = lambert_w_approximation(b, x)
-    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
-        return 0
-    limit = RESIDUAL_TOL * max(abs(x), 1.0)
-    step = _STEP[scheme]
-    for steps in range(1, _MAX_STEPS + 1):
-        w = step(x, w)
-        if defining_residual(x, w) <= limit:
-            return steps
-    return _MAX_STEPS
+    return _refine(x, lambert_w_approximation(branch, x), scheme)[1]
 
 
 def checksum_pass(branch: int, grid: GridSpec, scheme: str, calls_per_point: int) -> float:
@@ -113,16 +85,6 @@ class BenchRecord:
 
 
 @dataclass(frozen=True)
-class RegionStats:
-    """Aggregate over all grid points of one region/scheme pair."""
-
-    calls: int
-    total_ns: float
-    overhead_ns: float
-    net_ns_per_call: float
-
-
-@dataclass(frozen=True)
 class BenchReport:
     branch: Branch
     grid: GridSpec
@@ -134,20 +96,6 @@ class BenchReport:
 
     def total_steps(self, scheme: str) -> int:
         return sum(r.steps for r in self.records if r.scheme == scheme)
-
-    def region_summary(self) -> dict[tuple[str, str], RegionStats]:
-        """Per-(region, scheme) aggregates with overhead subtraction."""
-        buckets: dict[tuple[str, str], list[BenchRecord]] = {}
-        for record in self.records:
-            buckets.setdefault((record.region, record.scheme), []).append(record)
-        summary = {}
-        for key, records in buckets.items():
-            calls = self.calls_per_point * len(records)
-            overhead = self.overhead_ns_per_call * calls
-            total = sum(r.net_ns for r in records) * self.calls_per_point + overhead
-            net = max(0.0, (total - overhead) / calls)
-            summary[key] = RegionStats(calls, total, overhead, net)
-        return summary
 
 
 def _time_loop(func, x: float, calls: int) -> tuple[int, float]:
@@ -228,43 +176,3 @@ def run_benchmark(
         checksums=checksums,
     )
 
-
-def format_table(report: BenchReport) -> str:
-    """Human-readable per-region summary table."""
-    lines = [
-        f"branch {int(report.branch):+d}, grid {report.grid.describe()}, "
-        f"{report.calls_per_point} calls/point, {report.repetitions} repetitions, "
-        f"overhead {report.overhead_ns_per_call:.1f} ns/call",
-        f"{'region':<22} {'scheme':<8} {'calls':>9} {'net ns/call':>12} {'steps':>6}",
-    ]
-    summary = report.region_summary()
-    steps = {}
-    for record in report.records:
-        steps.setdefault((record.region, record.scheme), []).append(record.steps)
-    for (region, scheme), stats in sorted(summary.items()):
-        mean_steps = statistics.fmean(steps[(region, scheme)])
-        lines.append(
-            f"{region:<22} {scheme:<8} {stats.calls:>9} "
-            f"{stats.net_ns_per_call:>12.1f} {mean_steps:>6.2f}"
-        )
-    for scheme in sorted(report.checksums):
-        lines.append(f"checksum[{scheme}] = {report.checksums[scheme]!r}")
-    return "\n".join(lines)
-
-
-def write_records(report: BenchReport, destination) -> None:
-    """Write per-point records as ``x scheme net_ns steps`` lines."""
-    if hasattr(destination, "write"):
-        _write_records_file(report, destination)
-    else:
-        with open(os.fspath(destination), "w", encoding="ascii") as handle:
-            _write_records_file(report, handle)
-
-
-def _write_records_file(report: BenchReport, handle) -> None:
-    handle.write(
-        f"# branch={int(report.branch)} grid={report.grid.describe()} "
-        f"calls_per_point={report.calls_per_point} repetitions={report.repetitions}\n"
-    )
-    for record in report.records:
-        handle.write(f"{record.x!r} {record.scheme} {record.net_ns!r} {record.steps}\n")

@@ -1,4 +1,4 @@
-"""One-step refinements of Lambert W estimates and a driver loop.
+"""One-step refinements of Lambert W estimates.
 
 Both steps take the point x and the current estimate w and return an
 improved estimate:
@@ -8,6 +8,9 @@ improved estimate:
   practice turns any five-decimal initial guess into a result at the
   rounding floor, which is why the evaluation path defaults to it.
 
+The loop that applies them and decides when to stop is
+``lambertw.api._refine``.
+
 Neither step is defined at w = -1 (the derivative of w*e^w vanishes);
 estimates within 1e-12 of that point must not be refined at all, since
 only the branch point series is trustworthy there.
@@ -16,7 +19,6 @@ only the branch point series is trustworthy there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError
 
@@ -24,10 +26,6 @@ from .errors import DomainError, SingularityError
 # branch point singularity; refinement is refused (and not needed, the
 # series is already at machine accuracy there).
 SINGULARITY_GUARD = 1e-12
-
-# Residual floor used so that a relative tolerance keeps meaning for
-# arguments arbitrarily close to zero.
-_RESIDUAL_FLOOR = 1e-300
 
 SCHEMES = ("halley", "fritsch")
 
@@ -82,61 +80,3 @@ def fritsch_step(x: float, w: float) -> float:
     eps = (z / (1.0 + w)) * ((q - z) / denom)
     return w * (1.0 + eps)
 
-
-_STEP_FUNCTIONS = {"halley": halley_step, "fritsch": fritsch_step}
-
-
-@dataclass
-class IterationTrace:
-    """Record of a refinement run.
-
-    ``steps`` holds every iterate including the seed, paired with its
-    defining residual; ``converged`` says whether the last residual met
-    the tolerance.
-    """
-
-    scheme: str
-    steps: list[tuple[float, float]]
-    converged: bool
-
-    @property
-    def value(self) -> float:
-        return self.steps[-1][0]
-
-    @property
-    def refinements(self) -> int:
-        return len(self.steps) - 1
-
-
-def iterate(
-    x: float,
-    w0: float,
-    scheme: str = "fritsch",
-    tol: float = 1e-14,
-    max_steps: int = 8,
-) -> IterationTrace:
-    """Refine w0 until |w*e^w - x| <= tol * max(|x|, 1e-300).
-
-    The seed is recorded (and may already satisfy the tolerance, giving
-    a trace of length one); afterwards at most ``max_steps`` scheme
-    steps are applied.  No exception on non-convergence: the trace says
-    so and keeps the best iterate last.
-    """
-    if scheme not in _STEP_FUNCTIONS:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    step = _STEP_FUNCTIONS[scheme]
-    limit = tol * max(abs(x), _RESIDUAL_FLOOR)
-    w = w0
-    r = defining_residual(x, w)
-    steps = [(w, r)]
-    converged = r <= limit
-    while not converged and len(steps) <= max_steps:
-        w = step(x, w)
-        r = defining_residual(x, w)
-        steps.append((w, r))
-        converged = r <= limit
-    return IterationTrace(scheme=scheme, steps=steps, converged=converged)

@@ -17,8 +17,6 @@ from lambertw import (
     asymptotic_series,
     branch_point_series,
     continued_log_recursion_wm1,
-    exp_recursion_w0,
-    log_recursion_w0,
     rational_fit_eval,
     reference_w,
 )
@@ -202,33 +200,10 @@ def test_continued_log_domain():
             continued_log_recursion_wm1(bad, depth=3)
 
 
-def test_log_recursion_base_and_convergence():
-    assert log_recursion_w0(math.e**2, depth=0) == pytest.approx(2.0, rel=1e-15)
-    # The recursion contracts by 1/W(x) per step, so convergence at
-    # x = 10 (W ~ 1.75) runs at ~0.57 per step: depth 5 leaves a few
-    # times 1e-2 and about 20 steps reach 1e-4.
-    assert log_recursion_w0(10.0, depth=5) == pytest.approx(reference_w(0, 10.0), abs=0.05)
-    assert log_recursion_w0(10.0, depth=20) == pytest.approx(reference_w(0, 10.0), abs=1e-4)
-    assert log_recursion_w0(1e5, depth=9) == pytest.approx(reference_w(0, 1e5), abs=1e-6)
-    with pytest.raises(DomainError):
-        log_recursion_w0(math.e, depth=3)
-
-
-def test_exp_recursion():
-    assert exp_recursion_w0(0.0, depth=7) == 0.0
-    assert exp_recursion_w0(1.0, depth=20) == pytest.approx(0.5671432904097838, abs=1e-5)
-    assert exp_recursion_w0(math.e - 1e-12, depth=0) == math.e - 1e-12
-    with pytest.raises(DomainError):
-        exp_recursion_w0(math.e, depth=1)
-    with pytest.raises(DomainError):
-        exp_recursion_w0(-0.4, depth=1)
-
-
 @pytest.mark.parametrize(
     "recursion, branch, xs",
     [
         (continued_log_recursion_wm1, -1, -np.geomspace(0.001, 0.05, 40)),
-        (log_recursion_w0, 0, np.geomspace(10.0, 1e5, 40)),
     ],
 )
 def test_recursions_improve_monotonically(recursion, branch, xs):

@@ -1,7 +1,9 @@
 """Tests for the Halley-vs-Fritsch benchmark harness."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from lambertw import (
@@ -10,11 +12,11 @@ from lambertw import (
     SCHEMES,
     checksum_pass,
     dispatch_region,
-    format_table,
+    lambert_w,
     run_benchmark,
     steps_to_converge,
-    write_records,
 )
+from lambertw.bench import _refined
 
 # One small but region-diverse benchmark shared by most tests: one
 # rational-fit point plus three asymptotic points, the latter inside the
@@ -50,6 +52,24 @@ def test_no_steps_at_exactly_representable_roots():
     assert steps_to_converge(0, 0.0, "fritsch") == 0
     assert steps_to_converge(0, MINUS_INV_E, "halley") == 0
     assert steps_to_converge(-1, MINUS_INV_E, "fritsch") == 0
+
+
+def test_benchmark_stops_on_the_rule_of_lambert_w():
+    """Step counts and values are those of lambert_w, step cap included.
+
+    Past x ~ 5e29 the residual tolerance can sit below the rounding
+    floor of the residual itself, so some points here run to the cap.
+    """
+    for x in np.geomspace(1e20, 1e300, 400):
+        x = float(x)
+        result = lambert_w(0, x)
+        assert steps_to_converge(0, x, "fritsch") == result.refinement_steps
+        assert _refined(0, x, "fritsch") == result.value
+
+
+def test_steps_to_converge_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match=re.escape(str(SCHEMES))):
+        steps_to_converge(0, 1.0, "newton")
 
 
 def test_total_steps_favor_fritsch(report):
@@ -95,43 +115,6 @@ def test_records_cover_grid_times_schemes(report):
     for record in report.records:
         assert record.scheme in SCHEMES
         assert record.region == dispatch_region(0, record.x).kind
-
-
-def test_region_summary_aggregates_calls(report):
-    summary = report.region_summary()
-    regions = {record.region for record in report.records}
-    assert set(summary) == {(r, s) for r in regions for s in SCHEMES}
-    total_calls = sum(stats.calls for stats in summary.values())
-    assert total_calls == len(report.records) * report.calls_per_point
-    for stats in summary.values():
-        assert stats.net_ns_per_call >= 0.0
-
-
-# ----------------------------------------------------------------------
-# reporting
-
-
-def test_format_table_lists_regions_and_checksums(report):
-    table = format_table(report)
-    assert "net ns/call" in table
-    assert "asymptotic" in table
-    assert "rational-fit-1" in table
-    for scheme in SCHEMES:
-        assert f"checksum[{scheme}] = " in table
-
-
-def test_write_records_roundtrip(tmp_path, report):
-    target = tmp_path / "bench.dat"
-    write_records(report, target)
-    lines = target.read_text().splitlines()
-    assert lines[0].startswith("# branch=0 grid=linear[")
-    assert len(lines) == 1 + len(report.records)
-    for line, record in zip(lines[1:], report.records):
-        x, scheme, net, steps = line.split(" ")
-        assert float(x) == record.x
-        assert scheme == record.scheme
-        assert float(net) == record.net_ns
-        assert int(steps) == record.steps
 
 
 # ----------------------------------------------------------------------

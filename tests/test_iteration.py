@@ -1,19 +1,15 @@
-"""Tests for the Halley and Fritsch refinement steps and the driver."""
+"""Tests for the Halley and Fritsch refinement steps."""
 
 import math
 
-import numpy as np
 import pytest
 
 from lambertw import (
     DomainError,
     MINUS_INV_E,
     SingularityError,
-    defining_residual,
     fritsch_step,
     halley_step,
-    iterate,
-    lambert_w_approximation,
     reference_w,
 )
 
@@ -105,69 +101,3 @@ def test_singularity_guards():
     with pytest.raises(DomainError):
         fritsch_step(1.0, 0.0)
 
-
-# ----------------------------------------------------------------------
-# iterate driver
-
-
-def test_iterate_trivial_seed_is_length_one_trace():
-    trace = iterate(math.e, 1.0, scheme="fritsch", tol=1e-14, max_steps=8)
-    assert trace.converged
-    assert len(trace.steps) == 1
-    assert trace.refinements == 0
-    assert trace.value == 1.0
-
-
-def test_iterate_halley_needs_extra_step_at_20():
-    seed = lambert_w_approximation(0, 20.0)
-    trace = iterate(20.0, seed, scheme="halley", tol=1e-14, max_steps=8)
-    assert trace.converged
-    assert 1 <= trace.refinements <= 2
-
-
-def test_iterate_fritsch_single_step_at_20():
-    seed = lambert_w_approximation(0, 20.0)
-    trace = iterate(20.0, seed, scheme="fritsch", tol=1e-14, max_steps=8)
-    assert trace.converged
-    assert trace.refinements == 1
-
-
-def test_iterate_records_every_iterate_with_residuals():
-    trace = iterate(10.0, 1.0, scheme="halley", tol=1e-14, max_steps=8)
-    assert trace.converged
-    assert trace.steps[0][0] == 1.0
-    residuals = [r for _, r in trace.steps]
-    assert residuals[0] == defining_residual(10.0, 1.0)
-    assert residuals[-1] <= 1e-14 * 10.0
-
-
-def test_iterate_exhaustion_reports_not_converged():
-    trace = iterate(1.0, 5.0, scheme="halley", tol=1e-16, max_steps=1)
-    assert not trace.converged
-    assert len(trace.steps) == 2  # seed + the one allowed step
-
-
-def test_iterate_validates_arguments():
-    with pytest.raises(ValueError):
-        iterate(1.0, 0.5, scheme="newton", tol=1e-14, max_steps=8)
-    with pytest.raises(ValueError):
-        iterate(1.0, 0.5, scheme="fritsch", tol=-1.0, max_steps=8)
-    with pytest.raises(ValueError):
-        iterate(1.0, 0.5, scheme="fritsch", tol=1e-14, max_steps=0)
-
-
-@pytest.mark.parametrize(
-    "branch, xs",
-    [
-        (0, np.linspace(MINUS_INV_E + 1e-6, 0.3, 150)),
-        (0, np.geomspace(0.3, 1e5, 150)),
-        (-1, np.linspace(MINUS_INV_E + 1e-6, -1e-6, 150)),
-    ],
-)
-def test_iterate_round_trip_residual(branch, xs):
-    for x in xs:
-        x = float(x)
-        seed = lambert_w_approximation(branch, x)
-        trace = iterate(x, seed, scheme="fritsch", tol=1e-14, max_steps=8)
-        assert trace.converged
-        assert defining_residual(x, trace.value) <= 1e-14 * max(abs(x), 1.0)

@@ -21,6 +21,7 @@ Samples are w-equally-spaced with x = w*e^w spanning each fit window:
 [-0.3, 0] and [0.3, 2e] for the two branch 0 fits, and the dispatch
 interval [-0.302985, -0.051012] for the branch -1 fit.
 
+Needs scipy, declared as the ``dev`` extra:  pip install -e '.[dev]'
 Run from the repo root:  python tools/refit_rational.py
 """
 
