@@ -19,6 +19,7 @@ only the branch point series is trustworthy there.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, SingularityError
 
@@ -28,6 +29,8 @@ from .errors import DomainError, SingularityError
 SINGULARITY_GUARD = 1e-12
 
 SCHEMES = ("halley", "fritsch")
+
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def defining_residual(x: float, w: float) -> float:
@@ -66,11 +69,17 @@ def fritsch_step(x: float, w: float) -> float:
         raise SingularityError(
             f"fritsch step undefined within {SINGULARITY_GUARD} of w = -1, got w = {w!r}"
         )
-    if w == 0.0 or x / w <= 0.0:
+    if x == 0.0 or w == 0.0 or (x > 0.0) != (w > 0.0):
         raise DomainError(
             f"fritsch step needs x and w of equal sign, got x = {x!r}, w = {w!r}"
         )
-    z = math.log(x / w) - w
+    ratio = x / w
+    if ratio < _SMALLEST_NORMAL:
+        # x/w is subnormal or underflows (branch -1 at subnormal x): the
+        # quotient has lost digits, so take the logarithms apart.
+        z = math.log(abs(x)) - math.log(abs(w)) - w
+    else:
+        z = math.log(ratio) - w
     q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
     denom = q - 2.0 * z
     if abs(denom) < 1e-300:

@@ -49,6 +49,16 @@ def test_wm1_golden():
     assert lambert_wm1(-0.1) == lambert_w(-1, -0.1).value
 
 
+@pytest.mark.parametrize(
+    "x, expected",
+    # mpmath.lambertw(x, -1) at 40 digits.  reference_w is no yardstick
+    # here: its residual bisection underflows at subnormal x.
+    [(-1e-320, -743.4385269728544), (-5e-324, -751.0615595398791), (-8e-310, -718.2988229569027)],
+)
+def test_wm1_at_subnormal_x(x, expected):
+    assert abs(lambert_wm1(x) - expected) <= 4 * math.ulp(expected)
+
+
 def test_branch_point_returns_minus_one_exactly():
     for branch in (0, -1):
         assert lambert_w(branch, MINUS_INV_E).value == -1.0
