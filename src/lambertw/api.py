@@ -132,7 +132,8 @@ def _seed(region: ApproximationRegion, x: float) -> float:
     if kind == "branch-point-series":
         return branch_point_series(b, x, order=_SERIES_ORDER[b])
     if kind == "rational-fit-1":
-        return rational_fit_eval(W0_FIT_1 if b is Branch.PRINCIPAL else WM1_FIT, x)
+        fit = W0_FIT_1 if b is Branch.PRINCIPAL else WM1_FIT
+        return rational_fit_eval(fit, x)
     if kind == "rational-fit-2":
         return rational_fit_eval(W0_FIT_2, x)
     if kind == "asymptotic":
