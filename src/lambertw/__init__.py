@@ -5,8 +5,10 @@ piecewise initial approximation (branch-point series, rational fits,
 asymptotic series, or a continued-logarithm recursion, depending on x)
 and refining it with a single fourth-order Fritsch step.  A bisection
 reference solver, a decimal-places accuracy metric with grid sweeps, two
-shower-physics profile inverses, a command-line utility, and a
-Halley-vs-Fritsch micro-benchmark round out the library.
+shower-physics profile inverses, a command-line utility, and the
+Halley-vs-Fritsch step count (``steps_to_converge``) round out the
+library.  Timing lives outside the package, in the repository's
+``perfbench/`` harness.
 """
 
 from .accuracy import (
@@ -31,6 +33,7 @@ from .api import (
     lambert_wm1,
     lambert_wm1_approximation,
     lambert_w_approximation,
+    steps_to_converge,
 )
 from .approx import (
     BRANCH_POINT_COEFFICIENTS,
@@ -47,13 +50,6 @@ from .approx import (
     continued_log_recursion_wm1,
     derive_branch_coefficients,
     rational_fit_eval,
-)
-from .bench import (
-    BenchRecord,
-    BenchReport,
-    checksum_pass,
-    run_benchmark,
-    steps_to_converge,
 )
 from .branches import Branch
 from .errors import DomainError, SingularityError
@@ -82,8 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyReport",
     "ApproximationRegion",
-    "BenchRecord",
-    "BenchReport",
     "Branch",
     "BRANCH_POINT_COEFFICIENTS",
     "BRANCH_POINT_TOL",
@@ -109,7 +103,6 @@ __all__ = [
     "accuracy_sweep",
     "asymptotic_series",
     "branch_point_series",
-    "checksum_pass",
     "continued_log_recursion_wm1",
     "default_panels",
     "defining_residual",
@@ -133,7 +126,6 @@ __all__ = [
     "moyal_inverse",
     "rational_fit_eval",
     "reference_w",
-    "run_benchmark",
     "steps_to_converge",
     "write_report",
 ]

@@ -15,6 +15,10 @@ Three call shapes are exposed:
   return the unrefined seed;
 * ``lambert_w(branch, x)`` resolves the branch at runtime and returns an
   :class:`EvalResult` carrying diagnostics.
+
+``steps_to_converge(branch, x, scheme)`` runs the same loop with Fritsch
+or Halley steps and returns only the step count, the paper's
+comparison of the two schemes.
 """
 
 from __future__ import annotations
@@ -164,6 +168,17 @@ def _refine(
         residual = defining_residual(x, w)
         if residual <= tol or steps >= max_steps:
             return w, steps, residual
+
+
+def steps_to_converge(branch: int, x: float, scheme: str) -> int:
+    """Refinement steps needed to reach the residual tolerance at x.
+
+    Counts the steps the evaluation pipeline actually takes: at least
+    one (the residual is only checked after a step), at most four, and
+    zero only where the seed is exact (x = 0 and the branch point).
+    Raises ValueError for a scheme not in SCHEMES.
+    """
+    return _refine(x, lambert_w_approximation(branch, x), scheme)[1]
 
 
 def lambert_w_approximation(branch: int, x: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the public evaluation entry points and region dispatch."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lambertw import (
     DomainError,
     EvalResult,
     MINUS_INV_E,
+    SCHEMES,
     W0_REGIONS,
     WM1_REGIONS,
     defining_residual,
@@ -21,6 +23,7 @@ from lambertw import (
     lambert_wm1_approximation,
     lambert_w_approximation,
     reference_w,
+    steps_to_converge,
 )
 
 
@@ -230,3 +233,45 @@ def test_defining_identity_spot_grid():
 def test_residual_field_matches_defining_residual():
     result = lambert_w(0, 7.5)
     assert result.residual == defining_residual(7.5, result.value)
+
+
+# ----------------------------------------------------------------------
+# refinement step counts, Fritsch against Halley
+
+
+@pytest.mark.parametrize("x", [-0.3, -0.1, 0.5, 1.0, 5.0, 50.0, 1e4])
+def test_fritsch_converges_in_one_step(x):
+    assert steps_to_converge(0, x, "fritsch") == 1
+
+
+@pytest.mark.parametrize("x", [-0.35, -0.2, -0.05, -1e-8])
+def test_fritsch_single_step_on_lower_branch(x):
+    assert steps_to_converge(-1, x, "fritsch") == 1
+
+
+def test_halley_needs_a_second_step_mid_range():
+    assert steps_to_converge(0, 50.0, "halley") == 2
+    assert steps_to_converge(0, 1.0, "halley") == 1
+
+
+def test_no_steps_at_exactly_representable_roots():
+    assert steps_to_converge(0, 0.0, "fritsch") == 0
+    assert steps_to_converge(0, MINUS_INV_E, "halley") == 0
+    assert steps_to_converge(-1, MINUS_INV_E, "fritsch") == 0
+
+
+def test_benchmark_stops_on_the_rule_of_lambert_w():
+    """Step counts are those of lambert_w, step cap included.
+
+    Past x ~ 5e29 the residual tolerance can sit below the rounding
+    floor of the residual itself, so some points here run to the cap.
+    """
+    for x in np.geomspace(1e20, 1e300, 400):
+        x = float(x)
+        result = lambert_w(0, x)
+        assert steps_to_converge(0, x, "fritsch") == result.refinement_steps
+
+
+def test_steps_to_converge_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match=re.escape(str(SCHEMES))):
+        steps_to_converge(0, 1.0, "newton")
