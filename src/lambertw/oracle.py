@@ -12,7 +12,9 @@ residual.  Two formulations are used:
 * away from the branch point, plain ``g(y) = y*exp(y) - x``;
 * within ``x <= -0.2``, the shifted variable ``u = 1 + w`` and the
   identity ``(u - 1)*e^u + 1 = 1 + e*x``, evaluated through ``expm1`` so
-  the cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens.
+  the cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens;
+* on branch -1 at subnormal x, the logarithm of the identity,
+  ``y + log(-y) = log(-x)``, because ``y*exp(y)`` underflows there.
 
 Without the shifted form, the root location drowns in rounding noise of
 size ``eps / sqrt(2*e*(x + 1/e))``, which is worse than 1e-12 for x
@@ -22,6 +24,7 @@ within 1e-9 of the branch point.
 from __future__ import annotations
 
 import math
+import sys
 
 from .branches import Branch
 from .errors import DomainError
@@ -92,7 +95,10 @@ def _reference_wm1(x: float) -> float:
             return -1.0
         u = _bisect(lambda t: -_shifted_gap(t, c), -3.0, 0.0)
         return -1.0 + u
-    lo = math.log(-x) - 40.0
+    log_x = math.log(-x)
+    lo = log_x - 40.0
+    if -x < sys.float_info.min:
+        return _bisect(lambda y: y + math.log(-y) - log_x, lo, -1.0)
     return _bisect(lambda y: x - y * math.exp(y), lo, -1.0)
 
 

@@ -1,14 +1,16 @@
 """Tests for the bisection reference solver.
 
 The oracle is the measuring stick for every accuracy claim in the
-package, so its own tests use only frozen golden values and structural
-checks — never the approximation code it is meant to judge.
+package, so its own tests use only frozen golden values, structural
+checks and mpmath — never the approximation code it is meant to judge.
 """
 
 import math
 import pathlib
 import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,6 +78,48 @@ def test_self_consistency(branch, xs):
         residual = abs(w * math.exp(w) - x) if w > -700 else abs(x)
         bound = (4.0 + abs(1.0 + w)) * EPS * max(abs(x), 1.0)
         assert residual <= bound, f"x={x!r}: residual {residual!r} > bound {bound!r}"
+
+
+def _band(start, count):
+    """``count`` consecutive doubles upward from ``start``."""
+    xs = [start]
+    for _ in range(count - 1):
+        xs.append(math.nextafter(xs[-1], math.inf))
+    return xs
+
+
+# Both branches over the whole double range: the 17 doubles from -1/e up,
+# linear panels, and log grids from the smallest subnormal to near the
+# largest double.
+MPMATH_POINTS = [
+    *((0, x) for x in _band(MINUS_INV_E, 17)),
+    *((-1, x) for x in _band(MINUS_INV_E, 17)),
+    *((0, x) for x in np.linspace(MINUS_INV_E, 0.3, 60)),
+    *((-1, x) for x in np.linspace(MINUS_INV_E, -1e-6, 60)),
+    *((0, x) for x in np.geomspace(5e-324, 1.7e308, 150)),
+    *((0, x) for x in -np.geomspace(5e-324, 0.36, 60)),
+    *((-1, x) for x in -np.geomspace(5e-324, 0.36, 150)),
+]
+
+
+def test_agrees_with_mpmath_over_the_double_range():
+    """Within a few ulp of mpmath at 40 digits, allowing for the
+    conditioning 1/|1+W| near the branch point, where rounding x alone
+    moves W that much.  fl(-1/e) lies just below -1/e, where mpmath's W
+    is complex with real part -1; the allowance there covers its
+    imaginary part."""
+    tiny = sys.float_info.min
+    failures = []
+    with mpmath.workdps(40):
+        for branch, x in MPMATH_POINTS:
+            x = float(x)
+            exact = mpmath.lambertw(x, branch)
+            w = reference_w(branch, x)
+            size = max(float(abs(exact)), tiny)
+            tol = 4.0 * EPS * size * (1.0 + 1.0 / max(float(abs(1 + exact)), 1e-8))
+            if abs(mpmath.mpf(w) - exact) > tol:
+                failures.append((branch, x, w, complex(exact)))
+    assert failures == []
 
 
 def test_extreme_arguments():
