@@ -9,6 +9,7 @@ maximum, the lower branch the other side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +21,9 @@ MOYAL_PEAK = math.exp(-0.5)
 _MOYAL_PEAK_TOL = 4.0 * math.ulp(MOYAL_PEAK)
 
 MOYAL_SIDES = ("plus", "minus")
+
+# Below this y the W argument -y*y is subnormal or underflows to -0.0.
+_MOYAL_TINY = math.sqrt(sys.float_info.min)
 
 
 def moyal(x: float) -> float:
@@ -56,6 +60,14 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     # Values within rounding of the peak correspond to the branch point;
     # snap them so the W argument does not land below -1/e.
     y = min(y, MOYAL_PEAK)
+    if side == "minus" and y < _MOYAL_TINY:
+        # Solve t - ln t = c for t = e^-x, c = -2 ln y > 708, in log space:
+        # t <- c + ln t contracts by 1/t, so eight steps reach rounding.
+        c = -2.0 * math.log(y)
+        t = c
+        for _ in range(8):
+            t = c + math.log(t)
+        return -math.log(t)
     w = lambert_w0(-y * y) if side == "plus" else lambert_wm1(-y * y)
     return w - 2.0 * math.log(y)
 

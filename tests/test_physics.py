@@ -55,6 +55,16 @@ def test_moyal_inverse_examples():
     assert minus == pytest.approx(expected_minus, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "y, expected",
+    # mpmath at 40 digits: lambertw(-y*y, -1) - 2*log(y).  Here -y*y is
+    # subnormal or underflows to -0.0 in double precision.
+    [(1e-160, -6.6112860668855555), (1e-200, -6.832888323280379), (5e-324, -7.310677704910514)],
+)
+def test_moyal_inverse_minus_below_sqrt_of_smallest_normal(y, expected):
+    assert abs(moyal_inverse(y, "minus") - expected) <= 4 * math.ulp(expected)
+
+
 def test_moyal_inverse_at_peak_is_zero_on_both_sides():
     assert moyal_inverse(MOYAL_PEAK, "plus") == 0.0
     assert moyal_inverse(MOYAL_PEAK, "minus") == 0.0
