@@ -7,8 +7,9 @@ The central quantity is
 the number of correct decimal places of an approximation relative to the
 reference value.  ``accuracy_sweep`` evaluates a chosen pipeline stage
 (raw approximation, a single Halley or Fritsch step, or the fully
-refined value) over a sampling grid and reports the per-point deltas,
-optionally writing a plain-text data file suitable for plotting.
+refined value) over a sampling grid and reports the per-point deltas;
+``write_report`` writes a report as a plain-text data file suitable for
+plotting.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .api import _refine, dispatch_region, lambert_w, lambert_w_approximation
 from .branches import Branch
@@ -70,13 +69,21 @@ class GridSpec:
             raise ValueError(f"grid kind must be 'linear' or 'log', got {self.kind!r}")
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
-        if self.kind == "log" and self.start * self.stop <= 0.0:
+        if self.kind == "log" and not (self.start > 0.0 < self.stop or self.start < 0.0 > self.stop):
             raise ValueError("log grid endpoints must share a nonzero sign")
 
-    def points(self) -> np.ndarray:
-        if self.kind == "linear":
-            return np.linspace(self.start, self.stop, self.count)
-        return np.geomspace(self.start, self.stop, self.count)
+    def points(self) -> list[float]:
+        """``count`` points from ``start`` to ``stop``, both exact: ``a + i*step``
+        as in ``numpy.linspace``, with ``a, step`` taken in ``log10|x|`` for log
+        grids, so that no ratio of the endpoints can overflow."""
+        a, b = self.start, self.stop
+        if self.kind == "log":
+            a, b = math.log10(abs(a)), math.log10(abs(b))
+        step = (b - a) / (self.count - 1)
+        inner = [a + i * step for i in range(1, self.count - 1)]
+        if self.kind == "log":
+            inner = [math.copysign(10.0**e, self.start) for e in inner]
+        return [self.start, *inner, self.stop]
 
     def describe(self) -> str:
         return f"{self.kind}[{self.start:.17g}, {self.stop:.17g}, {self.count}]"
@@ -94,10 +101,6 @@ class AccuracyReport:
     @property
     def min_delta(self) -> float:
         return min(delta for _, delta, _ in self.samples)
-
-    @property
-    def grid_spec(self) -> str:
-        return self.grid.describe()
 
 
 def default_panels(branch: int) -> tuple[GridSpec, ...]:
@@ -132,7 +135,7 @@ def _stage_value(branch: Branch, stage: str, x: float) -> float:
     return _refine(x, w, scheme, max_steps=1)[0]
 
 
-def accuracy_sweep(branch: int, stage: str, grid: GridSpec, output=None) -> AccuracyReport:
+def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
     """Measure ``stage`` against the reference solver over ``grid``.
 
     Parameters
@@ -143,9 +146,6 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec, output=None) -> Accu
         One of :data:`STAGES`.
     grid : GridSpec
         Sampling grid; must lie inside the branch domain and exclude 0.
-    output : path or writable file, optional
-        When given, the report is also written in the plain-text data
-        format (one ``x delta region`` record per line).
 
     Returns
     -------
@@ -156,7 +156,6 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec, output=None) -> Accu
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     samples = []
     for x in grid.points():
-        x = float(x)
         if x == 0.0:
             raise ValueError("accuracy grids must exclude x = 0 (delta undefined)")
         try:
@@ -166,10 +165,7 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec, output=None) -> Accu
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"at x={x!r}: {exc}") from exc
         samples.append((x, delta, dispatch_region(b, x).kind))
-    report = AccuracyReport(b, stage, grid, tuple(samples))
-    if output is not None:
-        write_report(report, output)
-    return report
+    return AccuracyReport(b, stage, grid, tuple(samples))
 
 
 def write_report(report: AccuracyReport, destination) -> None:
@@ -178,16 +174,12 @@ def write_report(report: AccuracyReport, destination) -> None:
     ``destination`` may be a filesystem path or an open text file.
     Values are printed with full (round-trippable) precision.
     """
-    if hasattr(destination, "write"):
-        _write_report_file(report, destination)
-    else:
+    if not hasattr(destination, "write"):
         with open(os.fspath(destination), "w", encoding="ascii") as handle:
-            _write_report_file(report, handle)
-
-
-def _write_report_file(report: AccuracyReport, handle) -> None:
-    handle.write(
-        f"# branch={int(report.branch)} stage={report.stage} grid={report.grid_spec}\n"
+            write_report(report, handle)
+        return
+    destination.write(
+        f"# branch={int(report.branch)} stage={report.stage} grid={report.grid.describe()}\n"
     )
     for x, delta, region in report.samples:
-        handle.write(f"{x!r} {delta!r} {region}\n")
+        destination.write(f"{x!r} {delta!r} {region}\n")

@@ -121,7 +121,7 @@ def _run_sweep(args: list[str]) -> int:
         write_report(report, sys.stdout)
     else:
         write_report(report, opts.output)
-    print(f"min_delta = {report.min_delta!r} over {report.grid_spec}", file=sys.stderr)
+    print(f"min_delta = {report.min_delta!r} over {report.grid.describe()}", file=sys.stderr)
     return 0
 
 

@@ -2,10 +2,14 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lambertw
 from lambertw import (
     DELTA_CAP,
     AccuracyReport,
@@ -60,6 +64,38 @@ def test_log_grid_supports_negative_ranges():
     assert all(p < 0 for p in points)
 
 
+def test_log_grid_accepts_tiny_endpoints():
+    # start * stop underflows to 0 here; the signs still agree.
+    grid = GridSpec("log", 1e-200, 1e-150, 5)
+    points = grid.points()
+    assert points[0] == 1e-200 and points[-1] == 1e-150
+    assert abs(points[2] - 1e-175) <= math.ulp(1e-175)
+    assert points == sorted(points)
+    assert accuracy_sweep(0, "converged", grid).min_delta >= 13.0
+
+
+# The four default panels and the criterion-9 step-count grids.
+_NUMPY_CHECKED_GRIDS = [
+    *default_panels(0),
+    *default_panels(-1),
+    GridSpec("linear", MINUS_INV_E + 1e-9, 0.3, 500),
+    GridSpec("log", 0.3, 1e8, 500),
+]
+
+
+@pytest.mark.parametrize("grid", _NUMPY_CHECKED_GRIDS)
+def test_grid_points_match_numpy(grid):
+    points = grid.points()
+    assert all(type(p) is float for p in points)
+    if grid.kind == "linear":
+        assert points == np.linspace(grid.start, grid.stop, grid.count).tolist()
+        return
+    reference = np.geomspace(grid.start, grid.stop, grid.count).tolist()
+    assert len(points) == len(reference)
+    assert points[0] == grid.start and points[-1] == grid.stop
+    assert all(abs(p - r) <= math.ulp(r) for p, r in zip(points, reference))
+
+
 @pytest.mark.parametrize(
     "kind, start, stop, count",
     [
@@ -67,6 +103,8 @@ def test_log_grid_supports_negative_ranges():
         ("linear", 0.0, 1.0, 1),
         ("log", -1.0, 1.0, 10),
         ("log", 0.0, 1.0, 10),
+        ("log", math.nan, 1.0, 5),
+        ("log", -1e-200, 1e-150, 5),
     ],
 )
 def test_grid_validation(kind, start, stop, count):
@@ -96,7 +134,6 @@ def test_sweep_report_invariants():
     assert len(report.samples) == 200
     assert report.min_delta == min(d for _, d, _ in report.samples)
     assert report.min_delta >= 5.0
-    assert report.grid_spec == grid.describe()
     regions = {region for _, _, region in report.samples}
     assert regions == {"branch-point-series", "rational-fit-1", "rational-fit-2"}
 
@@ -142,7 +179,8 @@ def test_sweep_attaches_offending_x_to_errors():
 def test_report_file_format_round_trips():
     grid = GridSpec("log", -1e-6, -1e-10, 25)
     buffer = io.StringIO()
-    report = accuracy_sweep(-1, "converged", grid, output=buffer)
+    report = accuracy_sweep(-1, "converged", grid)
+    write_report(report, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0].startswith("#")
     assert "branch=-1" in lines[0] and "stage=converged" in lines[0]
@@ -162,3 +200,16 @@ def test_report_writes_to_path(tmp_path):
     content = target.read_text()
     assert content.count("\n") == 6
     assert content.startswith("# branch=0")
+
+
+# ----------------------------------------------------------------------
+# dependencies
+
+
+def test_import_leaves_numpy_unloaded():
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(lambertw.__file__)))
+    code = "import sys, lambertw, lambertw.cli; print(lambertw.__file__); print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=package_root, env={**os.environ, "PYTHONPATH": package_root},
+                          check=True)
+    assert proc.stdout.splitlines() == [lambertw.__file__, "False"]
