@@ -22,8 +22,18 @@ _MOYAL_PEAK_TOL = 4.0 * math.ulp(MOYAL_PEAK)
 
 MOYAL_SIDES = ("plus", "minus")
 
-# Below this y the W argument -y*y is subnormal or underflows to -0.0.
-_MOYAL_TINY = math.sqrt(sys.float_info.min)
+
+def _t_minus_log_t_root(c: float) -> float:
+    """The root t > 1 of t - ln t = c, for c > 708.
+
+    That is t = -W_-1(-e^-c), solved in log space for where the W
+    argument -e^-c is subnormal or underflows to -0.0: t <- c + ln t
+    contracts by 1/t, so eight steps from t = c reach rounding.
+    """
+    t = c
+    for _ in range(8):
+        t = c + math.log(t)
+    return t
 
 
 def moyal(x: float) -> float:
@@ -60,16 +70,13 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     # Values within rounding of the peak correspond to the branch point;
     # snap them so the W argument does not land below -1/e.
     y = min(y, MOYAL_PEAK)
-    if side == "minus" and y < _MOYAL_TINY:
-        # Solve t - ln t = c for t = e^-x, c = -2 ln y > 708, in log space:
-        # t <- c + ln t contracts by 1/t, so eight steps reach rounding.
-        c = -2.0 * math.log(y)
-        t = c
-        for _ in range(8):
-            t = c + math.log(t)
-        return -math.log(t)
-    w = lambert_w0(-y * y) if side == "plus" else lambert_wm1(-y * y)
-    return w - 2.0 * math.log(y)
+    if side == "plus":
+        return lambert_w0(-y * y) - 2.0 * math.log(y)
+    # With w e^w = -y^2, x = w - 2 ln y equals -ln(-w), which does not
+    # cancel w against 2 ln y.
+    if y * y < sys.float_info.min:
+        return -math.log(_t_minus_log_t_root(-2.0 * math.log(y)))
+    return -math.log(-lambert_wm1(-y * y))
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,12 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     # Writing the right side with exp(-1) keeps y = 1 exactly on the
     # branch point, so both roots collapse to x_max with no rounding.
     arg = -(y ** (1.0 / x_max)) * math.exp(-1.0)
-    return GhRoots(-x_max * lambert_w0(arg), -x_max * lambert_wm1(arg))
+    if -arg < sys.float_info.min:
+        # u = right/x_max solves u - ln u = 1 - ln(y)/x_max.
+        right = x_max * _t_minus_log_t_root(1.0 - math.log(y) / x_max)
+    else:
+        right = -x_max * lambert_wm1(arg)
+    return GhRoots(-x_max * lambert_w0(arg), right)
 
 
 def gh_profile(X: float, p: GaisserHillasParams) -> float:

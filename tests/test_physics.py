@@ -65,6 +65,21 @@ def test_moyal_inverse_minus_below_sqrt_of_smallest_normal(y, expected):
     assert abs(moyal_inverse(y, "minus") - expected) <= 4 * math.ulp(expected)
 
 
+@pytest.mark.parametrize(
+    "y, expected",
+    # mpmath at 40 digits.  Forming w - 2 ln y cancels two nearly equal
+    # terms for small y; the result is exactly -ln(-w).
+    [
+        (1.4916681462400417e-154, -6.572238705702365),
+        (1e-100, -6.145606566537769),
+        (1e-20, -4.571352313918209),
+        (0.1, -1.8676049384059132),
+    ],
+)
+def test_moyal_inverse_minus_golden_values(y, expected):
+    assert abs(moyal_inverse(y, "minus") - expected) <= 2 * math.ulp(expected)
+
+
 def test_moyal_inverse_at_peak_is_zero_on_both_sides():
     assert moyal_inverse(MOYAL_PEAK, "plus") == 0.0
     assert moyal_inverse(MOYAL_PEAK, "minus") == 0.0
@@ -158,6 +173,23 @@ def test_gh_inverse_limits_toward_zero():
     roots = gh_inverse(1e-300, 1.0)
     assert roots.left == pytest.approx(0.0, abs=1e-297)
     assert roots.right > 690.0  # ~ -ln(y) for x_max = 1
+
+
+@pytest.mark.parametrize(
+    "y, x_max, expected_right",
+    # mpmath at 40 digits: -x_max * lambertw(-y**(1/x_max)/e, -1).  Here
+    # the W argument underflows to -0.0 (first two) or is subnormal.
+    [
+        (5e-324, 1.0, 752.0628918746461),
+        (1e-200, 0.5, 464.43400192110306),
+        (1e-160, 0.5, 372.21993091518414),
+        (1e-320, 1.0, 744.4398729782224),
+    ],
+)
+def test_gh_inverse_where_the_w_argument_is_not_normal(y, x_max, expected_right):
+    roots = gh_inverse(y, x_max)
+    assert abs(roots.right - expected_right) <= 2 * math.ulp(expected_right)
+    assert 0.0 <= roots.left < x_max
 
 
 def test_gh_inverse_domain_errors():
