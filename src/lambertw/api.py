@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .approx import (
     ApproximationRegion,
@@ -39,7 +39,7 @@ from .approx import (
     continued_log_recursion_wm1,
     rational_fit_eval,
 )
-from .branches import Branch
+from .branches import Branch, invalid_branch
 from .errors import DomainError
 from .iteration import SCHEMES, SINGULARITY_GUARD, defining_residual, fritsch_step, halley_step
 
@@ -51,7 +51,7 @@ RESIDUAL_TOL = 1e-14
 _W0_SERIES_END = -0.323581
 _W0_FIT1_END = 0.145469
 _W0_FIT2_END = 8.706658
-# The branch -1 series here runs at order 11 (see _SERIES_ORDER), which
+# The branch -1 series here runs at order 11 (see _seed), which
 # pushes its five-decimal range past the order-9 crossing near -0.302985.
 # The rational fit only reaches five decimals right of -0.3005, so the
 # handoff sits at the measured order-11 crossing; both sides hold
@@ -76,11 +76,11 @@ WM1_REGIONS: tuple[ApproximationRegion, ...] = (
 # x within the rounding band below -1/e lands in the series region.
 _W0_BREAKS = tuple(region.upper for region in W0_REGIONS[:-1])
 _WM1_BREAKS = tuple(region.upper for region in WM1_REGIONS[:-1])
+_X_MIN = MINUS_INV_E - BRANCH_POINT_TOL
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Refined evaluation with diagnostics.
+class EvalResult(NamedTuple):
+    """Refined evaluation with diagnostics (an immutable named tuple).
 
     value : the branch value W(x)
     region : kind of the initial approximation that seeded the result
@@ -95,15 +95,14 @@ class EvalResult:
     residual: float
 
 
-def _check_domain(b: Branch, x: float) -> None:
+def _domain_error(x: float) -> DomainError:
     if math.isnan(x):
-        raise DomainError("x is NaN, outside both branch domains")
-    if x < MINUS_INV_E - BRANCH_POINT_TOL:
-        raise DomainError(
+        return DomainError("x is NaN, outside both branch domains")
+    if x < _X_MIN:
+        return DomainError(
             f"x = {x!r} is below the branch point bound -1/e = {MINUS_INV_E!r}"
         )
-    if b is Branch.LOWER and x >= 0.0:
-        raise DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
+    return DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
 
 
 def dispatch_region(branch: int, x: float) -> ApproximationRegion:
@@ -111,18 +110,15 @@ def dispatch_region(branch: int, x: float) -> ApproximationRegion:
 
     The one place where ``(branch, x)`` is validated: raises ValueError
     for a branch other than 0 or -1 and DomainError for x outside it.
+    ``math.isnan`` comes first so that a non-scalar x raises TypeError.
     """
-    b = Branch(branch)
-    _check_domain(b, x)
-    if b is Branch.PRINCIPAL:
+    if branch != 0 and branch != -1:
+        raise invalid_branch(branch)
+    if math.isnan(x) or x < _X_MIN or (branch == -1 and x >= 0.0):
+        raise _domain_error(x)
+    if branch == 0:
         return W0_REGIONS[bisect_right(_W0_BREAKS, x)]
     return WM1_REGIONS[bisect_right(_WM1_BREAKS, x)]
-
-
-# Series order used by the dispatcher.  Branch -1 runs two orders hotter
-# because its series region extends to p = -0.594, where the order-9
-# truncation error is a shade above the five-decimal promise.
-_SERIES_ORDER = {Branch.PRINCIPAL: 9, Branch.LOWER: 11}
 
 
 def _seed(region: ApproximationRegion, x: float) -> float:
@@ -134,9 +130,11 @@ def _seed(region: ApproximationRegion, x: float) -> float:
     b = region.branch
     kind = region.kind
     if kind == "branch-point-series":
-        return branch_point_series(b, x, order=_SERIES_ORDER[b])
+        # Branch -1 runs two orders hotter: its series region reaches
+        # p = -0.594, where order 9 falls a shade short of five decimals.
+        return branch_point_series(b, x, order=9 if b == 0 else 11)
     if kind == "rational-fit-1":
-        fit = W0_FIT_1 if b is Branch.PRINCIPAL else WM1_FIT
+        fit = W0_FIT_1 if b == 0 else WM1_FIT
         return rational_fit_eval(fit, x)
     if kind == "rational-fit-2":
         return rational_fit_eval(W0_FIT_2, x)
@@ -189,19 +187,17 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     for throughput-critical callers that can live with that accuracy.
     """
     region = dispatch_region(branch, x)
-    if math.isinf(x):
-        return math.inf
-    return _seed(region, x)
+    return math.inf if math.isinf(x) else _seed(region, x)
 
 
 def lambert_w0_approximation(x: float) -> float:
     """Principal branch initial approximation (static branch form)."""
-    return lambert_w_approximation(Branch.PRINCIPAL, x)
+    return lambert_w_approximation(0, x)
 
 
 def lambert_wm1_approximation(x: float) -> float:
     """Branch -1 initial approximation (static branch form)."""
-    return lambert_w_approximation(Branch.LOWER, x)
+    return lambert_w_approximation(-1, x)
 
 
 def lambert_w(branch: int, x: float) -> EvalResult:
@@ -220,9 +216,9 @@ def lambert_w(branch: int, x: float) -> EvalResult:
 
 def lambert_w0(x: float) -> float:
     """Principal branch value W_0(x), defined on [-1/e, inf)."""
-    return lambert_w(Branch.PRINCIPAL, x).value
+    return lambert_w(0, x).value
 
 
 def lambert_wm1(x: float) -> float:
     """Lower branch value W_-1(x), defined on [-1/e, 0)."""
-    return lambert_w(Branch.LOWER, x).value
+    return lambert_w(-1, x).value

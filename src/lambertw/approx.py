@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branches import Branch
+from .branches import Branch, invalid_branch
 from .errors import DomainError, SingularityError
 
 MINUS_INV_E = -math.exp(-1.0)
@@ -124,7 +124,8 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
     the root is clamped to zero when rounding drags it a few ulp below;
     anything further out is a domain error.
     """
-    b = Branch(branch)
+    if branch != 0 and branch != -1:
+        raise invalid_branch(branch)
     if not 1 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"order must be in [1, {MAX_SERIES_ORDER}], got {order}")
     if math.isnan(x):
@@ -136,9 +137,7 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
     s = 2.0 * (1.0 + math.e * x)
     if s < 0.0:
         s = 0.0
-    p = math.sqrt(s)
-    if b is Branch.LOWER:
-        p = -p
+    p = math.sqrt(s) if branch == 0 else -math.sqrt(s)
     return _horner(BRANCH_POINT_COEFFICIENTS[: order + 1], p)
 
 
@@ -159,20 +158,17 @@ def asymptotic_series(branch: int, x: float) -> float:
     The dispatcher only uses this beyond x ~ 8.7 on branch 0, where the
     truncation error is already below the 1e-3 level and falls fast.
     """
-    b_id = Branch(branch)
+    if branch != 0 and branch != -1:
+        raise invalid_branch(branch)
     if math.isnan(x):
         raise DomainError("x is NaN, outside both branch domains")
-    if b_id is Branch.PRINCIPAL:
+    if branch == 0:
         if x <= 1.0:
-            raise DomainError(
-                f"asymptotic form on branch 0 needs x > 1, got x = {x!r}"
-            )
+            raise DomainError(f"asymptotic form on branch 0 needs x > 1, got x = {x!r}")
         a = math.log(x)
     else:
         if not MINUS_INV_E < x < 0.0:
-            raise DomainError(
-                f"asymptotic form on branch -1 needs -1/e < x < 0, got x = {x!r}"
-            )
+            raise DomainError(f"asymptotic form on branch -1 needs -1/e < x < 0, got x = {x!r}")
         a = math.log(-x)
     b = math.log(-a) if a < 0.0 else math.log(a)
     ia = 1.0 / a

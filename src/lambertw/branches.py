@@ -12,3 +12,8 @@ class Branch(IntEnum):
 
     PRINCIPAL = 0
     LOWER = -1
+
+
+def invalid_branch(branch) -> ValueError:
+    """The error of ``Branch(branch)``, for code that compares with 0 and -1."""
+    return ValueError(f"{branch!r} is not a valid Branch")

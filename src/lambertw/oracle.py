@@ -2,7 +2,7 @@
 
 This module is the measuring stick for everything else in the package, so
 it deliberately shares no code with the fast evaluation path: it imports
-only the branch enum and the exception types, never the approximation,
+only the branch error and the exception types, never the approximation,
 iteration, or dispatch modules.
 
 The solver bisects until the bracket collapses to adjacent floats (a one
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .branches import Branch
+from .branches import invalid_branch
 from .errors import DomainError
 
 # Most negative representable argument: -1/e, with a 4 ulp acceptance band
@@ -120,7 +120,8 @@ def reference_w(branch: int, x: float) -> float:
         The branch value w with |w*e^w - x| minimized over representable
         candidates near the root.
     """
-    b = Branch(branch)
+    if branch != 0 and branch != -1:
+        raise invalid_branch(branch)
     if math.isnan(x):
         raise DomainError("x is NaN, outside both branch domains")
     if x < MINUS_INV_E - BRANCH_POINT_TOL:
@@ -129,10 +130,8 @@ def reference_w(branch: int, x: float) -> float:
         )
     if x < MINUS_INV_E:
         return -1.0
-    if b is Branch.PRINCIPAL:
+    if branch == 0:
         return _reference_w0(x)
     if x >= 0.0:
-        raise DomainError(
-            f"branch -1 requires -1/e <= x < 0, got x = {x!r}"
-        )
+        raise DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
     return _reference_wm1(x)

@@ -14,6 +14,8 @@ from lambertw import (
     SCHEMES,
     W0_REGIONS,
     WM1_REGIONS,
+    asymptotic_series,
+    branch_point_series,
     defining_residual,
     dispatch_region,
     lambert_w,
@@ -162,6 +164,76 @@ def test_domain_errors(branch, x):
         lambert_w(branch, x)
     with pytest.raises(DomainError):
         lambert_w_approximation(branch, x)
+
+
+# Every function that takes a branch, with an x inside both branch
+# domains (the asymptotic form needs x > 1 on branch 0).
+BRANCH_TAKERS = {
+    "dispatch_region": (dispatch_region, {0: -0.3, -1: -0.3}),
+    "lambert_w": (lambert_w, {0: -0.3, -1: -0.3}),
+    "lambert_w_approximation": (lambert_w_approximation, {0: -0.3, -1: -0.3}),
+    "branch_point_series": (branch_point_series, {0: -0.3, -1: -0.3}),
+    "asymptotic_series": (asymptotic_series, {0: 20.0, -1: -0.01}),
+    "reference_w": (reference_w, {0: -0.3, -1: -0.3}),
+}
+
+
+@pytest.mark.parametrize(
+    "branch, canonical",
+    [(0, 0), (-1, -1), (0.0, 0), (-1.0, -1), (False, 0), (Branch.PRINCIPAL, 0), (Branch.LOWER, -1)],
+)
+@pytest.mark.parametrize("name", BRANCH_TAKERS)
+def test_branch_spellings_are_accepted(name, branch, canonical):
+    fn, xs = BRANCH_TAKERS[name]
+    assert fn(branch, xs[canonical]) == fn(canonical, xs[canonical])
+
+
+@pytest.mark.parametrize("branch", [1, 2, -2, 0.5, True, "0"])
+@pytest.mark.parametrize("name", BRANCH_TAKERS)
+def test_invalid_branch_raises_the_enum_error(name, branch):
+    fn, xs = BRANCH_TAKERS[name]
+    with pytest.raises(ValueError, match=re.escape(f"{branch!r} is not a valid Branch")):
+        fn(branch, xs[0])
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+@pytest.mark.parametrize("name", BRANCH_TAKERS)
+def test_nan_raises_a_domain_error_naming_nan(name, branch):
+    fn, _ = BRANCH_TAKERS[name]
+    with pytest.raises(DomainError, match="NaN"):
+        fn(branch, math.nan)
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+@pytest.mark.parametrize("name", ["dispatch_region", "lambert_w", "lambert_w_approximation",
+                                  "branch_point_series", "reference_w"])
+def test_four_ulp_band_below_branch_point(name, branch):
+    fn, _ = BRANCH_TAKERS[name]
+    x = MINUS_INV_E
+    for _ in range(4):
+        x = math.nextafter(x, -math.inf)
+    result = fn(branch, x)
+    if name != "dispatch_region":
+        assert (result.value if name == "lambert_w" else result) == -1.0
+    with pytest.raises(DomainError, match="-1/e"):
+        fn(branch, math.nextafter(x, -math.inf))
+
+
+@pytest.mark.parametrize("x", [[0.5, 1.0], np.array([-0.2, -0.1])])
+@pytest.mark.parametrize("fn", [lambert_w0, lambert_wm1, lambda x: lambert_w(0, x)])
+def test_non_scalar_x_raises_type_error(fn, x):
+    with pytest.raises(TypeError):
+        fn(x)
+
+
+def test_eval_result_is_an_immutable_named_tuple():
+    result = lambert_w(0, 1.0)
+    assert isinstance(result, EvalResult)
+    assert EvalResult._fields == ("value", "region", "refinement_steps", "residual")
+    assert tuple(result) == (result.value, result.region, result.refinement_steps,
+                             result.residual)
+    with pytest.raises(AttributeError):
+        result.value = 0.0
 
 
 def test_domain_error_names_the_bound():
