@@ -150,12 +150,11 @@ def _refine(
 
     Returns ``(w, steps, residual)``.  An exact seed (w = 0, or w within
     SINGULARITY_GUARD of -1, where a step would divide by ~0) comes back
-    unrefined with 0 steps.  Otherwise ``scheme`` steps are applied until
-    the residual is <= RESIDUAL_TOL * max(|x|, 1) or ``max_steps`` steps
-    have been taken; the residual is only checked after a step.
+    unrefined with 0 steps.  Otherwise ``scheme`` steps (one of SCHEMES,
+    checked by the caller) are applied until the residual is
+    <= RESIDUAL_TOL * max(|x|, 1) or ``max_steps`` steps have been
+    taken; the residual is only checked after a step.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
         return w, 0, defining_residual(x, w)
     tol = RESIDUAL_TOL * max(abs(x), 1.0)
@@ -173,10 +172,14 @@ def steps_to_converge(branch: int, x: float, scheme: str) -> int:
 
     Counts the steps the evaluation pipeline actually takes: at least
     one (the residual is only checked after a step), at most four, and
-    zero only where the seed is exact (x = 0 and the branch point).
+    zero only where the seed is exact (x = 0 and the branch point) and
+    at x = +inf, which ``lambert_w`` returns unrefined.
     Raises ValueError for a scheme not in SCHEMES.
     """
-    return _refine(x, lambert_w_approximation(branch, x), scheme)[1]
+    w = lambert_w_approximation(branch, x)
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return 0 if math.isinf(x) else _refine(x, w, scheme)[1]
 
 
 def lambert_w_approximation(branch: int, x: float) -> float:

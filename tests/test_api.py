@@ -346,3 +346,11 @@ def test_benchmark_stops_on_the_rule_of_lambert_w():
 def test_steps_to_converge_rejects_unknown_scheme():
     with pytest.raises(ValueError, match=re.escape(str(SCHEMES))):
         steps_to_converge(0, 1.0, "newton")
+    with pytest.raises(ValueError, match=re.escape(str(SCHEMES))):
+        steps_to_converge(0, math.inf, "newton")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_no_steps_at_infinity(scheme):
+    assert lambert_w(0, math.inf).refinement_steps == 0
+    assert steps_to_converge(0, math.inf, scheme) == 0
