@@ -21,7 +21,7 @@ Subcommands extend the utility without disturbing the bare contract:
     lambert-w gh-inverse y x_max   Gaisser-Hillas profile inverse
 
 Exit codes: 0 success, 1 domain error (message on stderr names the
-violated bound), 2 malformed arguments.
+violated bound), 2 malformed arguments or an unwritable --output file.
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ def _run_sweep(args: list[str]) -> int:
         grid = GridSpec(opts.grid or "linear", opts.start, opts.stop, opts.count)
 
     report = accuracy_sweep(opts.branch, opts.stage, grid)
-    if opts.output is None:
-        write_report(report, sys.stdout)
-    else:
-        write_report(report, opts.output)
+    try:
+        write_report(report, sys.stdout if opts.output is None else opts.output)
+    except OSError as exc:  # e.g. an --output path in a missing directory
+        return _fail_usage(str(exc))
     print(f"min_delta = {report.min_delta!r} over {report.grid.describe()}", file=sys.stderr)
     return 0
 

@@ -156,6 +156,16 @@ def test_sweep_writes_to_file(tmp_path, capsys):
     assert target.read_text().startswith("# branch=0")
 
 
+def test_sweep_to_an_unwritable_path_exits_two_without_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "records.dat"
+    code, out, err = run(["sweep", "--count", "5", "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("lambert-w: error: ")
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
 def test_moyal_inverse_subcommand(capsys):
     code, out, err = run(["moyal-inverse", "0.2"], capsys)
     assert code == 0
