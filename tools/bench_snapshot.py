@@ -15,8 +15,8 @@ Each run keeps the result line (the end-to-end metrics and the
 correctness flag) and from the report line the checksums, the number of
 distinct failed operations and the provenance (machine, versions, git
 revision).  Each label also gets the median of every metric over its
-runs.  Run from anywhere; one label of four workloads at the default 15
-seconds takes about five minutes.
+runs.  Runs last ``run_seconds`` of BENCHMARK.json, as the benchmark's
+own runs do; one label of four workloads takes about six minutes.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEEDS = (1, 2, 3)
+SECONDS = SPEC["run_seconds"]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run of ``checkout``, as stored in a snapshot."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         sys.exit(f"bench_snapshot: {' '.join(command)} in {checkout} exited "
@@ -58,17 +59,16 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, choices=("parent", "change"))
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="tree whose perfbench/run.py and src/ are run (default: this one)")
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     for workload in (w["name"] for w in SPEC["workloads"]):
-        runs = [run_once(checkout, workload, seed, args.seconds) for seed in SEEDS]
+        runs = [run_once(checkout, workload, seed) for seed in SEEDS]
         metrics = runs[0]["result"]["metrics"]
         path = ROOT / f"BENCH_{workload}.json"
         snapshot = json.loads(path.read_text()) if path.exists() else {"workload": workload}
         snapshot[args.label] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed N "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {SECONDS} --trace 0",
             "median": {name: statistics.median(r["result"]["metrics"][name]["value"] for r in runs)
                        for name in metrics},
             "runs": runs,
