@@ -6,8 +6,8 @@ The central quantity is
 
 the number of correct decimal places of an approximation relative to the
 reference value.  ``accuracy_sweep`` evaluates a chosen pipeline stage
-(raw approximation, a single Halley or Fritsch step, or the fully
-refined value) over a sampling grid and reports the per-point deltas;
+(raw approximation, a single Halley or Fritsch step, or the value
+``lambert_w`` returns) over a sampling grid and reports the per-point deltas;
 ``write_report`` writes a report as a plain-text data file suitable for
 plotting.
 """
@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .api import _refine, dispatch_region, lambert_w, lambert_w_approximation
+from .api import _step, dispatch_region, lambert_w, lambert_w_approximation
 from .branches import Branch
 from .oracle import MINUS_INV_E, reference_w
 
@@ -131,8 +131,7 @@ def _stage_value(branch: Branch, stage: str, x: float) -> float:
     w = lambert_w_approximation(branch, x)
     if stage == "approximation":
         return w
-    scheme = "halley" if stage == "one-halley" else "fritsch"
-    return _refine(x, w, scheme, max_steps=1)[0]
+    return _step(x, w, "halley" if stage == "one-halley" else "fritsch")[0]
 
 
 def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:

@@ -1,12 +1,10 @@
-"""Public evaluation entry points, region dispatch and the refinement loop.
+"""Public evaluation entry points, region dispatch and the refinement step.
 
 Every evaluation takes one path: ``dispatch_region`` validates the branch
 and x and picks the region whose initial approximation (the seed) serves
-x; the seed is evaluated; ``_refine`` applies Fritsch steps until the
-defining residual |w*e^w - x| <= 1e-14 * max(|x|, 1), at most four of
-them (one suffices below x ~ 5e29; the rest is insurance, not a tuning
-knob).  A seed that is already exact (w = 0 at x = 0, w = -1 at the
-branch point) is returned unrefined.
+x; the seed is evaluated; ``_step`` applies exactly one Fritsch step.  A
+seed that is already exact (w = 0 at x = 0, w = -1 at the branch point)
+is returned unstepped.
 
 Three call shapes are exposed:
 
@@ -16,8 +14,8 @@ Three call shapes are exposed:
 * ``lambert_w(branch, x)`` resolves the branch at runtime and returns an
   :class:`EvalResult` carrying diagnostics.
 
-``steps_to_converge(branch, x, scheme)`` runs the same loop with Fritsch
-or Halley steps and returns only the step count, the paper's
+``steps_to_converge(branch, x, scheme)``, the one loop, counts the Fritsch
+or Halley steps until |w*e^w - x| <= 1e-14 * max(|x|, 1): the paper's
 comparison of the two schemes.
 """
 
@@ -43,7 +41,7 @@ from .branches import Branch, invalid_branch
 from .errors import DomainError
 from .iteration import SCHEMES, SINGULARITY_GUARD, defining_residual, fritsch_step, halley_step
 
-# Residual acceptance scale for refined results.
+# Residual tolerance scale of the stopping rule in steps_to_converge.
 RESIDUAL_TOL = 1e-14
 
 # Region breakpoints: where adjacent approximations cross in accuracy.
@@ -84,9 +82,9 @@ class EvalResult(NamedTuple):
 
     value : the branch value W(x)
     region : kind of the initial approximation that seeded the result
-    refinement_steps : Fritsch steps actually applied (0 where the seed
-        is exact: x = 0 and the branch point)
-    residual : |value * exp(value) - x| as last checked
+    refinement_steps : Fritsch steps applied: 1, or 0 where the seed is
+        exact (x = 0 and the branch point) and at x = +inf
+    residual : |value * exp(value) - x| of the returned value
     """
 
     value: float
@@ -143,43 +141,39 @@ def _seed(region: ApproximationRegion, x: float) -> float:
     return continued_log_recursion_wm1(x)
 
 
-def _refine(
-    x: float, w: float, scheme: str = "fritsch", max_steps: int = 4
-) -> tuple[float, int, float]:
-    """Refine the estimate w of W(x); the package's one stopping rule.
+def _step(x: float, w: float, scheme: str = "fritsch") -> tuple[float, int]:
+    """One refinement step of the estimate w of W(x): ``(w, steps)``.
 
-    Returns ``(w, steps, residual)``.  An exact seed (w = 0, or w within
-    SINGULARITY_GUARD of -1, where a step would divide by ~0) comes back
-    unrefined with 0 steps.  Otherwise ``scheme`` steps (one of SCHEMES,
-    checked by the caller) are applied until the residual is
-    <= RESIDUAL_TOL * max(|x|, 1) or ``max_steps`` steps have been
-    taken; the residual is only checked after a step.
+    An exact seed (w = 0, or w within SINGULARITY_GUARD of -1, where a
+    step would divide by ~0) comes back unstepped with 0 steps.
+    Otherwise one ``scheme`` step (one of SCHEMES, checked by the caller)
+    is applied and ``steps`` is 1.
     """
     if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
-        return w, 0, defining_residual(x, w)
-    tol = RESIDUAL_TOL * max(abs(x), 1.0)
-    steps = 0
-    while True:
-        w = fritsch_step(x, w) if scheme == "fritsch" else halley_step(x, w)
-        steps += 1
-        residual = defining_residual(x, w)
-        if residual <= tol or steps >= max_steps:
-            return w, steps, residual
+        return w, 0
+    return (fritsch_step(x, w) if scheme == "fritsch" else halley_step(x, w)), 1
 
 
 def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     """Refinement steps needed to reach the residual tolerance at x.
 
-    Counts the steps the evaluation pipeline actually takes: at least
-    one (the residual is only checked after a step), at most four, and
-    zero only where the seed is exact (x = 0 and the branch point) and
+    Steps are repeated until |w*e^w - x| <= RESIDUAL_TOL * max(|x|, 1),
+    at most four of them; the residual is only checked after a step.
+    Zero only where the seed is exact (x = 0 and the branch point) and
     at x = +inf, which ``lambert_w`` returns unrefined.
     Raises ValueError for a scheme not in SCHEMES.
     """
     w = lambert_w_approximation(branch, x)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return 0 if math.isinf(x) else _refine(x, w, scheme)[1]
+    if math.isinf(x):
+        return 0
+    tol = RESIDUAL_TOL * max(abs(x), 1.0)
+    w, steps = _step(x, w, scheme)
+    while 0 < steps < 4 and defining_residual(x, w) > tol:
+        w = _step(x, w, scheme)[0]
+        steps += 1
+    return steps
 
 
 def lambert_w_approximation(branch: int, x: float) -> float:
@@ -213,8 +207,8 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     region = dispatch_region(branch, x)
     if math.isinf(x):
         return EvalResult(math.inf, region.kind, 0, math.nan)
-    w, steps, residual = _refine(x, _seed(region, x))
-    return EvalResult(w, region.kind, steps, residual)
+    w, steps = _step(x, _seed(region, x))
+    return EvalResult(w, region.kind, steps, defining_residual(x, w))
 
 
 def lambert_w0(x: float) -> float:

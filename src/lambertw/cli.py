@@ -27,6 +27,7 @@ violated bound), 2 malformed arguments or an unwritable --output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .accuracy import STAGES, GridSpec, accuracy_sweep, default_panels, write_report
@@ -116,9 +117,12 @@ def _run_sweep(args: list[str]) -> int:
     else:
         grid = GridSpec(opts.grid or "linear", opts.start, opts.stop, opts.count)
 
-    report = accuracy_sweep(opts.branch, opts.stage, grid)
+    # Opened before the sweep, so a path that cannot be written fails at once.
     try:
-        write_report(report, sys.stdout if opts.output is None else opts.output)
+        with (contextlib.nullcontext(sys.stdout) if opts.output is None
+              else open(opts.output, "w", encoding="ascii")) as out:
+            report = accuracy_sweep(opts.branch, opts.stage, grid)
+            write_report(report, out)
     except OSError as exc:  # e.g. an --output path in a missing directory
         return _fail_usage(str(exc))
     print(f"min_delta = {report.min_delta!r} over {report.grid.describe()}", file=sys.stderr)

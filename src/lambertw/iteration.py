@@ -8,8 +8,8 @@ improved estimate:
   practice turns any five-decimal initial guess into a result at the
   rounding floor, which is why the evaluation path defaults to it.
 
-The loop that applies them and decides when to stop is
-``lambertw.api._refine``.
+``lambertw.api`` applies exactly one Fritsch step per evaluation;
+only ``steps_to_converge`` there repeats steps, to count them.
 
 Neither step is defined at w = -1 (the derivative of w*e^w vanishes);
 estimates within 1e-12 of that point must not be refined at all, since

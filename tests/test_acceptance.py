@@ -10,12 +10,13 @@ Grid conventions used throughout:
   panel over [0.3, large]; "full branch -1" means a linear panel over
   [-1/e, -1e-6] joined to a log panel over [-1e-6, -1e-12].
 * Single-step floors (criteria 3 and 4) start their linear panels at
-  -1/e + 1e-5 instead of -1/e + 1e-9.  Closer in, the measurement itself
-  breaks down: rounding x to a double perturbs c = 1 + e*x at machine
-  epsilon while W moves like sqrt(2c), so *any* double-precision answer,
-  however perfect, reads as delta ~ 11.7 at 1e-9 from the branch point.
-  At 1e-5 the measurable ceiling is ~14.6, high enough to resolve a
-  13-decimal floor honestly.
+  -1/e + 1e-5 instead of -1/e + 1e-9.  x itself is an exact double, but
+  the branch-point series forms c = 1 + e*x in rounded arithmetic: the
+  sum carries an absolute error near machine epsilon, a relative error
+  of ~eps/c, and W moves like sqrt(2c), so the series value (and the
+  reference solver's shifted form, which rounds c the same way) reads
+  delta ~ 12 at 1e-9 from the branch point.  At 1e-5 that loss is small
+  enough to resolve a 13-decimal floor.
 * The Halley-deficiency containment check (criterion 3) uses a 14.5
   threshold rather than the nominal 16: converged values that are 1-2
   ulp from the oracle read as delta 15.3-16 anywhere on the axis, so a

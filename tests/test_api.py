@@ -18,6 +18,7 @@ from lambertw import (
     branch_point_series,
     defining_residual,
     dispatch_region,
+    fritsch_step,
     lambert_w,
     lambert_w0,
     lambert_w0_approximation,
@@ -27,6 +28,7 @@ from lambertw import (
     reference_w,
     steps_to_converge,
 )
+from lambertw.iteration import SINGULARITY_GUARD
 
 
 # ----------------------------------------------------------------------
@@ -331,16 +333,38 @@ def test_no_steps_at_exactly_representable_roots():
     assert steps_to_converge(-1, MINUS_INV_E, "fritsch") == 0
 
 
-def test_benchmark_stops_on_the_rule_of_lambert_w():
-    """Step counts are those of lambert_w, step cap included.
+def _region_grid(region, n=200):
+    """n points over one dispatch region, the unbounded ones log-spaced."""
+    if region.kind == "asymptotic":
+        return np.geomspace(region.lower, 1.7e308, n)
+    if region.kind == "continued-log":
+        return -np.geomspace(-region.lower, 5e-324, n)
+    return np.linspace(region.lower, region.upper, n, endpoint=False)
 
-    Past x ~ 5e29 the residual tolerance can sit below the rounding
-    floor of the residual itself, so some points here run to the cap.
+
+# Each region's grid starts at its lower end, so the branch point is in.
+ONE_STEP_GRID = (
+    [(0, x) for x in np.geomspace(1e20, 1e300, 400)]
+    + [(region.branch, x) for region in W0_REGIONS + WM1_REGIONS for x in _region_grid(region)]
+    + [(0, 0.0)]
+)
+
+
+def test_lambert_w_is_one_fritsch_step_from_the_seed():
+    """The value is one Fritsch step from the seed, bit for bit, or the
+    seed itself where it is exact (x = 0 and the branch point).
+
+    Past x ~ 5.6e29 the residual tolerance sits below the rounding floor
+    of the residual itself, so a residual-gated loop would take more
+    steps there.
     """
-    for x in np.geomspace(1e20, 1e300, 400):
+    for branch, x in ONE_STEP_GRID:
         x = float(x)
-        result = lambert_w(0, x)
-        assert steps_to_converge(0, x, "fritsch") == result.refinement_steps
+        seed = lambert_w_approximation(branch, x)
+        result = lambert_w(branch, x)
+        exact = seed == 0.0 or abs(1.0 + seed) <= SINGULARITY_GUARD
+        assert result.value == (seed if exact else fritsch_step(x, seed)), (branch, x)
+        assert result.refinement_steps == (0 if exact else 1), (branch, x)
 
 
 def test_steps_to_converge_rejects_unknown_scheme():

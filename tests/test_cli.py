@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lambertw import reference_w
+from lambertw import cli, reference_w
 from lambertw.cli import run_cli
 
 
@@ -163,6 +163,17 @@ def test_sweep_to_an_unwritable_path_exits_two_without_traceback(tmp_path, capsy
     assert out == ""
     assert err.startswith("lambert-w: error: ")
     assert str(target) in err
+
+
+def test_sweep_checks_the_output_path_before_sweeping(tmp_path, capsys, monkeypatch):
+    def sweep_not_expected(*args):
+        pytest.fail("the sweep ran before --output was opened")
+
+    monkeypatch.setattr(cli, "accuracy_sweep", sweep_not_expected)
+    target = tmp_path / "missing" / "records.dat"
+    code, out, err = run(["sweep", "--count", "20000", "--output", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("lambert-w: error: ")
 
 
 def test_moyal_inverse_subcommand(capsys):

@@ -1,0 +1,75 @@
+"""Property tests of both real branches, with inputs drawn by hypothesis.
+
+The examples are derandomized, so every run checks the same inputs.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lambertw import MINUS_INV_E, RESIDUAL_TOL, defining_residual, lambert_w
+
+EPS = math.ulp(1.0)
+
+SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+# w = W_b(x) over each branch's range, kept where x = w*e^w is a finite
+# normal double: e^w is subnormal below w ~ -708.4, and w*e^w overflows
+# above w ~ 703.
+BRANCH_W = {
+    0: st.floats(-1.0, 700.0),
+    -1: st.floats(-708.0, -1.0),
+}
+BRANCH_X = {
+    0: st.floats(MINUS_INV_E, 1.7976931348623157e308),
+    -1: st.floats(MINUS_INV_E, 0.0, exclude_max=True),
+}
+
+
+def _per_branch(strategies, n=1):
+    """(branch, v_1, ..., v_n), each v drawn from the branch's strategy."""
+    return st.sampled_from((0, -1)).flatmap(
+        lambda b: st.tuples(st.just(b), *(strategies[b] for _ in range(n))))
+
+
+@SETTINGS
+@given(_per_branch(BRANCH_W))
+def test_inverts_w_exp_w(branch_w):
+    """W_b(w*e^w) = w, to a few ulp plus the rounding of x = w*e^w
+    magnified by the condition number 1/|1+W| of W at x."""
+    branch, w = branch_w
+    value = lambert_w(branch, w * math.exp(w)).value
+    condition = math.inf if w == -1.0 else 1.0 / abs(1.0 + w)
+    assert abs(value - w) <= 4 * math.ulp(w) + 4 * EPS * abs(w) * condition
+
+
+@SETTINGS
+@given(_per_branch(BRANCH_X, 2))
+def test_monotone_on_each_branch(branch_xs):
+    branch, a, b = branch_xs
+    lo, hi = min(a, b), max(a, b)
+    if branch == 0:
+        assert lambert_w(0, lo).value <= lambert_w(0, hi).value
+    else:
+        assert lambert_w(-1, lo).value >= lambert_w(-1, hi).value
+
+
+@SETTINGS
+@given(_per_branch(BRANCH_X))
+def test_branches_meet_at_minus_one(branch_x):
+    branch, x = branch_x
+    value = lambert_w(branch, x).value
+    assert (value >= -1.0) if branch == 0 else (value <= -1.0)
+
+
+@SETTINGS
+@given(st.one_of(
+    st.tuples(st.just(0), st.floats(1e-3, 1e8)),
+    st.tuples(st.sampled_from((0, -1)), st.floats(MINUS_INV_E, -1e-3)),
+))
+def test_defining_residual_within_tolerance(branch_x):
+    branch, x = branch_x
+    result = lambert_w(branch, x)
+    assert result.residual == defining_residual(x, result.value)
+    assert result.residual <= RESIDUAL_TOL * max(abs(x), 1.0)
