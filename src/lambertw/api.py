@@ -1,31 +1,39 @@
 """Public evaluation entry points, region dispatch and the refinement step.
 
-Every evaluation takes one path: ``dispatch_region`` validates the branch
-and x and picks the region whose initial approximation (the seed) serves
-x; the seed is evaluated; ``_step`` applies exactly one Fritsch step.  A
-seed that is already exact (w = 0 at x = 0, w = -1 at the branch point)
-is returned unstepped.
+Every float evaluation takes one path: ``dispatch_region`` validates the
+branch and x and picks the region whose initial approximation (the seed)
+serves x; the seed is evaluated; ``_step`` applies exactly one Fritsch
+step.  A seed that is already exact (w = 0 at x = 0, w = -1 at the branch
+point) is returned unstepped.  The array path, ``_lambert_w_array``, is a
+second copy of the same arithmetic written out in one loop;
+``tests/test_array.py`` holds the two copies equal bit for bit.
 
 Three call shapes are exposed:
 
-* ``lambert_w0(x)`` / ``lambert_wm1(x)`` return the value alone;
+* ``lambert_w0(x)`` / ``lambert_wm1(x)`` return the value alone; an x
+  with a dtype (a numpy array of any shape, or a numpy scalar) goes to
+  the array path and comes back as a float64 array of its shape, or as a
+  float when it is 0-d;
 * ``lambert_w0_approximation(x)`` / ``lambert_wm1_approximation(x)``
   return the unrefined seed;
 * ``lambert_w(branch, x)`` resolves the branch at runtime and returns an
   :class:`EvalResult` carrying diagnostics.
 
 ``steps_to_converge(branch, x, scheme)``, the one loop, counts the Fritsch
-or Halley steps until |w*e^w - x| <= 1e-14 * max(|x|, 1): the paper's
-comparison of the two schemes.
+or Halley steps until |w*e^w - x| <= 1e-14 * max(|x|, 1), or the residual's
+own rounding noise where that is larger: the paper's comparison of the
+two schemes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from typing import NamedTuple
 
 from .approx import (
+    BRANCH_POINT_COEFFICIENTS,
     ApproximationRegion,
     MINUS_INV_E,
     BRANCH_POINT_TOL,
@@ -38,11 +46,21 @@ from .approx import (
     rational_fit_eval,
 )
 from .branches import Branch, invalid_branch
-from .errors import DomainError
-from .iteration import SCHEMES, SINGULARITY_GUARD, defining_residual, fritsch_step, halley_step
+from .errors import DomainError, SingularityError
+from .iteration import (
+    _SMALLEST_NORMAL,
+    SCHEMES,
+    SINGULARITY_GUARD,
+    defining_residual,
+    fritsch_step,
+    halley_step,
+)
 
 # Residual tolerance scale of the stopping rule in steps_to_converge.
 RESIDUAL_TOL = 1e-14
+# Rounding noise of a computed residual, in units of |w| * max(|x|, 1):
+# one Fritsch step at large x leaves at most ~1 eps of it.
+_TWO_EPS = 2.0 * sys.float_info.epsilon
 
 # Region breakpoints: where adjacent approximations cross in accuracy.
 # Printed to six decimals; the trailing digits are zeros by convention.
@@ -157,8 +175,11 @@ def _step(x: float, w: float, scheme: str = "fritsch") -> tuple[float, int]:
 def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     """Refinement steps needed to reach the residual tolerance at x.
 
-    Steps are repeated until |w*e^w - x| <= RESIDUAL_TOL * max(|x|, 1),
-    at most four of them; the residual is only checked after a step.
+    Steps are repeated until
+    |w*e^w - x| <= max(RESIDUAL_TOL, 2*eps*|w|) * max(|x|, 1), at most
+    four of them; the residual is only checked after a step.  The
+    2*eps*|w| term is the rounding noise of the residual itself, which
+    passes RESIDUAL_TOL beyond x ~ 1.4e11 on branch 0 (|w| > 22.5).
     Zero only where the seed is exact (x = 0 and the branch point) and
     at x = +inf, which ``lambert_w`` returns unrefined.
     Raises ValueError for a scheme not in SCHEMES.
@@ -168,9 +189,11 @@ def steps_to_converge(branch: int, x: float, scheme: str) -> int:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if math.isinf(x):
         return 0
-    tol = RESIDUAL_TOL * max(abs(x), 1.0)
+    scale = max(abs(x), 1.0)
     w, steps = _step(x, w, scheme)
-    while 0 < steps < 4 and defining_residual(x, w) > tol:
+    while 0 < steps < 4 and (
+        defining_residual(x, w) > max(RESIDUAL_TOL, _TWO_EPS * abs(w)) * scale
+    ):
         w = _step(x, w, scheme)[0]
         steps += 1
     return steps
@@ -211,11 +234,126 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     return EvalResult(w, region.kind, steps, defining_residual(x, w))
 
 
+def _lambert_w_array(branch: int, x):
+    """W on ``branch`` (0 or -1) of every element of x, which has a dtype.
+
+    The scalar path's arithmetic written out in one loop: the region by
+    comparison with the breakpoints, the seed in Horner form over the same
+    tables, one Fritsch step with the same guards.  Every value is
+    bit-identical to ``lambert_w(branch, float(v)).value``, and the first
+    bad element in C order raises the scalar path's error.  x is computed
+    in float64 (a complex, string or object dtype raises TypeError); a
+    float64 array of x's shape is returned, or a float for a 0-d x.
+    """
+    import numpy as np
+
+    array = np.asarray(x).astype(np.float64, casting="same_kind", copy=False)
+    log, sqrt, e, inf = math.log, math.sqrt, math.e, math.inf
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = BRANCH_POINT_COEFFICIENTS
+    f1n0, f1n1, f1n2, f1n3, f1n4 = W0_FIT_1.numerator
+    f1d0, f1d1, f1d2, f1d3, f1d4 = W0_FIT_1.denominator
+    f2n0, f2n1, f2n2, f2n3, f2n4 = W0_FIT_2.numerator
+    f2d0, f2d1, f2d2, f2d3, f2d4 = W0_FIT_2.denominator
+    mn0, mn1, mn2 = WM1_FIT.numerator
+    md0, md1, md2, md3, md4, md5 = WM1_FIT.denominator
+    lower = branch == -1
+    out = []
+    for v in array.ravel().tolist():
+        # Seed: dispatch_region's test order, then _seed's family.
+        if lower:
+            if v < _WM1_SERIES_END:
+                if v < _X_MIN:
+                    raise _domain_error(v)
+                s = 2.0 * (1.0 + e * v)
+                if s < 0.0:
+                    s = 0.0
+                p = -sqrt(s)
+                w = b0 + p * (b1 + p * (b2 + p * (b3 + p * (b4 + p * (b5 + p * (
+                    b6 + p * (b7 + p * (b8 + p * (b9 + p * (b10 + p * b11))))))))))
+            elif v < _WM1_FIT_END:
+                w = ((mn0 + v * (mn1 + v * mn2))
+                     / (md0 + v * (md1 + v * (md2 + v * (md3 + v * (md4 + v * md5))))))
+            elif v < 0.0:
+                # continued_log_recursion_wm1 at its depth of 9
+                lx = log(-v)
+                w = lx
+                for _ in range(9):
+                    w = lx - log(-w)
+            else:
+                raise _domain_error(v)
+        elif v < _W0_SERIES_END:
+            if v < _X_MIN:
+                raise _domain_error(v)
+            s = 2.0 * (1.0 + e * v)
+            if s < 0.0:
+                s = 0.0
+            p = sqrt(s)
+            w = b0 + p * (b1 + p * (b2 + p * (b3 + p * (b4 + p * (b5 + p * (
+                b6 + p * (b7 + p * (b8 + p * b9))))))))
+        elif v < _W0_FIT1_END:
+            w = v * ((f1n0 + v * (f1n1 + v * (f1n2 + v * (f1n3 + v * f1n4))))
+                     / (f1d0 + v * (f1d1 + v * (f1d2 + v * (f1d3 + v * f1d4)))))
+        elif v < _W0_FIT2_END:
+            w = v * ((f2n0 + v * (f2n1 + v * (f2n2 + v * (f2n3 + v * f2n4))))
+                     / (f2d0 + v * (f2d1 + v * (f2d2 + v * (f2d3 + v * f2d4)))))
+        elif v < inf:
+            # asymptotic_series on branch 0
+            a = log(v)
+            b = log(a)
+            ia = 1.0 / a
+            tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
+            tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
+            tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
+            tail = (-2.0 + b) / 2.0 + ia * tail
+            tail = 1.0 + ia * tail
+            w = a - b + b * ia * tail
+        elif v == inf:
+            out.append(v)
+            continue
+        else:
+            raise _domain_error(v)
+        # Step: _step's exact seeds, then fritsch_step.
+        if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
+            out.append(w)
+            continue
+        ratio = v / w
+        if ratio < _SMALLEST_NORMAL:
+            if v == 0.0 or (v > 0.0) != (w > 0.0):
+                raise DomainError(
+                    f"fritsch step needs x and w of equal sign, got x = {v!r}, w = {w!r}"
+                )
+            z = log(abs(v)) - log(abs(w)) - w
+        else:
+            z = log(ratio) - w
+        q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
+        denom = q - 2.0 * z
+        if abs(denom) < 1e-300:
+            raise SingularityError(
+                f"fritsch step denominator underflow at x = {v!r}, w = {w!r}"
+            )
+        out.append(w * (1.0 + (z / (1.0 + w)) * ((q - z) / denom)))
+    if array.ndim == 0:
+        return out[0]
+    return np.array(out).reshape(array.shape)
+
+
 def lambert_w0(x: float) -> float:
-    """Principal branch value W_0(x), defined on [-1/e, inf)."""
+    """Principal branch value W_0(x), defined on [-1/e, inf).
+
+    An x with a dtype (a numpy array or scalar) is evaluated elementwise
+    in float64, bit-identical to the float path: an array of x's shape
+    comes back, or a float for a 0-d x.
+    """
+    if type(x) is not float and hasattr(x, "dtype"):
+        return _lambert_w_array(0, x)
     return lambert_w(0, x).value
 
 
 def lambert_wm1(x: float) -> float:
-    """Lower branch value W_-1(x), defined on [-1/e, 0)."""
+    """Lower branch value W_-1(x), defined on [-1/e, 0).
+
+    Takes an x with a dtype as ``lambert_w0`` does.
+    """
+    if type(x) is not float and hasattr(x, "dtype"):
+        return _lambert_w_array(-1, x)
     return lambert_w(-1, x).value
