@@ -4,9 +4,10 @@ Every float evaluation takes one path: ``dispatch_region`` validates the
 branch and x and picks the region whose initial approximation (the seed)
 serves x; the seed is evaluated; ``_step`` applies exactly one Fritsch
 step.  A seed that is already exact (w = 0 at x = 0, w = -1 at the branch
-point) is returned unstepped.  The array path, ``_lambert_w_array``, is a
-second copy of the same arithmetic written out in one loop;
-``tests/test_array.py`` holds the two copies equal bit for bit.
+point) is returned unstepped.  ``_lambert_w_list`` writes the same
+arithmetic out in one loop, bit for bit equal (``tests/test_array.py``),
+for arrays and the physics inverses; floats keep the layered path, whose
+public stages the benchmark's tracer times one by one.
 
 Three call shapes are exposed:
 
@@ -235,48 +236,53 @@ def lambert_w(branch: int, x: float) -> EvalResult:
 
 
 def _lambert_w_array(branch: int, x):
-    """W on ``branch`` (0 or -1) of every element of x, which has a dtype.
-
-    The scalar path's arithmetic written out in one loop: the region by
-    comparison with the breakpoints, the seed in Horner form over the same
-    tables, one Fritsch step with the same guards.  Every value is
-    bit-identical to ``lambert_w(branch, float(v)).value``, and the first
-    bad element in C order raises the scalar path's error.  x is computed
-    in float64 (a complex, string or object dtype raises TypeError); a
-    float64 array of x's shape is returned, or a float for a 0-d x.
-    """
+    """``_lambert_w_list`` over the elements of x, which has a dtype, in
+    float64 (a complex, string or object dtype raises TypeError): a
+    float64 array of x's shape, or a float for a 0-d x."""
     import numpy as np
 
     array = np.asarray(x).astype(np.float64, casting="same_kind", copy=False)
+    out = _lambert_w_list(branch, array.ravel().tolist())
+    return out[0] if array.ndim == 0 else np.array(out).reshape(array.shape)
+
+
+# The seed tables of _lambert_w_list, unpacked once.
+_B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8, _B9, _B10, _B11 = BRANCH_POINT_COEFFICIENTS
+_F1N0, _F1N1, _F1N2, _F1N3, _F1N4 = W0_FIT_1.numerator
+_F1D0, _F1D1, _F1D2, _F1D3, _F1D4 = W0_FIT_1.denominator
+_F2N0, _F2N1, _F2N2, _F2N3, _F2N4 = W0_FIT_2.numerator
+_F2D0, _F2D1, _F2D2, _F2D3, _F2D4 = W0_FIT_2.denominator
+_MN0, _MN1, _MN2 = WM1_FIT.numerator
+_MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
+
+
+def _lambert_w_list(branch: int, values: list) -> list:
+    """W on ``branch`` (0 or -1) of every float in ``values``, as a list.
+
+    The scalar path's arithmetic written out in one loop: the region by
+    comparison with the breakpoints, the seed in Horner form, one Fritsch
+    step with the same guards.  Every value is bit-identical to
+    ``lambert_w(branch, v).value``; the first bad one raises its error.
+    """
     log, sqrt, e, inf = math.log, math.sqrt, math.e, math.inf
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = BRANCH_POINT_COEFFICIENTS
-    f1n0, f1n1, f1n2, f1n3, f1n4 = W0_FIT_1.numerator
-    f1d0, f1d1, f1d2, f1d3, f1d4 = W0_FIT_1.denominator
-    f2n0, f2n1, f2n2, f2n3, f2n4 = W0_FIT_2.numerator
-    f2d0, f2d1, f2d2, f2d3, f2d4 = W0_FIT_2.denominator
-    mn0, mn1, mn2 = WM1_FIT.numerator
-    md0, md1, md2, md3, md4, md5 = WM1_FIT.denominator
     lower = branch == -1
     out = []
-    for v in array.ravel().tolist():
+    for v in values:
         # Seed: dispatch_region's test order, then _seed's family.
         if lower:
             if v < _WM1_SERIES_END:
                 if v < _X_MIN:
                     raise _domain_error(v)
                 s = 2.0 * (1.0 + e * v)
-                if s < 0.0:
-                    s = 0.0
-                p = -sqrt(s)
-                w = b0 + p * (b1 + p * (b2 + p * (b3 + p * (b4 + p * (b5 + p * (
-                    b6 + p * (b7 + p * (b8 + p * (b9 + p * (b10 + p * b11))))))))))
+                p = -sqrt(s) if s > 0.0 else 0.0
+                w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+                    _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
             elif v < _WM1_FIT_END:
-                w = ((mn0 + v * (mn1 + v * mn2))
-                     / (md0 + v * (md1 + v * (md2 + v * (md3 + v * (md4 + v * md5))))))
+                w = ((_MN0 + v * (_MN1 + v * _MN2))
+                     / (_MD0 + v * (_MD1 + v * (_MD2 + v * (_MD3 + v * (_MD4 + v * _MD5))))))
             elif v < 0.0:
                 # continued_log_recursion_wm1 at its depth of 9
-                lx = log(-v)
-                w = lx
+                w = lx = log(-v)
                 for _ in range(9):
                     w = lx - log(-w)
             else:
@@ -285,17 +291,15 @@ def _lambert_w_array(branch: int, x):
             if v < _X_MIN:
                 raise _domain_error(v)
             s = 2.0 * (1.0 + e * v)
-            if s < 0.0:
-                s = 0.0
-            p = sqrt(s)
-            w = b0 + p * (b1 + p * (b2 + p * (b3 + p * (b4 + p * (b5 + p * (
-                b6 + p * (b7 + p * (b8 + p * b9))))))))
+            p = sqrt(s) if s > 0.0 else 0.0
+            w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+                _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
         elif v < _W0_FIT1_END:
-            w = v * ((f1n0 + v * (f1n1 + v * (f1n2 + v * (f1n3 + v * f1n4))))
-                     / (f1d0 + v * (f1d1 + v * (f1d2 + v * (f1d3 + v * f1d4)))))
+            w = v * ((_F1N0 + v * (_F1N1 + v * (_F1N2 + v * (_F1N3 + v * _F1N4))))
+                     / (_F1D0 + v * (_F1D1 + v * (_F1D2 + v * (_F1D3 + v * _F1D4)))))
         elif v < _W0_FIT2_END:
-            w = v * ((f2n0 + v * (f2n1 + v * (f2n2 + v * (f2n3 + v * f2n4))))
-                     / (f2d0 + v * (f2d1 + v * (f2d2 + v * (f2d3 + v * f2d4)))))
+            w = v * ((_F2N0 + v * (_F2N1 + v * (_F2N2 + v * (_F2N3 + v * _F2N4))))
+                     / (_F2D0 + v * (_F2D1 + v * (_F2D2 + v * (_F2D3 + v * _F2D4)))))
         elif v < inf:
             # asymptotic_series on branch 0
             a = log(v)
@@ -328,13 +332,9 @@ def _lambert_w_array(branch: int, x):
         q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
         denom = q - 2.0 * z
         if abs(denom) < 1e-300:
-            raise SingularityError(
-                f"fritsch step denominator underflow at x = {v!r}, w = {w!r}"
-            )
+            raise SingularityError(f"fritsch step denominator underflow at x = {v!r}, w = {w!r}")
         out.append(w * (1.0 + (z / (1.0 + w)) * ((q - z) / denom)))
-    if array.ndim == 0:
-        return out[0]
-    return np.array(out).reshape(array.shape)
+    return out
 
 
 def lambert_w0(x: float) -> float:

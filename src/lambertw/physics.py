@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .api import lambert_w0, lambert_wm1
+from .api import _lambert_w_list
 from .errors import DomainError
 
 # Peak value of the Moyal function, attained at x = 0.
@@ -71,12 +71,12 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     # snap them so the W argument does not land below -1/e.
     y = min(y, MOYAL_PEAK)
     if side == "plus":
-        return lambert_w0(-y * y) - 2.0 * math.log(y)
+        return _lambert_w_list(0, [-y * y])[0] - 2.0 * math.log(y)
     # With w e^w = -y^2, x = w - 2 ln y equals -ln(-w), which does not
     # cancel w against 2 ln y.
     if y * y < sys.float_info.min:
         return -math.log(_t_minus_log_t_root(-2.0 * math.log(y)))
-    return -math.log(-lambert_wm1(-y * y))
+    return -math.log(-_lambert_w_list(-1, [-y * y])[0])
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
         # u = right/x_max solves u - ln u = 1 - ln(y)/x_max.
         right = x_max * _t_minus_log_t_root(1.0 - math.log(y) / x_max)
     else:
-        right = -x_max * lambert_wm1(arg)
-    return GhRoots(-x_max * lambert_w0(arg), right)
+        right = -x_max * _lambert_w_list(-1, [arg])[0]
+    return GhRoots(-x_max * _lambert_w_list(0, [arg])[0], right)
 
 
 def gh_profile(X: float, p: GaisserHillasParams) -> float:
