@@ -109,13 +109,17 @@ def gaisser_hillas(x: float, x_max: float) -> float:
 
     Normalized to peak value 1 at x = x_max.
     """
-    if not x_max > 0.0:
-        raise DomainError(f"x_max must be > 0, got {x_max!r}")
+    if not 0.0 < x_max < math.inf:
+        raise DomainError(f"x_max must be positive and finite, got {x_max!r}")
     if x < 0.0:
         raise DomainError(f"profile depth must be >= 0, got x={x!r}")
     if x == 0.0:
         return 0.0
-    return (x / x_max) ** x_max * math.exp(x_max - x)
+    ratio = x / x_max
+    if ratio == math.inf:
+        # x/x_max overflows for tiny x_max; (x/x_max)^x_max in log space.
+        return math.exp(x_max * (math.log(x) - math.log(x_max)) + x_max - x)
+    return ratio ** x_max * math.exp(x_max - x)
 
 
 class GhRoots(NamedTuple):
@@ -135,10 +139,10 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     Raises
     ------
     DomainError
-        If y is not in (0, 1] or x_max is not positive.
+        If y is not in (0, 1] or x_max is not positive and finite.
     """
-    if not x_max > 0.0:
-        raise DomainError(f"x_max must be > 0, got {x_max!r}")
+    if not 0.0 < x_max < math.inf:
+        raise DomainError(f"x_max must be positive and finite, got {x_max!r}")
     if not 0.0 < y <= 1.0:
         raise DomainError(f"profile values lie in (0, 1]; got y={y!r}")
     # (x/x_max) e^(1 - x/x_max) = y^(1/x_max) rearranges to
@@ -147,8 +151,15 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     # branch point, so both roots collapse to x_max with no rounding.
     arg = -(y ** (1.0 / x_max)) * math.exp(-1.0)
     if -arg < sys.float_info.min:
-        # u = right/x_max solves u - ln u = 1 - ln(y)/x_max.
-        right = x_max * _t_minus_log_t_root(1.0 - math.log(y) / x_max)
+        # u = right/x_max solves u - ln u = c = 1 - ln(y)/x_max.
+        c = 1.0 - math.log(y) / x_max
+        if c < math.inf:
+            right = x_max * _t_minus_log_t_root(c)
+        else:
+            # c overflows for x_max below |ln y|/DBL_MAX.  right solves
+            # right = x_max - ln y + x_max ln(right/x_max), whose last term
+            # is below 1e-305 of right here, so it rounds to x_max - ln y.
+            right = x_max - math.log(y)
     else:
         right = -x_max * _lambert_w_list(-1, [arg])[0]
     return GhRoots(-x_max * _lambert_w_list(0, [arg])[0], right)

@@ -200,6 +200,51 @@ def test_gh_inverse_domain_errors():
         gh_inverse(0.5, -1.0)
 
 
+@pytest.mark.parametrize("x_max", [math.inf, math.nan])
+def test_gh_rejects_a_non_finite_x_max(x_max):
+    with pytest.raises(DomainError, match="finite"):
+        gh_inverse(0.5, x_max)
+    with pytest.raises(DomainError, match="finite"):
+        gaisser_hillas(1.0, x_max)
+    with pytest.raises(DomainError, match="finite"):
+        gh_profile_inverse(0.5, GaisserHillasParams(X0=0.0, Xmax=1e308, lam=1e-10))
+
+
+@pytest.mark.parametrize("x_max", [1e-310, 1e-320, 5e-324])
+@pytest.mark.parametrize(
+    "y, expected_right",
+    # mpmath at 60 digits: the root r of r - x_max ln(r/x_max) = x_max - ln y.
+    # Here 1 - ln(y)/x_max overflows a double.
+    [(0.5, 0.6931471805599453), (1e-300, 690.7755278982137)],
+)
+def test_gh_inverse_at_tiny_x_max(y, x_max, expected_right):
+    roots = gh_inverse(y, x_max)
+    assert abs(roots.right - expected_right) <= 2 * math.ulp(expected_right)
+    assert roots.left == 0.0
+
+
+def test_gh_inverse_where_only_ln_y_over_x_max_overflows():
+    # 1/x_max is finite, ln(y)/x_max is not; mpmath as above.
+    expected = 690.7755278982137
+    assert abs(gh_inverse(1e-300, 1e-306).right - expected) <= 2 * math.ulp(expected)
+
+
+@pytest.mark.parametrize(
+    "x, x_max, expected",
+    # mpmath at 60 digits: exp(x_max (ln x - ln x_max) + x_max - x).  Here
+    # x/x_max overflows a double.
+    [
+        (0.6931471805599453, 1e-310, 0.5),
+        (0.6931471805599453, 1e-320, 0.5),
+        (0.6931471805599453, 5e-324, 0.5),
+        (2.0, 1e-308, 0.1353352832366127),
+        (1e9, 1e-300, 0.0),
+    ],
+)
+def test_gh_where_x_over_x_max_overflows(x, x_max, expected):
+    assert abs(gaisser_hillas(x, x_max) - expected) <= 2 * math.ulp(expected)
+
+
 # ----------------------------------------------------------------------
 # three-parameter composition
 
