@@ -1,6 +1,7 @@
 """Tests for the Moyal and Gaisser-Hillas profile inverses."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,10 +15,20 @@ from lambertw import (
     gh_profile,
     gh_profile_inverse,
     gh_rescale,
+    lambert_w0,
+    lambert_wm1,
     moyal,
     moyal_inverse,
     reference_w,
 )
+
+
+def _profile_values(top: float, near_top: list[float], n: int = 400) -> list[float]:
+    """Values in (0, top]: a set at and around the peak value, n uniform
+    cell midpoints and n log-spaced values down to the smallest double."""
+    uniform = [(i + 0.5) * top / n for i in range(n)]
+    tail = [float(v) for v in np.geomspace(5e-324, top, n)]
+    return near_top + uniform + tail
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +106,19 @@ def test_moyal_inverse_round_trip():
 def test_moyal_inverse_side_ordering():
     for y in (1e-4, 0.1, 0.3, 0.55):
         assert moyal_inverse(y, "minus") < 0.0 < moyal_inverse(y, "plus")
+
+
+def test_moyal_inverse_is_the_w_formula_bit_for_bit():
+    # Up to 4 ulp above the peak is accepted and clamped; beyond, y is
+    # outside the domain.
+    near_peak = [MOYAL_PEAK + k * math.ulp(MOYAL_PEAK) for k in range(-8, 5)]
+    for y in _profile_values(MOYAL_PEAK, near_peak):
+        clamped = min(y, MOYAL_PEAK)
+        plus = lambert_w0(-clamped * clamped) - 2.0 * math.log(clamped)
+        assert moyal_inverse(y, "plus") == plus, y
+        if clamped * clamped >= sys.float_info.min:
+            minus = -math.log(-lambert_wm1(-clamped * clamped))
+            assert moyal_inverse(y, "minus") == minus, y
 
 
 def test_moyal_inverse_domain_errors():
@@ -198,6 +222,16 @@ def test_gh_inverse_domain_errors():
             gh_inverse(bad, 2.0)
     with pytest.raises(DomainError):
         gh_inverse(0.5, -1.0)
+
+
+def test_gh_inverse_is_the_w_formula_bit_for_bit():
+    near_peak = [1.0 - k * math.ulp(0.5) for k in range(9)]
+    for x_max in (1.0, 1.7, 4.2, 23.0, 100.0):
+        for y in _profile_values(1.0, near_peak):
+            arg = -(y ** (1.0 / x_max)) * math.exp(-1.0)
+            if -arg >= sys.float_info.min:
+                roots = gh_inverse(y, x_max)
+                assert roots == (-x_max * lambert_w0(arg), -x_max * lambert_wm1(arg)), (y, x_max)
 
 
 @pytest.mark.parametrize("x_max", [math.inf, math.nan])
