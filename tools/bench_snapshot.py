@@ -15,8 +15,11 @@ Each run keeps the result line (the end-to-end metrics and the
 correctness flag) and from the report line the checksums, the number of
 distinct failed operations and the provenance (machine, versions, git
 revision).  Each label also gets the median of every metric over its
-runs.  Runs last ``run_seconds`` of BENCHMARK.json, as the benchmark's
-own runs do; one label of four workloads takes about six minutes.
+runs, and ``clean``: whether ``src/`` and ``perfbench/`` of the checkout
+matched its git revision (``git status --porcelain`` printed nothing),
+so that a label measured on uncommitted changes says so.  Runs last
+``run_seconds`` of BENCHMARK.json, as the benchmark's own runs do; one
+label of four workloads takes about six minutes.
 """
 
 from __future__ import annotations
@@ -54,6 +57,13 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     }
 
 
+def clean_tree(checkout: Path) -> bool:
+    """True when ``git status`` finds no change under src/ or perfbench/."""
+    done = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
+                          cwd=checkout, capture_output=True, text=True, check=True)
+    return done.stdout == ""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, choices=("parent", "change"))
@@ -61,6 +71,7 @@ def main(argv=None) -> int:
                         help="tree whose perfbench/run.py and src/ are run (default: this one)")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
+    clean = clean_tree(checkout)
     for workload in (w["name"] for w in SPEC["workloads"]):
         runs = [run_once(checkout, workload, seed) for seed in SEEDS]
         metrics = runs[0]["result"]["metrics"]
@@ -69,6 +80,7 @@ def main(argv=None) -> int:
         snapshot[args.label] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed N "
                        f"--seconds {SECONDS} --trace 0",
+            "clean": clean,
             "median": {name: statistics.median(r["result"]["metrics"][name]["value"] for r in runs)
                        for name in metrics},
             "runs": runs,
