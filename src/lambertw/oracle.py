@@ -1,29 +1,40 @@
-"""Reference solver for w * exp(w) = x by bracketed bisection.
+"""Reference solver for w * exp(w) = x: bracketed Newton, one-ulp bracket.
 
 This module is the measuring stick for everything else in the package, so
 it deliberately shares no code with the fast evaluation path: it imports
 only the branch error and the exception types, never the approximation,
 iteration, or dispatch modules.
 
-The solver bisects until the bracket collapses to adjacent floats (a one
-ulp interval) and then returns the endpoint with the smaller defining
-residual.  Two formulations are used:
+The solver keeps a sign-checked bracket, takes Newton steps inside it
+(with a midpoint in the order of doubles as the fallback) until the
+bracket collapses to adjacent floats (a one ulp interval), and then
+returns the endpoint with the smaller defining residual.  Each
+formulation supplies its own derivative, from the same exponential or
+logarithm as its residual, and a start point, which only decides how
+many evaluations the bracket takes to close.  The formulations are:
 
-* away from the branch point, plain ``g(y) = y*exp(y) - x``;
+* away from the branch point, plain ``g(y) = y*exp(y) - x``, started at
+  ``log1p(x)`` on branch 0 and at ``L1 - L2 + L2/L1`` on branch -1;
+* on branch 0 at x > e, the same residual divided by x,
+  ``expm1(y + log(y/x))``, so huge x cannot overflow ``y*exp(y)``,
+  started at ``L1 - L2 + L2/L1``;
 * within ``x <= -0.2``, the shifted variable ``u = 1 + w`` and the
   identity ``(u - 1)*e^u + 1 = 1 + e*x``, evaluated through ``expm1`` so
-  the cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens;
+  the cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens,
+  started at ``u = +-sqrt(2*(1 + e*x))``;
 * on branch -1 at subnormal x, the logarithm of the identity,
   ``y + log(-y) = log(-x)``, because ``y*exp(y)`` underflows there.
 
-Without the shifted form, the root location drowns in rounding noise of
-size ``eps / sqrt(2*e*(x + 1/e))``, which is worse than 1e-12 for x
-within 1e-9 of the branch point.
+Here ``L1 = ln|x|`` and ``L2 = ln|L1|``.  Without the shifted form, the
+root location drowns in rounding noise of size
+``eps / sqrt(2*e*(x + 1/e))``, which is worse than 1e-12 for x within
+1e-9 of the branch point.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 from .branches import invalid_branch
@@ -38,35 +49,92 @@ BRANCH_POINT_TOL = 4.0 * math.ulp(math.exp(-1.0))
 # formulation is required; above it the plain residual is well conditioned.
 _SHIFTED_CUTOFF = -0.2
 
+_FLOAT64 = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+_SIGN_MASK = (1 << 63) - 1
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of increasing ``f`` on [lo, hi], refined to a one-ulp bracket."""
-    flo = f(lo)
-    fhi = f(hi)
+
+def _key(t: float) -> int:
+    """Position of double ``t`` in the order of doubles (both zeros at 0)."""
+    n = _INT64.unpack(_FLOAT64.pack(t))[0]
+    return n if n >= 0 else -(n & _SIGN_MASK)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The double halfway between lo and hi in the order of doubles."""
+    k = (_key(lo) + _key(hi)) // 2
+    t = _FLOAT64.unpack(_INT64.pack(abs(k)))[0]
+    return -t if k < 0 else t
+
+
+def _solve(fd, lo: float, hi: float, start: float) -> float:
+    """Root of increasing ``f`` on [lo, hi], refined to a one-ulp bracket.
+
+    ``fd(t)`` returns ``(f(t), f'(t))``.  Every evaluation shrinks the
+    sign-checked bracket.  The first point is ``start`` if it lies inside
+    the bracket; each later one is the Newton step from the bracket end
+    with the smaller ``|f|``, or the midpoint in the order of doubles when
+    that step leaves the bracket or is more than half the step before the
+    last one.  A Newton step under one ulp is replaced by the neighbouring
+    double on its far side, which closes the bracket when the sign changes
+    there.  The endpoint of the final one-ulp bracket with the smaller
+    ``|f|`` is returned.  Where the rounded ``f`` changes sign once, that
+    bracket is unique, so ``start`` decides only how fast it closes, not
+    where.
+    """
+    flo, dlo = fd(lo)
+    fhi, dhi = fd(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo > 0.0 or fhi < 0.0:
         raise ValueError(f"root not bracketed by [{lo}, {hi}]")
+    t = start
+    older = step = hi - lo
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm < 0.0:
-            lo, flo = mid, fm
-        elif fm > 0.0:
-            hi, fhi = mid, fm
+        if lo < t < hi:
+            f, d = fd(t)
+            if f < 0.0:
+                lo, flo, dlo = t, f, d
+            elif f > 0.0:
+                hi, fhi, dhi = t, f, d
+            else:
+                return t
+        if math.nextafter(lo, hi) == hi:
+            return lo if -flo <= fhi else hi
+        # Step from the endpoint with the smaller |f|; a flat one has none.
+        if -flo <= fhi:
+            t, f, d = lo, flo, dlo
         else:
-            return mid
-    return lo if abs(flo) <= abs(fhi) else hi
+            t, f, d = hi, fhi, dhi
+        new = t - f / d if d > 0.0 else math.inf
+        if new == t:
+            new = math.nextafter(t, hi if f < 0.0 else lo)
+        elif not lo < new < hi or abs(new - t) > 0.5 * older:
+            new = _midpoint(lo, hi)
+        older, step = step, abs(new - t)
+        t = new
 
 
-def _shifted_gap(u: float, c: float) -> float:
-    # (u-1)*e^u + 1 - c, with the +1 folded in via expm1 to avoid
-    # cancellation for small u.
-    return (u - 1.0) * math.expm1(u) + u - c
+def _shifted(c: float, sign: float):
+    """``sign`` times (u-1)*e^u + 1 - c and its derivative u*e^u.
+
+    The +1 is folded in via expm1 to avoid cancellation for small u.
+    """
+
+    def fd(u: float) -> tuple[float, float]:
+        em1 = math.expm1(u)
+        return sign * ((u - 1.0) * em1 + u - c), sign * u * (em1 + 1.0)
+
+    return fd
+
+
+def _asymptotic_start(log_x: float) -> float:
+    # L1 - L2 + L2/L1 with L1 = ln|x|, L2 = ln|L1|: the first terms of the
+    # asymptotic series of W0 at large x and of W-1 at small -x.
+    log_log = math.log(abs(log_x))
+    return log_x - log_log + log_log / log_x
 
 
 def _reference_w0(x: float) -> float:
@@ -78,14 +146,23 @@ def _reference_w0(x: float) -> float:
         c = 1.0 + math.e * x
         if c <= 0.0:
             return -1.0
-        u = _bisect(lambda t: _shifted_gap(t, c), 0.0, 2.0)
-        return -1.0 + u
+        return -1.0 + _solve(_shifted(c, 1.0), 0.0, 2.0, math.sqrt(2.0 * c))
     if x <= math.e:
-        return _bisect(lambda y: y * math.exp(y) - x, -1.0, 1.0)
-    # For x > e bisect in y >= 1 on the residual divided by x, written
+
+        def plain(y: float) -> tuple[float, float]:
+            ey = math.exp(y)
+            return y * ey - x, (1.0 + y) * ey
+
+        return _solve(plain, -1.0, 1.0, math.log1p(x))
+    # For x > e solve in y >= 1 on the residual divided by x, written
     # through expm1 so huge x cannot overflow y*exp(y).
-    hi = math.log(x) + 1.0
-    return _bisect(lambda y: math.expm1(y + math.log(y / x)), 1.0, hi)
+    log_x = math.log(x)
+
+    def scaled(y: float) -> tuple[float, float]:
+        g = math.expm1(y + math.log(y / x))
+        return g, (g + 1.0) * (1.0 + 1.0 / y)
+
+    return _solve(scaled, 1.0, log_x + 1.0, _asymptotic_start(log_x))
 
 
 def _reference_wm1(x: float) -> float:
@@ -93,13 +170,21 @@ def _reference_wm1(x: float) -> float:
         c = 1.0 + math.e * x
         if c <= 0.0:
             return -1.0
-        u = _bisect(lambda t: -_shifted_gap(t, c), -3.0, 0.0)
-        return -1.0 + u
+        return -1.0 + _solve(_shifted(c, -1.0), -3.0, 0.0, -math.sqrt(2.0 * c))
     log_x = math.log(-x)
-    lo = log_x - 40.0
+    start = _asymptotic_start(log_x)
     if -x < sys.float_info.min:
-        return _bisect(lambda y: y + math.log(-y) - log_x, lo, -1.0)
-    return _bisect(lambda y: x - y * math.exp(y), lo, -1.0)
+
+        def log_space(y: float) -> tuple[float, float]:
+            return y + math.log(-y) - log_x, 1.0 + 1.0 / y
+
+        return _solve(log_space, log_x - 40.0, -1.0, start)
+
+    def plain(y: float) -> tuple[float, float]:
+        ey = math.exp(y)
+        return x - y * ey, -(1.0 + y) * ey
+
+    return _solve(plain, log_x - 40.0, -1.0, start)
 
 
 def reference_w(branch: int, x: float) -> float:

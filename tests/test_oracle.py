@@ -1,4 +1,4 @@
-"""Tests for the bisection reference solver.
+"""Tests for the reference solver: bracketed Newton, one-ulp bracket.
 
 The oracle is the measuring stick for every accuracy claim in the
 package, so its own tests use only frozen golden values, structural
@@ -7,6 +7,7 @@ checks and mpmath — never the approximation code it is meant to judge.
 
 import math
 import pathlib
+import random
 import re
 import sys
 
@@ -14,7 +15,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from lambertw import Branch, DomainError, reference_w
+from lambertw import Branch, DomainError, default_panels, reference_w
+from lambertw import oracle
 from lambertw.oracle import MINUS_INV_E
 
 EPS = math.ulp(1.0)
@@ -37,7 +39,7 @@ def test_golden_values(branch, x, expected):
 
 
 def test_omega_constant_bit_exact():
-    # W0(1) rounds to this double; the bisection bracket is 1 ulp wide,
+    # W0(1) rounds to this double; the final bracket is 1 ulp wide,
     # so the returned endpoint must be exactly the correctly rounded value.
     assert reference_w(0, 1.0) == 0.5671432904097838
 
@@ -120,6 +122,140 @@ def test_agrees_with_mpmath_over_the_double_range():
             if abs(mpmath.mpf(w) - exact) > tol:
                 failures.append((branch, x, w, complex(exact)))
     assert failures == []
+
+
+def _stratified(lo, hi, count, seed, sign=1.0):
+    """One x drawn uniformly from each of ``count`` equal strata of
+    log10|x| in [lo, hi], with the sign ``sign``."""
+    rng = random.Random(seed)
+    return [sign * 10.0 ** (lo + (hi - lo) * (i + rng.random()) / count) for i in range(count)]
+
+
+_LOG10_TINY = math.log10(sys.float_info.min)
+_LOG10_SUBNORMAL_MIN = math.log10(5e-324)
+
+# Every formulation away from the shifted zone x <= -0.2, by branch.
+# The plain branch-0 zone is sampled linearly over (-0.2, e] and in
+# log|x| on both sides of 0 down to the smallest subnormal.
+UNSHIFTED_ZONES = {
+    "plain, branch 0": [
+        (0, x)
+        for x in [-0.2 + (math.e + 0.2) * (i + random.Random(1).random()) / 1000 for i in range(1000)]
+        + _stratified(_LOG10_SUBNORMAL_MIN, math.log10(0.2), 1000, 2)
+        + _stratified(_LOG10_SUBNORMAL_MIN, math.log10(0.2), 1000, 3, sign=-1.0)
+        if x > -0.2
+    ],
+    "x > e, branch 0": [(0, x) for x in _stratified(math.log10(math.e), 308.25, 1000, 4)],
+    "plain, branch -1": [(-1, x) for x in _stratified(_LOG10_TINY, math.log10(0.2), 1000, 5, sign=-1.0)],
+    "log space, branch -1": [
+        (-1, x) for x in _stratified(_LOG10_SUBNORMAL_MIN, _LOG10_TINY, 1000, 6, sign=-1.0)
+    ],
+}
+
+
+@pytest.mark.parametrize("zone", UNSHIFTED_ZONES)
+def test_within_one_and_a_half_ulp_of_mpmath_off_the_shifted_zone(zone):
+    """Away from the branch point the oracle is within 1.5 ulp of mpmath
+    at 40 digits, with no allowance for conditioning: x is exact, and
+    these formulations resolve the root to the last bit or the one
+    before it."""
+    points = UNSHIFTED_ZONES[zone]
+    assert len(points) >= 1000
+    worst = 0.0
+    with mpmath.workdps(40):
+        for branch, x in points:
+            exact = mpmath.lambertw(x, branch).real
+            error = float(abs(mpmath.mpf(reference_w(branch, x)) - exact)) / math.ulp(float(exact))
+            worst = max(worst, error)
+    assert worst <= 1.5, f"{zone}: worst error {worst:.3f} ulp"
+
+
+def _recorded_solves(points):
+    """``(fd, lo, hi, start, root)`` of every solve that ``reference_w``
+    runs on ``points``."""
+    solves = []
+    solve = oracle._solve
+
+    def record(fd, lo, hi, start):
+        root = solve(fd, lo, hi, start)
+        solves.append((fd, lo, hi, start, root))
+        return root
+
+    oracle._solve = record
+    try:
+        for branch, x in points:
+            reference_w(branch, float(x))
+    finally:
+        oracle._solve = solve
+    return solves
+
+
+# Zones where the rounded residual changes sign once near the root.  The
+# plain branch-0 form is not among them: for about 3% of its x the
+# rounding noise of y*exp(y) - x flips the sign over a few ulp, and the
+# shifted zone is noisy by construction near -1/e.
+WELL_CONDITIONED = [
+    *UNSHIFTED_ZONES["x > e, branch 0"][::5],
+    *UNSHIFTED_ZONES["plain, branch -1"][::5],
+    *UNSHIFTED_ZONES["log space, branch -1"][::5],
+]
+
+
+def test_start_point_sets_only_the_speed():
+    """Any start gives the same double when the root is the only double
+    of its sign change.  That excludes x where the rounded residual is
+    exactly 0 at two adjacent doubles, which the log-space form has at
+    about 1 x in 100: either zero is then a valid result."""
+    solves = _recorded_solves(WELL_CONDITIONED)
+    assert len(solves) == len(WELL_CONDITIONED)
+    isolated = [
+        (fd, lo, hi, start, root)
+        for fd, lo, hi, start, root in solves
+        if fd(math.nextafter(root, -math.inf))[0] != 0.0 and fd(math.nextafter(root, math.inf))[0] != 0.0
+    ]
+    assert len(isolated) >= 0.95 * len(solves)
+    for fd, lo, hi, start, root in isolated:
+        for other in (lo, hi, lo + 0.001 * (hi - lo), hi - 0.001 * (hi - lo), 0.5 * (lo + hi)):
+            assert oracle._solve(fd, lo, hi, other) == root, (lo, hi, start, other)
+
+
+def test_root_is_the_better_end_of_a_one_ulp_sign_change():
+    """Every solve, noisy zones included, ends on adjacent doubles whose
+    residuals differ in sign and returns the one with the smaller |f|."""
+    for fd, lo, hi, start, root in _recorded_solves(MPMATH_POINTS):
+        f = fd(root)[0]
+        if f == 0.0:
+            continue
+        other = fd(math.nextafter(root, hi if f < 0.0 else lo))[0]
+        assert (f < 0.0) != (other < 0.0) and abs(f) <= abs(other), (lo, hi, root)
+
+
+def test_evaluations_per_solve_stay_below_the_bisection_worst_case():
+    """At most 64 evaluations of the residual per call, over the mpmath
+    points and the default panels; bisection took up to 68."""
+    points = [(branch, float(x)) for branch, x in MPMATH_POINTS]
+    for branch in (0, -1):
+        points += [(branch, x) for grid in default_panels(branch) for x in grid.points()]
+    counts = []
+    for fd, lo, hi, start, root in _recorded_solves(points):
+        calls = [0]
+
+        def counted(t, fd=fd):
+            calls[0] += 1
+            return fd(t)
+
+        assert oracle._solve(counted, lo, hi, start) == root
+        counts.append(calls[0])
+    assert len(counts) > 4000
+    assert max(counts) <= 64
+    assert sum(counts) / len(counts) <= 10
+
+
+def test_solver_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="not bracketed"):
+        oracle._solve(lambda t: (t - 5.0, 1.0), 0.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="not bracketed"):
+        oracle._solve(lambda t: (t + 5.0, 1.0), 0.0, 1.0, 0.5)
 
 
 def test_extreme_arguments():
