@@ -113,13 +113,20 @@ def gaisser_hillas(x: float, x_max: float) -> float:
         raise DomainError(f"x_max must be positive and finite, got {x_max!r}")
     if x < 0.0:
         raise DomainError(f"profile depth must be >= 0, got x={x!r}")
-    if x == 0.0:
+    if x == 0.0 or x == math.inf:
         return 0.0
     ratio = x / x_max
-    if ratio == math.inf:
-        # x/x_max overflows for tiny x_max; (x/x_max)^x_max in log space.
-        return math.exp(x_max * (math.log(x) - math.log(x_max)) + x_max - x)
-    return ratio ** x_max * math.exp(x_max - x)
+    if ratio < math.inf:
+        try:
+            return ratio ** x_max * math.exp(x_max - x)
+        except OverflowError:
+            # (x/x_max)^x_max or e^(x_max - x) overflows at large x_max,
+            # although their product is at most 1.
+            log_ratio = math.log(ratio) if ratio > 0.0 else math.log(x) - math.log(x_max)
+    else:
+        # x/x_max overflows for tiny x_max.
+        log_ratio = math.log(x) - math.log(x_max)
+    return math.exp(x_max * log_ratio + x_max - x)
 
 
 class GhRoots(NamedTuple):

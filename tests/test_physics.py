@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -277,6 +278,54 @@ def test_gh_inverse_where_only_ln_y_over_x_max_overflows():
 )
 def test_gh_where_x_over_x_max_overflows(x, x_max, expected):
     assert abs(gaisser_hillas(x, x_max) - expected) <= 2 * math.ulp(expected)
+
+
+def _gh_exact(x: float, x_max: float) -> float:
+    """The profile at the doubles x, x_max by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        return float((mpmath.mpf(x) / x_max) ** x_max * mpmath.exp(mpmath.mpf(x_max) - x))
+
+
+def _gh_tolerance(x: float, x_max: float, value: float) -> float:
+    # The exponent x_max ln(x/x_max) + x_max - x carries rounding of size
+    # eps*(x_max + x), which exp turns into that relative error.
+    return 4.0 * sys.float_info.epsilon * (x_max + x) * value
+
+
+@pytest.mark.parametrize(
+    "x, x_max, expected",
+    # mpmath at 40 digits.  Here (x/x_max)^x_max or e^(x_max - x)
+    # overflows a double; the last two values underflow.
+    [(2060.0, 1030.0, 5.4648616732744703e-138), (1e5, 1000.0, 0.0), (1e-3, 1000.0, 0.0)],
+)
+def test_gh_where_a_factor_of_the_direct_form_overflows(x, x_max, expected):
+    assert _gh_exact(x, x_max) == expected
+    assert abs(gaisser_hillas(x, x_max) - expected) <= _gh_tolerance(x, x_max, expected)
+
+
+def test_gh_at_infinite_depth_is_zero():
+    assert gaisser_hillas(math.inf, 2.0) == 0.0
+    assert gaisser_hillas(math.inf, 1e-310) == 0.0
+
+
+def test_gh_forward_check_of_the_roots_at_large_x_max():
+    y, x_max = 1e-300, 1e5
+    for root in gh_inverse(y, x_max):
+        value = gaisser_hillas(root, x_max)
+        assert abs(value - _gh_exact(root, x_max)) <= _gh_tolerance(root, x_max, value)
+        # The root's last bit and the rounding of root/x_max, amplified by
+        # x_max, move the value by about 1e-11 of y.
+        assert value == pytest.approx(y, rel=1e-9)
+
+
+def test_gh_keeps_the_direct_form_where_it_does_not_overflow():
+    for x_max in (0.5, 1.0, 23.0, 700.0, 1030.0):
+        for x in (1e-300, 0.01, 0.5 * x_max, x_max, 1.5 * x_max, 700.0, 1e4):
+            try:
+                direct = (x / x_max) ** x_max * math.exp(x_max - x)
+            except OverflowError:
+                continue
+            assert gaisser_hillas(x, x_max) == direct, (x, x_max)
 
 
 # ----------------------------------------------------------------------
