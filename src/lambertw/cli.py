@@ -95,7 +95,7 @@ def _run_eval(args: list[str], approximation_only: bool) -> int:
 def _run_sweep(args: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="lambert-w sweep",
-        description="Accuracy sweep against the bisection reference solver.",
+        description="Accuracy sweep against the reference solver.",
     )
     parser.add_argument("--branch", type=int, choices=(0, -1), default=0)
     parser.add_argument("--stage", choices=STAGES, default="approximation")

@@ -188,7 +188,7 @@ def _reference_wm1(x: float) -> float:
 
 
 def reference_w(branch: int, x: float) -> float:
-    """Lambert W by bisection, correct to the last bit or the one before it.
+    """Lambert W by bracketed Newton, correct to the last bit or one before.
 
     Parameters
     ----------
