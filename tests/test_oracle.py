@@ -124,11 +124,16 @@ def test_agrees_with_mpmath_over_the_double_range():
     assert failures == []
 
 
-def _stratified(lo, hi, count, seed, sign=1.0):
-    """One x drawn uniformly from each of ``count`` equal strata of
-    log10|x| in [lo, hi], with the sign ``sign``."""
+def _strata(lo, hi, count, seed):
+    """One value drawn uniformly from each of ``count`` equal strata of
+    [lo, hi]."""
     rng = random.Random(seed)
-    return [sign * 10.0 ** (lo + (hi - lo) * (i + rng.random()) / count) for i in range(count)]
+    return [lo + (hi - lo) * (i + rng.random()) / count for i in range(count)]
+
+
+def _log_strata(lo, hi, count, seed, sign=1.0):
+    """``sign * 10**e`` for ``e`` stratified over [lo, hi]."""
+    return [sign * 10.0 ** e for e in _strata(lo, hi, count, seed)]
 
 
 _LOG10_TINY = math.log10(sys.float_info.min)
@@ -140,15 +145,15 @@ _LOG10_SUBNORMAL_MIN = math.log10(5e-324)
 UNSHIFTED_ZONES = {
     "plain, branch 0": [
         (0, x)
-        for x in [-0.2 + (math.e + 0.2) * (i + random.Random(1).random()) / 1000 for i in range(1000)]
-        + _stratified(_LOG10_SUBNORMAL_MIN, math.log10(0.2), 1000, 2)
-        + _stratified(_LOG10_SUBNORMAL_MIN, math.log10(0.2), 1000, 3, sign=-1.0)
+        for x in _strata(-0.2, math.e, 1000, 1)
+        + _log_strata(_LOG10_SUBNORMAL_MIN, math.log10(0.2), 1000, 2)
+        + _log_strata(_LOG10_SUBNORMAL_MIN, math.log10(0.2), 1000, 3, sign=-1.0)
         if x > -0.2
     ],
-    "x > e, branch 0": [(0, x) for x in _stratified(math.log10(math.e), 308.25, 1000, 4)],
-    "plain, branch -1": [(-1, x) for x in _stratified(_LOG10_TINY, math.log10(0.2), 1000, 5, sign=-1.0)],
+    "x > e, branch 0": [(0, x) for x in _log_strata(math.log10(math.e), 308.25, 1000, 4)],
+    "plain, branch -1": [(-1, x) for x in _log_strata(_LOG10_TINY, math.log10(0.2), 1000, 5, sign=-1.0)],
     "log space, branch -1": [
-        (-1, x) for x in _stratified(_LOG10_SUBNORMAL_MIN, _LOG10_TINY, 1000, 6, sign=-1.0)
+        (-1, x) for x in _log_strata(_LOG10_SUBNORMAL_MIN, _LOG10_TINY, 1000, 6, sign=-1.0)
     ],
 }
 
