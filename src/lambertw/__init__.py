@@ -4,11 +4,11 @@ The package evaluates W(x), the inverse of y -> y*e^y, by dispatching a
 piecewise initial approximation (branch-point series, rational fits,
 asymptotic series, or a continued-logarithm recursion, depending on x)
 and refining it with a single fourth-order Fritsch step.  A reference
-solver (bracketed Newton to a one-ulp bracket), a decimal-places accuracy metric with grid sweeps, two
-shower-physics profile inverses, a command-line utility, and the
-Halley-vs-Fritsch step count (``steps_to_converge``) round out the
-library.  Timing lives outside the package, in the repository's
-``perfbench/`` harness.
+solver (bracketed Newton to a one-ulp bracket), a decimal-places
+accuracy metric with grid sweeps, two shower-physics profile inverses, a
+command-line utility, and the Halley-vs-Fritsch step count
+(``steps_to_converge``) round out the library.  Timing lives outside
+the package, in the repository's ``perfbench/`` harness.
 """
 
 from .accuracy import (
