@@ -120,12 +120,10 @@ def gaisser_hillas(x: float, x_max: float) -> float:
         try:
             return ratio ** x_max * math.exp(x_max - x)
         except OverflowError:
-            # (x/x_max)^x_max or e^(x_max - x) overflows at large x_max,
-            # although their product is at most 1.
-            log_ratio = math.log(ratio) if ratio > 0.0 else math.log(x) - math.log(x_max)
-    else:
-        # x/x_max overflows for tiny x_max.
-        log_ratio = math.log(x) - math.log(x_max)
+            pass
+    # In log space where x/x_max overflows (tiny x_max) or a factor of the
+    # direct form does (large x_max), although the profile is at most 1.
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(x) - math.log(x_max)
     return math.exp(x_max * log_ratio + x_max - x)
 
 

@@ -295,8 +295,14 @@ def _gh_tolerance(x: float, x_max: float, value: float) -> float:
 @pytest.mark.parametrize(
     "x, x_max, expected",
     # mpmath at 40 digits.  Here (x/x_max)^x_max or e^(x_max - x)
-    # overflows a double; the last two values underflow.
-    [(2060.0, 1030.0, 5.4648616732744703e-138), (1e5, 1000.0, 0.0), (1e-3, 1000.0, 0.0)],
+    # overflows a double; the last three values underflow, and in the
+    # last x/x_max does too.
+    [
+        (2060.0, 1030.0, 5.4648616732744703e-138),
+        (1e5, 1000.0, 0.0),
+        (1e-3, 1000.0, 0.0),
+        (5e-324, 1e10, 0.0),
+    ],
 )
 def test_gh_where_a_factor_of_the_direct_form_overflows(x, x_max, expected):
     assert _gh_exact(x, x_max) == expected
