@@ -2,12 +2,13 @@
 
 Every float evaluation takes one path: ``dispatch_region`` validates the
 branch and x and picks the region whose initial approximation (the seed)
-serves x; the seed is evaluated; ``_step`` applies exactly one Fritsch
-step.  A seed that is already exact (w = 0 at x = 0, w = -1 at the branch
-point) is returned unstepped.  ``_lambert_w_list`` writes the same
+serves x; ``lambert_w`` evaluates the seed and applies one ``fritsch_step``
+unless it is exact (w = 0 at x = 0, w = -1 at the branch point), the test
+``_step`` makes for the sweeps.  ``_lambert_w_list`` writes the same
 arithmetic out in one loop, bit for bit equal (``tests/test_array.py``),
-for arrays and the physics inverses; floats keep the layered path, whose
-public stages the benchmark's tracer times one by one.
+for arrays and the physics inverses.  Floats keep the public stages: the
+benchmark's tracer wraps each one, wants one ``lambert_w`` per float call,
+and divides by the calls of each public seed family.
 
 Three call shapes are exposed:
 
@@ -149,10 +150,9 @@ def _seed(region: ApproximationRegion, x: float) -> float:
     if kind == "branch-point-series":
         # Branch -1 runs two orders hotter: its series region reaches
         # p = -0.594, where order 9 falls a shade short of five decimals.
-        return branch_point_series(b, x, order=9 if b == 0 else 11)
+        return branch_point_series(b, x, 9 if b == 0 else 11)
     if kind == "rational-fit-1":
-        fit = W0_FIT_1 if b == 0 else WM1_FIT
-        return rational_fit_eval(fit, x)
+        return rational_fit_eval(W0_FIT_1 if b == 0 else WM1_FIT, x)
     if kind == "rational-fit-2":
         return rational_fit_eval(W0_FIT_2, x)
     if kind == "asymptotic":
@@ -229,10 +229,13 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     the one place the defining identity cannot be formed.
     """
     region = dispatch_region(branch, x)
+    # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
     if math.isinf(x):
-        return EvalResult(math.inf, region.kind, 0, math.nan)
-    w, steps = _step(x, _seed(region, x))
-    return EvalResult(w, region.kind, steps, defining_residual(x, w))
+        return tuple.__new__(EvalResult, (math.inf, region.kind, 0, math.nan))
+    w, steps = _seed(region, x), 0
+    if not (w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD):  # _step's exact seeds
+        w, steps = fritsch_step(x, w), 1
+    return tuple.__new__(EvalResult, (w, region.kind, steps, defining_residual(x, w)))
 
 
 def _lambert_w_array(branch: int, x):

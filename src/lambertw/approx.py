@@ -29,14 +29,6 @@ MINUS_INV_E = -math.exp(-1.0)
 BRANCH_POINT_TOL = 4.0 * math.ulp(math.exp(-1.0))
 
 
-def _horner(coeffs, x: float) -> float:
-    """Evaluate sum(coeffs[i] * x**i) by Horner's rule."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Branch point series
 # ---------------------------------------------------------------------------
@@ -114,6 +106,8 @@ BRANCH_POINT_COEFFICIENTS: tuple[float, ...] = (
 )
 
 MAX_SERIES_ORDER = len(BRANCH_POINT_COEFFICIENTS) - 1
+# b_order..b_0 per truncation order, in the order Horner's rule takes them.
+_SERIES_DESCENDING = tuple(BRANCH_POINT_COEFFICIENTS[k::-1] for k in range(MAX_SERIES_ORDER + 1))
 
 
 def branch_point_series(branch: int, x: float, order: int = 9) -> float:
@@ -138,7 +132,10 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
     if s < 0.0:
         s = 0.0
     p = math.sqrt(s) if branch == 0 else -math.sqrt(s)
-    return _horner(BRANCH_POINT_COEFFICIENTS[: order + 1], p)
+    acc = 0.0
+    for c in _SERIES_DESCENDING[order]:
+        acc = acc * p + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +202,12 @@ class RationalFit:
 
 def rational_fit_eval(fit: RationalFit, x: float) -> float:
     """Evaluate a RationalFit by Horner's rule on both polynomials."""
-    value = _horner(fit.numerator, x) / _horner(fit.denominator, x)
-    return x * value if fit.leading_factor_x else value
+    num = den = 0.0
+    for c in reversed(fit.numerator):
+        num = num * x + c
+    for c in reversed(fit.denominator):
+        den = den * x + c
+    return x * (num / den) if fit.leading_factor_x else num / den
 
 
 # Full-precision tables from tools/refit_rational.py: box-constrained
@@ -253,14 +254,14 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
         raise DomainError(
             f"continued log recursion needs -1/e < x < 0, got x = {x!r}"
         )
-    lx = math.log(-x)
-    r = lx
+    log = math.log
+    r = lx = log(-x)
     for _ in range(depth):
         if r >= 0.0:
             raise SingularityError(
                 f"recursion left the branch -1 range at R = {r!r}"
             )
-        r = lx - math.log(-r)
+        r = lx - log(-r)
     return r
 
 

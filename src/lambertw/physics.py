@@ -123,8 +123,14 @@ def gaisser_hillas(x: float, x_max: float) -> float:
             pass
     # In log space where x/x_max overflows (tiny x_max) or a factor of the
     # direct form does (large x_max), although the profile is at most 1.
-    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(x) - math.log(x_max)
-    return math.exp(x_max * log_ratio + x_max - x)
+    if not 0.0 < ratio < math.inf:
+        return math.exp(x_max * (math.log(x) - math.log(x_max)) + x_max - x)
+    # Else as x_max (ln(1+q) - q), q = (x - x_max)/x_max, which cannot overflow: by its
+    # series where log1p(q) - q cancels, by ln(x/x_max) where 1 + q < 1/2 is rounded.
+    q = (x - x_max) / x_max
+    if abs(q) < 0.25:
+        return math.exp(-x_max * q * q * math.fsum((-q) ** k / (k + 2) for k in range(27)))
+    return math.exp(x_max * ((math.log(ratio) if q < -0.5 else math.log1p(q)) - q))
 
 
 class GhRoots(NamedTuple):

@@ -1,6 +1,7 @@
 """Tests for the public evaluation entry points and region dispatch."""
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -242,6 +243,38 @@ def test_eval_result_is_an_immutable_named_tuple():
                              result.residual)
     with pytest.raises(AttributeError):
         result.value = 0.0
+
+
+def _same_result(a, b) -> bool:
+    """Equal EvalResults, with a NaN residual equal to a NaN residual."""
+    return type(a) is type(b) is EvalResult and all(
+        u == v or (u != u and v != v) for u, v in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize(
+    "branch, x, steps",
+    [(0, 1.0, 1), (-1, -0.1, 1), (0, 0.0, 0), (0, MINUS_INV_E, 0), (-1, MINUS_INV_E, 0),
+     (0, math.inf, 0)],
+)
+def test_eval_result_keeps_the_named_tuple_contract(branch, x, steps):
+    """What lambert_w returns is a full EvalResult, whether it was stepped,
+    its seed was exact, or x = +inf (NaN residual)."""
+    result = lambert_w(branch, x)
+    assert type(result) is EvalResult
+    assert result.refinement_steps == steps
+    assert result == EvalResult(*result)
+    assert result._fields == EvalResult._fields
+    assert result._asdict() == dict(zip(EvalResult._fields, result))
+    replaced = result._replace(region="other")
+    assert type(replaced) is EvalResult
+    assert replaced == (result.value, "other", result.refinement_steps, result.residual)
+    assert repr(result) == (
+        f"EvalResult(value={result.value!r}, region={result.region!r}, "
+        f"refinement_steps={result.refinement_steps!r}, residual={result.residual!r})"
+    )
+    assert _same_result(pickle.loads(pickle.dumps(result)), result)
+    assert math.isnan(result.residual) == (x == math.inf)
 
 
 def test_domain_error_names_the_bound():

@@ -21,6 +21,25 @@ from lambertw import (
     reference_w,
 )
 from lambertw.api import W0_REGIONS, WM1_REGIONS
+from lambertw.approx import BRANCH_POINT_COEFFICIENTS, MAX_SERIES_ORDER
+
+# Stratified points per bit-identity case: one drawn in each of as many
+# equal cells.
+STRATA = 600
+
+
+def _horner_reference(ascending, t):
+    """sum(ascending[i] * t**i) by Horner's rule, highest coefficient first."""
+    value = 0.0
+    for c in reversed(ascending):
+        value = value * t + c
+    return value
+
+
+def _stratified(lower, upper, seed, n=STRATA):
+    """One uniform draw in each of n equal cells of [lower, upper)."""
+    u = np.random.default_rng(seed).random(n)
+    return [float(lower + (i + u[i]) / n * (upper - lower)) for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -68,6 +87,21 @@ def test_series_domain_and_order_validation():
         branch_point_series(0, 0.0, order=0)
     with pytest.raises(ValueError):
         branch_point_series(0, 0.0, order=12)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_SERIES_ORDER + 1))
+@pytest.mark.parametrize("branch", [0, -1])
+def test_series_is_the_horner_sum_bit_for_bit(branch, order):
+    """Every order, on both branches, over the series region and past it
+    to x = 0, plus -1/e and the clamped rounding band below it."""
+    xs = _stratified(MINUS_INV_E, 0.0, seed=100 * order - branch)
+    xs += [MINUS_INV_E, MINUS_INV_E - math.ulp(MINUS_INV_E), 0.0]
+    for x in xs:
+        s = 2.0 * (1.0 + math.e * x)
+        p = math.sqrt(s) if s > 0.0 else 0.0
+        expected = _horner_reference(BRANCH_POINT_COEFFICIENTS[: order + 1],
+                                     p if branch == 0 else -p)
+        assert branch_point_series(branch, x, order) == expected, (branch, order, x)
 
 
 def test_series_clamps_tiny_negative_radicand():
@@ -147,6 +181,22 @@ def test_rational_fit_shapes():
     assert WM1_FIT.denominator[0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "fit, region",
+    [(W0_FIT_1, W0_REGIONS[1]), (W0_FIT_2, W0_REGIONS[2]), (WM1_FIT, WM1_REGIONS[1])],
+    ids=["W0_FIT_1", "W0_FIT_2", "WM1_FIT"],
+)
+def test_rational_fit_is_the_horner_quotient_bit_for_bit(fit, region):
+    """Over the fit's dispatch region, then over all of [-1/e, 10]."""
+    xs = _stratified(region.lower, region.upper, seed=11)
+    xs += _stratified(MINUS_INV_E, 10.0, seed=12)
+    xs += [region.lower, region.upper, 0.0]
+    for x in xs:
+        value = _horner_reference(fit.numerator, x) / _horner_reference(fit.denominator, x)
+        expected = x * value if fit.leading_factor_x else value
+        assert rational_fit_eval(fit, x) == expected, x
+
+
 def test_rational_fit_requires_monic_denominator():
     with pytest.raises(ValueError):
         RationalFit(numerator=(1.0,), denominator=(2.0, 1.0), leading_factor_x=False)
@@ -154,13 +204,6 @@ def test_rational_fit_requires_monic_denominator():
 
 def test_fit_denominators_nonzero_on_dispatch_regions():
     """D(x) = 0 cannot occur where each fit is actually used."""
-
-    def horner(coeffs, x):
-        value = 0.0
-        for c in reversed(coeffs):
-            value = value * x + c
-        return value
-
     cases = [
         (W0_FIT_1, np.linspace(-0.323581, 0.145469, 500)),
         (W0_FIT_2, np.linspace(0.145469, 8.706658, 500)),
@@ -168,7 +211,7 @@ def test_fit_denominators_nonzero_on_dispatch_regions():
     ]
     for fit, xs in cases:
         for x in xs:
-            assert abs(horner(fit.denominator, float(x))) > 1e-3
+            assert abs(_horner_reference(fit.denominator, float(x))) > 1e-3
 
 
 # ----------------------------------------------------------------------

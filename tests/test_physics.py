@@ -324,6 +324,79 @@ def test_gh_forward_check_of_the_roots_at_large_x_max():
         assert value == pytest.approx(y, rel=1e-9)
 
 
+def _gh_exact_with_exponent(x: float, x_max: float) -> tuple[float, float]:
+    """The profile at the doubles x, x_max and its exponent
+    x_max ln(x/x_max) + x_max - x, by mpmath at 120 digits: near the
+    largest double the exponent is 32 digits below its terms."""
+    with mpmath.workdps(120):
+        x, x_max = mpmath.mpf(x), mpmath.mpf(x_max)
+        exponent = x_max * mpmath.log(x / x_max) + x_max - x
+        return float(mpmath.exp(exponent)), float(exponent)
+
+
+def _assert_gh_within_exponent_rounding(x: float, x_max: float) -> None:
+    # A few rounding errors of the exponent E, which exp turns into a
+    # relative error of the value: 4 eps (|E| + 1).
+    expected, exponent = _gh_exact_with_exponent(x, x_max)
+    value = gaisser_hillas(x, x_max)
+    if expected == 0.0:
+        assert value == 0.0, (x, x_max, value)
+        return
+    tolerance = 4.0 * sys.float_info.epsilon * (abs(exponent) + 1.0) * expected
+    assert abs(value - expected) <= tolerance, (x, x_max, value, expected)
+
+
+_DBL_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "x, x_max",
+    # The direct form overflows at each.  Near the largest double the
+    # log-space exponent overflowed (inf) or cancelled to 0 (1.0), where
+    # the profile underflows to 0; at x_max = 1e20 and |x - x_max| of
+    # 1e10-1e11 it cancelled to 0 where it is -2 to -50.  At the last,
+    # q = (x - x_max)/x_max rounds to -1.
+    [
+        (_DBL_MAX, math.nextafter(_DBL_MAX, 0.0)),
+        (math.nextafter(_DBL_MAX, 0.0), _DBL_MAX),
+        (math.nextafter(1e300, math.inf), 1e300),
+        (1.5e308, 1e308),
+        (1e20 - 1e11, 1e20),
+        (1e20 + 1e11, 1e20),
+        (1e20 - 2e10, 1e20),
+        (1e20 - 3e10, 1e20),
+        (1e-300, 1e10),
+    ],
+)
+def test_gh_exponent_without_overflow_or_cancellation(x, x_max):
+    _assert_gh_within_exponent_rounding(x, x_max)
+
+
+def test_gh_log_space_over_random_points():
+    """Stratified in log x_max over [1, 1e308]; x = x_max (1 + q) with
+    |q| log-uniform over [1e-17, 10], or x/x_max log-uniform over
+    [e^-700, e^700]; only points where the direct form overflows."""
+    rng = np.random.default_rng(31)
+    checked = 0
+    for i in range(400):
+        x_max = 10.0 ** ((i + float(rng.random())) / 400 * 308.25)
+        if i % 2:
+            q = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, 1.0))
+            x = x_max * (1.0 + q)
+        else:
+            x = math.exp(min(709.7, math.log(x_max) + float(rng.uniform(-700.0, 700.0))))
+        if not 0.0 < x < math.inf or x == x_max:
+            continue
+        try:
+            (x / x_max) ** x_max * math.exp(x_max - x)
+            continue
+        except OverflowError:
+            pass
+        _assert_gh_within_exponent_rounding(x, x_max)
+        checked += 1
+    assert checked >= 300
+
+
 def test_gh_keeps_the_direct_form_where_it_does_not_overflow():
     for x_max in (0.5, 1.0, 23.0, 700.0, 1030.0):
         for x in (1e-300, 0.01, 0.5 * x_max, x_max, 1.5 * x_max, 700.0, 1e4):
