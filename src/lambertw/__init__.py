@@ -29,9 +29,7 @@ from .api import (
     dispatch_region,
     lambert_w,
     lambert_w0,
-    lambert_w0_approximation,
     lambert_wm1,
-    lambert_wm1_approximation,
     lambert_w_approximation,
     steps_to_converge,
 )
@@ -118,9 +116,7 @@ __all__ = [
     "halley_step",
     "lambert_w",
     "lambert_w0",
-    "lambert_w0_approximation",
     "lambert_wm1",
-    "lambert_wm1_approximation",
     "lambert_w_approximation",
     "moyal",
     "moyal_inverse",

@@ -6,10 +6,10 @@ The central quantity is
 
 the number of correct decimal places of an approximation relative to the
 reference value.  ``accuracy_sweep`` evaluates a chosen pipeline stage
-(raw approximation, a single Halley or Fritsch step, or the value
-``lambert_w`` returns) over a sampling grid and reports the per-point deltas;
-``write_report`` writes a report as a plain-text data file suitable for
-plotting.
+(the raw approximation, or one Halley or Fritsch step from it; the last
+is the value ``lambert_w`` returns) over a sampling grid and reports the
+per-point deltas; ``write_report`` writes a report as a plain-text data
+file suitable for plotting.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .api import _step, dispatch_region, lambert_w, lambert_w_approximation
+from .api import _step, dispatch_region, lambert_w_approximation
 from .branches import Branch
 from .oracle import MINUS_INV_E, reference_w
 
@@ -28,7 +28,7 @@ from .oracle import MINUS_INV_E, reference_w
 DELTA_CAP = 17.0
 
 # Pipeline stages that a sweep can measure.
-STAGES = ("approximation", "one-halley", "one-fritsch", "converged")
+STAGES = ("approximation", "one-halley", "one-fritsch")
 
 
 def delta_accuracy(approx: float, exact: float) -> float:
@@ -126,8 +126,6 @@ def default_panels(branch: int) -> tuple[GridSpec, ...]:
 
 def _stage_value(branch: Branch, stage: str, x: float) -> float:
     """Evaluate one pipeline stage at ``x``."""
-    if stage == "converged":
-        return lambert_w(branch, x).value
     w = lambert_w_approximation(branch, x)
     if stage == "approximation":
         return w

@@ -16,10 +16,9 @@ Three call shapes are exposed:
   with a dtype (a numpy array of any shape, or a numpy scalar) goes to
   the array path and comes back as a float64 array of its shape, or as a
   float when it is 0-d;
-* ``lambert_w0_approximation(x)`` / ``lambert_wm1_approximation(x)``
-  return the unrefined seed;
 * ``lambert_w(branch, x)`` resolves the branch at runtime and returns an
-  :class:`EvalResult` carrying diagnostics.
+  :class:`EvalResult` carrying diagnostics;
+* ``lambert_w_approximation(branch, x)`` returns the unrefined seed.
 
 ``steps_to_converge(branch, x, scheme)``, the one loop, counts the Fritsch
 or Halley steps until |w*e^w - x| <= 1e-14 * max(|x|, 1), or the residual's
@@ -35,10 +34,11 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .approx import (
+    _X_MIN,
+    _domain_error,
     BRANCH_POINT_COEFFICIENTS,
     ApproximationRegion,
     MINUS_INV_E,
-    BRANCH_POINT_TOL,
     W0_FIT_1,
     W0_FIT_2,
     WM1_FIT,
@@ -48,7 +48,6 @@ from .approx import (
     rational_fit_eval,
 )
 from .branches import Branch, invalid_branch
-from .errors import DomainError, SingularityError
 from .iteration import (
     _SMALLEST_NORMAL,
     SCHEMES,
@@ -94,7 +93,6 @@ WM1_REGIONS: tuple[ApproximationRegion, ...] = (
 # x within the rounding band below -1/e lands in the series region.
 _W0_BREAKS = tuple(region.upper for region in W0_REGIONS[:-1])
 _WM1_BREAKS = tuple(region.upper for region in WM1_REGIONS[:-1])
-_X_MIN = MINUS_INV_E - BRANCH_POINT_TOL
 
 
 class EvalResult(NamedTuple):
@@ -111,16 +109,6 @@ class EvalResult(NamedTuple):
     region: str
     refinement_steps: int
     residual: float
-
-
-def _domain_error(x: float) -> DomainError:
-    if math.isnan(x):
-        return DomainError("x is NaN, outside both branch domains")
-    if x < _X_MIN:
-        return DomainError(
-            f"x = {x!r} is below the branch point bound -1/e = {MINUS_INV_E!r}"
-        )
-    return DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
 
 
 def dispatch_region(branch: int, x: float) -> ApproximationRegion:
@@ -160,7 +148,7 @@ def _seed(region: ApproximationRegion, x: float) -> float:
     return continued_log_recursion_wm1(x)
 
 
-def _step(x: float, w: float, scheme: str = "fritsch") -> tuple[float, int]:
+def _step(x: float, w: float, scheme: str) -> tuple[float, int]:
     """One refinement step of the estimate w of W(x): ``(w, steps)``.
 
     An exact seed (w = 0, or w within SINGULARITY_GUARD of -1, where a
@@ -211,16 +199,6 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     return math.inf if math.isinf(x) else _seed(region, x)
 
 
-def lambert_w0_approximation(x: float) -> float:
-    """Principal branch initial approximation (static branch form)."""
-    return lambert_w_approximation(0, x)
-
-
-def lambert_wm1_approximation(x: float) -> float:
-    """Branch -1 initial approximation (static branch form)."""
-    return lambert_w_approximation(-1, x)
-
-
 def lambert_w(branch: int, x: float) -> EvalResult:
     """Lambert W with runtime branch selection and diagnostics.
 
@@ -264,7 +242,7 @@ def _lambert_w_list(branch: int, values: list) -> list:
 
     The scalar path's arithmetic written out in one loop: the region by
     comparison with the breakpoints, the seed in Horner form, one Fritsch
-    step with the same guards.  Every value is bit-identical to
+    step after the same exact-seed test.  Every value is bit-identical to
     ``lambert_w(branch, v).value``; the first bad one raises its error.
     """
     log, sqrt, e, inf = math.log, math.sqrt, math.e, math.inf
@@ -323,20 +301,15 @@ def _lambert_w_list(branch: int, values: list) -> list:
         if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
             out.append(w)
             continue
+        # fritsch_step's own checks cannot fire here: every seed has x's
+        # sign and keeps |1 + w| and |q - 2z| far from 0 (tests/test_array.py).
         ratio = v / w
         if ratio < _SMALLEST_NORMAL:
-            if v == 0.0 or (v > 0.0) != (w > 0.0):
-                raise DomainError(
-                    f"fritsch step needs x and w of equal sign, got x = {v!r}, w = {w!r}"
-                )
             z = log(abs(v)) - log(abs(w)) - w
         else:
             z = log(ratio) - w
         q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
-        denom = q - 2.0 * z
-        if abs(denom) < 1e-300:
-            raise SingularityError(f"fritsch step denominator underflow at x = {v!r}, w = {w!r}")
-        out.append(w * (1.0 + (z / (1.0 + w)) * ((q - z) / denom)))
+        out.append(w * (1.0 + (z / (1.0 + w)) * ((q - z) / (q - 2.0 * z))))
     return out
 
 

@@ -20,13 +20,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .branches import Branch, invalid_branch
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 MINUS_INV_E = -math.exp(-1.0)
 
 # x this far (or less) below -1/e is still treated as the branch point:
 # it only arises from rounding of expressions that target -1/e exactly.
 BRANCH_POINT_TOL = 4.0 * math.ulp(math.exp(-1.0))
+_X_MIN = MINUS_INV_E - BRANCH_POINT_TOL
+
+
+def _domain_error(x: float) -> DomainError:
+    """The error for an x outside the branch domain: NaN, below -1/e,
+    or else (branch -1 only) not negative."""
+    if math.isnan(x):
+        return DomainError("x is NaN, outside both branch domains")
+    if x < _X_MIN:
+        return DomainError(
+            f"x = {x!r} is below the branch point bound -1/e = {MINUS_INV_E!r}"
+        )
+    return DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +135,8 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
         raise invalid_branch(branch)
     if not 1 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"order must be in [1, {MAX_SERIES_ORDER}], got {order}")
-    if math.isnan(x):
-        raise DomainError("x is NaN, outside both branch domains")
-    if x < MINUS_INV_E - BRANCH_POINT_TOL:
-        raise DomainError(
-            f"x = {x!r} is below the branch point bound -1/e = {MINUS_INV_E!r}"
-        )
+    if math.isnan(x) or x < _X_MIN:
+        raise _domain_error(x)
     s = 2.0 * (1.0 + math.e * x)
     if s < 0.0:
         s = 0.0
@@ -158,7 +167,7 @@ def asymptotic_series(branch: int, x: float) -> float:
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
     if math.isnan(x):
-        raise DomainError("x is NaN, outside both branch domains")
+        raise _domain_error(x)
     if branch == 0:
         if x <= 1.0:
             raise DomainError(f"asymptotic form on branch 0 needs x > 1, got x = {x!r}")
@@ -246,7 +255,8 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
 
     R_0 = ln(-x), R_n = ln(-x) - ln(-R_{n-1}).  Converges linearly with
     ratio ~1/|W|, so it is excellent close to zero and still worth five
-    decimals at depth 9 near x = -0.05.
+    decimals at depth 9 near x = -0.05.  Every R_n is <= -1: ln(-x) <= -1
+    on the domain, and -ln(-R) >= 0 for R <= -1.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -257,10 +267,6 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
     log = math.log
     r = lx = log(-x)
     for _ in range(depth):
-        if r >= 0.0:
-            raise SingularityError(
-                f"recursion left the branch -1 range at R = {r!r}"
-            )
         r = lx - log(-r)
     return r
 

@@ -39,7 +39,6 @@ import pytest
 
 import lambertw
 from lambertw import (
-    GaisserHillasParams,
     GridSpec,
     MINUS_INV_E,
     MOYAL_PEAK,

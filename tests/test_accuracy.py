@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -71,7 +72,7 @@ def test_log_grid_accepts_tiny_endpoints():
     assert points[0] == 1e-200 and points[-1] == 1e-150
     assert abs(points[2] - 1e-175) <= math.ulp(1e-175)
     assert points == sorted(points)
-    assert accuracy_sweep(0, "converged", grid).min_delta >= 13.0
+    assert accuracy_sweep(0, "one-fritsch", grid).min_delta >= 13.0
 
 
 # The four default panels and the criterion-9 step-count grids.
@@ -149,8 +150,8 @@ def test_one_halley_lower_branch_reaches_thirteen():
     assert report.min_delta >= 13.0
 
 
-def test_converged_stage_is_machine_accurate_on_log_panel():
-    report = accuracy_sweep(0, "converged", GridSpec("log", 0.3, 1e5, 200))
+def test_one_fritsch_stage_is_machine_accurate_on_log_panel():
+    report = accuracy_sweep(0, "one-fritsch", GridSpec("log", 0.3, 1e5, 200))
     assert report.min_delta >= 13.0
 
 
@@ -158,6 +159,13 @@ def test_stage_validation():
     grid = GridSpec("linear", 0.1, 0.2, 10)
     with pytest.raises(ValueError):
         accuracy_sweep(0, "two-newton", grid)
+
+
+def test_converged_stage_is_gone_and_the_error_names_the_stages():
+    assert lambertw.STAGES == ("approximation", "one-halley", "one-fritsch")
+    grid = GridSpec("linear", 0.1, 0.2, 10)
+    with pytest.raises(ValueError, match=re.escape(str(lambertw.STAGES))):
+        accuracy_sweep(0, "converged", grid)
 
 
 def test_sweep_rejects_grid_containing_zero():
@@ -179,11 +187,11 @@ def test_sweep_attaches_offending_x_to_errors():
 def test_report_file_format_round_trips():
     grid = GridSpec("log", -1e-6, -1e-10, 25)
     buffer = io.StringIO()
-    report = accuracy_sweep(-1, "converged", grid)
+    report = accuracy_sweep(-1, "one-fritsch", grid)
     write_report(report, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0].startswith("#")
-    assert "branch=-1" in lines[0] and "stage=converged" in lines[0]
+    assert "branch=-1" in lines[0] and "stage=one-fritsch" in lines[0]
     assert len(lines) == 1 + len(report.samples)
     for line, (x, delta, region) in zip(lines[1:], report.samples):
         x_text, delta_text, region_text = line.split(" ")

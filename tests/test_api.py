@@ -22,9 +22,7 @@ from lambertw import (
     fritsch_step,
     lambert_w,
     lambert_w0,
-    lambert_w0_approximation,
     lambert_wm1,
-    lambert_wm1_approximation,
     lambert_w_approximation,
     reference_w,
     steps_to_converge,
@@ -84,8 +82,6 @@ def test_approximation_golden():
 
 
 def test_static_branch_wrappers_agree():
-    assert lambert_w0_approximation(2.0) == lambert_w_approximation(0, 2.0)
-    assert lambert_wm1_approximation(-0.2) == lambert_w_approximation(-1, -0.2)
     assert lambert_w0(2.0) == lambert_w(0, 2.0).value
     assert lambert_wm1(-0.2) == lambert_w(-1, -0.2).value
 

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from lambertw import (
-    Branch,
     DomainError,
     MINUS_INV_E,
     RationalFit,
-    SingularityError,
     W0_FIT_1,
     W0_FIT_2,
     WM1_FIT,

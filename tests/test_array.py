@@ -9,6 +9,7 @@ contract: shape, float64 arithmetic, and the scalar path's errors.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from lambertw import (
     W0_REGIONS,
     WM1_REGIONS,
     DomainError,
+    continued_log_recursion_wm1,
     lambert_w0,
+    lambert_w_approximation,
     lambert_wm1,
 )
 
@@ -82,6 +85,57 @@ def test_array_equals_scalar_bit_for_bit(branch):
     out = FUNCTIONS[branch](xs)
     assert out.dtype == np.float64 and out.shape == xs.shape
     np.testing.assert_array_equal(_bits(out), _bits(_scalar(branch, xs)))
+
+
+# The kernel's Fritsch step checks neither the signs of x and w nor its
+# denominator, and the continued logarithm does not check that it stays
+# on branch -1.  These tests pin why no input can need those checks, so
+# that a seed change that breaks the reasoning fails here.
+
+
+def _finite_seed_inputs(branch: int) -> list[float]:
+    """``_inputs`` plus ten times as many region points, without x = +inf."""
+    regions = W0_REGIONS if branch == 0 else WM1_REGIONS
+    dense = [_region_points(r, 10 + seed, 10 * POINTS_PER_REGION) for seed, r in enumerate(regions)]
+    xs = np.concatenate([_inputs(branch), *dense]).tolist()
+    return [x for x in xs if x != math.inf]
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+def test_every_seed_is_exact_or_has_the_sign_of_x_away_from_minus_one(branch):
+    for x in _finite_seed_inputs(branch):
+        w = lambert_w_approximation(branch, x)
+        if x == 0.0:
+            assert w == 0.0, x
+        elif x <= MINUS_INV_E:  # -1/e and the clamped band below it
+            assert w == -1.0, x
+        else:
+            assert w != 0.0 and w != -1.0 and (w > 0.0) == (x > 0.0), (x, w)
+            assert abs(1.0 + w) >= 1e-8, (x, w)
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+def test_fritsch_denominator_from_every_stepped_seed_is_nonzero(branch):
+    for x in _finite_seed_inputs(branch):
+        w = lambert_w_approximation(branch, x)
+        if w == 0.0 or w == -1.0:
+            continue
+        ratio = x / w
+        if ratio < sys.float_info.min:
+            z = math.log(abs(x)) - math.log(abs(w)) - w
+        else:
+            z = math.log(ratio) - w
+        q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
+        assert abs(q - 2.0 * z) > 1e-16, (x, w)
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_continued_log_iterates_stay_at_or_below_minus_one(depth):
+    ulp = math.ulp(MINUS_INV_E)
+    near = [MINUS_INV_E + k * ulp for k in range(1, 17)]
+    spread = (-np.geomspace(-MINUS_INV_E, 5e-324, 2000)[1:-1]).tolist()
+    for x in [*near, *spread, -1e-320, -5e-324]:
+        assert continued_log_recursion_wm1(x, depth) <= -1.0, x
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])

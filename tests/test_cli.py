@@ -87,6 +87,7 @@ def test_lower_branch_positive_x_exits_one(capsys):
         ["1", "2", "3"],
         ["2", "0.5"],   # branch must be 0 or -1
         ["0.5", "1"],
+        ["sweep", "--stage", "converged"],  # not one of STAGES
     ],
 )
 def test_malformed_arguments_exit_two_with_usage(argv, capsys):
@@ -124,13 +125,13 @@ def test_approx_subcommand_prints_unrefined_value(capsys):
 
 def test_sweep_writes_records_to_stdout(capsys):
     code, out, err = run(
-        ["sweep", "--branch", "-1", "--stage", "converged",
+        ["sweep", "--branch", "-1", "--stage", "one-fritsch",
          "--grid", "linear", "--start", "-0.3", "--stop", "-0.1", "--count", "4"],
         capsys,
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("# branch=-1 stage=converged")
+    assert lines[0].startswith("# branch=-1 stage=one-fritsch")
     assert len(lines) == 5
     x, delta, region = lines[1].split(" ")
     assert float(x) == -0.3
