@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .api import _step, dispatch_region, lambert_w_approximation
 from .branches import Branch
@@ -50,27 +50,38 @@ def delta_accuracy(approx: float, exact: float) -> float:
     return math.log10(abs(exact)) - math.log10(abs(approx - exact))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling grid: ``kind`` is ``"linear"`` or ``"log"``.
-
-    Log grids require ``start`` and ``stop`` of the same nonzero sign;
-    negative log grids (used to approach 0 from below on the lower
-    branch) are spaced geometrically in ``|x|``.
-    """
-
+class _GridSpecFields(NamedTuple):
     kind: str
     start: float
     stop: float
     count: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "log"):
-            raise ValueError(f"grid kind must be 'linear' or 'log', got {self.kind!r}")
-        if self.count < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.count}")
-        if self.kind == "log" and not (self.start > 0.0 < self.stop or self.start < 0.0 > self.stop):
+
+class GridSpec(_GridSpecFields):
+    """Sampling grid: ``kind`` is ``"linear"`` or ``"log"``.
+
+    Log grids require ``start`` and ``stop`` of the same nonzero sign;
+    negative log grids (used to approach 0 from below on the lower
+    branch) are spaced geometrically in ``|x|``.  An immutable named
+    tuple, validated on construction and by ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, start: float, stop: float, count: int) -> GridSpec:
+        if kind not in ("linear", "log"):
+            raise ValueError(f"grid kind must be 'linear' or 'log', got {kind!r}")
+        if count < 2:
+            raise ValueError(f"grid needs at least 2 points, got {count}")
+        if kind == "log" and not (start > 0.0 < stop or start < 0.0 > stop):
             raise ValueError("log grid endpoints must share a nonzero sign")
+        return super().__new__(cls, kind, start, stop, count)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make (and so _replace) calls tuple.__new__,
+        # which would skip the checks above.
+        return cls(*iterable)
 
     def points(self) -> list[float]:
         """``count`` points from ``start`` to ``stop``, both exact: ``a + i*step``
@@ -89,9 +100,9 @@ class GridSpec:
         return f"{self.kind}[{self.start:.17g}, {self.stop:.17g}, {self.count}]"
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
-    """Per-point deltas for one branch/stage/grid combination."""
+class AccuracyReport(NamedTuple):
+    """Per-point deltas for one branch/stage/grid combination (an
+    immutable named tuple)."""
 
     branch: Branch
     stage: str

@@ -127,14 +127,13 @@ def dispatch_region(branch: int, x: float) -> ApproximationRegion:
     return WM1_REGIONS[bisect_right(_WM1_BREAKS, x)]
 
 
-def _seed(region: ApproximationRegion, x: float) -> float:
-    """Initial approximation of W(x) by the family that serves ``region``.
+def _seed(b: int, kind: str, x: float) -> float:
+    """Initial approximation of W(x) on branch b (validated by
+    ``dispatch_region``) by the family named ``kind``, the region's kind.
 
     x in the rounding band below -1/e needs no clamp: the series clamps
     its root argument and returns exactly -1 there, as at -1/e itself.
     """
-    b = region.branch
-    kind = region.kind
     if kind == "branch-point-series":
         # Branch -1 runs two orders hotter: its series region reaches
         # p = -0.594, where order 9 falls a shade short of five decimals.
@@ -195,8 +194,8 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     principal branch); intended as the seed for one refinement step or
     for throughput-critical callers that can live with that accuracy.
     """
-    region = dispatch_region(branch, x)
-    return math.inf if math.isinf(x) else _seed(region, x)
+    kind = dispatch_region(branch, x).kind
+    return math.inf if math.isinf(x) else _seed(branch, kind, x)
 
 
 def lambert_w(branch: int, x: float) -> EvalResult:
@@ -206,14 +205,16 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     included).  x = +inf on branch 0 returns +inf with a NaN residual,
     the one place the defining identity cannot be formed.
     """
-    region = dispatch_region(branch, x)
+    # The region's kind is read once: a named tuple's field costs more to
+    # read than a plain attribute (CPython 3.11 does not specialise it).
+    kind = dispatch_region(branch, x).kind
     # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
     if math.isinf(x):
-        return tuple.__new__(EvalResult, (math.inf, region.kind, 0, math.nan))
-    w, steps = _seed(region, x), 0
+        return tuple.__new__(EvalResult, (math.inf, kind, 0, math.nan))
+    w, steps = _seed(branch, kind, x), 0
     if not (w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD):  # _step's exact seeds
         w, steps = fritsch_step(x, w), 1
-    return tuple.__new__(EvalResult, (w, region.kind, steps, defining_residual(x, w)))
+    return tuple.__new__(EvalResult, (w, kind, steps, defining_residual(x, w)))
 
 
 def _lambert_w_array(branch: int, x):

@@ -16,11 +16,13 @@ All polynomials are evaluated in Horner form, lowest coefficient last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .branches import Branch, invalid_branch
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MINUS_INV_E = -math.exp(-1.0)
 
@@ -67,6 +69,10 @@ def derive_branch_coefficients(n: int) -> list[Fraction]:
     list of Fraction
         [b_0, ..., b_n] with b_0 = -1, b_1 = 1, b_2 = -1/3, ...
     """
+    # Only this test oracle needs exact rationals; importing fractions
+    # (and through it decimal) here keeps it out of ``import lambertw``.
+    from fractions import Fraction
+
     if not 0 <= n <= 12:
         raise ValueError(f"n must be in [0, 12], got {n}")
     if n == 0:
@@ -190,23 +196,39 @@ def asymptotic_series(branch: int, x: float) -> float:
 # Rational fits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFit:
-    """Rational approximation N(x)/D(x), optionally times a leading x.
-
-    Coefficients are stored lowest order first; the denominator is
-    normalized to D(0) = 1 so the representation is unique.
-    """
-
+class _RationalFitFields(NamedTuple):
     numerator: tuple[float, ...]
     denominator: tuple[float, ...]
     leading_factor_x: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.numerator or not self.denominator:
+
+class RationalFit(_RationalFitFields):
+    """Rational approximation N(x)/D(x), optionally times a leading x.
+
+    Coefficients are stored lowest order first; the denominator is
+    normalized to D(0) = 1 so the representation is unique.  An
+    immutable named tuple, validated on construction and by ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        numerator: tuple[float, ...],
+        denominator: tuple[float, ...],
+        leading_factor_x: bool = False,
+    ) -> RationalFit:
+        if not numerator or not denominator:
             raise ValueError("numerator and denominator must be non-empty")
-        if self.denominator[0] != 1.0:
+        if denominator[0] != 1.0:
             raise ValueError("denominator must be normalized to D(0) = 1")
+        return super().__new__(cls, numerator, denominator, leading_factor_x)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make (and so _replace) calls tuple.__new__,
+        # which would skip the checks above.
+        return cls(*iterable)
 
 
 def rational_fit_eval(fit: RationalFit, x: float) -> float:
@@ -275,9 +297,9 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
 # Dispatch metadata
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproximationRegion:
-    """Half-open interval [lower, upper) served by one approximation."""
+class ApproximationRegion(NamedTuple):
+    """Half-open interval [lower, upper) served by one approximation
+    (an immutable named tuple)."""
 
     branch: Branch
     lower: float

@@ -26,7 +26,8 @@ violated bound), 2 malformed arguments or an unwritable --output file.
 
 from __future__ import annotations
 
-import argparse
+# argparse is imported by the three subcommands that build a parser:
+# the bare and ``eval`` forms never need it, so they do not pay to load it.
 import contextlib
 import sys
 
@@ -93,6 +94,8 @@ def _run_eval(args: list[str], approximation_only: bool) -> int:
 
 
 def _run_sweep(args: list[str]) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lambert-w sweep",
         description="Accuracy sweep against the reference solver.",
@@ -130,6 +133,8 @@ def _run_sweep(args: list[str]) -> int:
 
 
 def _run_moyal_inverse(args: list[str]) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lambert-w moyal-inverse",
         description="Invert the Moyal function exp(-(x + e^-x)/2).",
@@ -142,6 +147,8 @@ def _run_moyal_inverse(args: list[str]) -> int:
 
 
 def _run_gh_inverse(args: list[str]) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lambert-w gh-inverse",
         description="Invert the Gaisser-Hillas profile (x/x_max)^x_max e^(x_max-x); "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .api import _lambert_w_list
@@ -79,24 +78,35 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     return -math.log(-_lambert_w_list(-1, [-y * y])[0])
 
 
-@dataclass(frozen=True)
-class GaisserHillasParams:
-    """Three-parameter Gaisser-Hillas profile shape.
-
-    ``X0`` is the nominal starting depth, ``Xmax`` the depth of the
-    shower maximum, and ``lam`` the attenuation length (same units,
-    positive).
-    """
-
+class _GaisserHillasFields(NamedTuple):
     X0: float
     Xmax: float
     lam: float
 
-    def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise DomainError(f"lam must be > 0, got {self.lam!r}")
-        if not self.Xmax > self.X0:
-            raise DomainError(f"Xmax must exceed X0, got Xmax={self.Xmax!r}, X0={self.X0!r}")
+
+class GaisserHillasParams(_GaisserHillasFields):
+    """Three-parameter Gaisser-Hillas profile shape.
+
+    ``X0`` is the nominal starting depth, ``Xmax`` the depth of the
+    shower maximum, and ``lam`` the attenuation length (same units,
+    positive).  An immutable named tuple, validated on construction and
+    by ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, X0: float, Xmax: float, lam: float) -> GaisserHillasParams:
+        if not lam > 0.0:
+            raise DomainError(f"lam must be > 0, got {lam!r}")
+        if not Xmax > X0:
+            raise DomainError(f"Xmax must exceed X0, got Xmax={Xmax!r}, X0={X0!r}")
+        return super().__new__(cls, X0, Xmax, lam)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make (and so _replace) calls tuple.__new__,
+        # which would skip the checks above.
+        return cls(*iterable)
 
 
 def gh_rescale(X: float, p: GaisserHillasParams) -> tuple[float, float]:
@@ -115,6 +125,13 @@ def gaisser_hillas(x: float, x_max: float) -> float:
         raise DomainError(f"profile depth must be >= 0, got x={x!r}")
     if x == 0.0 or x == math.inf:
         return 0.0
+    # The exponent is x_max (ln(1+q) - q) with q = (x - x_max)/x_max.  Near
+    # the peak take it by its series, where log1p(q) - q cancels: the
+    # direct form's rounding of x/x_max is amplified by x_max there (to a
+    # value of 1.018 at x_max = 1e15, x = x_max - 300).
+    q = (x - x_max) / x_max
+    if abs(q) < 0.25:
+        return math.exp(-x_max * q * q * math.fsum((-q) ** k / (k + 2) for k in range(27)))
     ratio = x / x_max
     if ratio < math.inf:
         try:
@@ -125,11 +142,8 @@ def gaisser_hillas(x: float, x_max: float) -> float:
     # direct form does (large x_max), although the profile is at most 1.
     if not 0.0 < ratio < math.inf:
         return math.exp(x_max * (math.log(x) - math.log(x_max)) + x_max - x)
-    # Else as x_max (ln(1+q) - q), q = (x - x_max)/x_max, which cannot overflow: by its
-    # series where log1p(q) - q cancels, by ln(x/x_max) where 1 + q < 1/2 is rounded.
-    q = (x - x_max) / x_max
-    if abs(q) < 0.25:
-        return math.exp(-x_max * q * q * math.fsum((-q) ** k / (k + 2) for k in range(27)))
+    # Else as x_max (ln(1+q) - q), which cannot overflow, with ln(x/x_max)
+    # for ln(1+q) where 1 + q < 1/2 is rounded.
     return math.exp(x_max * ((math.log(ratio) if q < -0.5 else math.log1p(q)) - q))
 
 

@@ -397,14 +397,40 @@ def test_gh_log_space_over_random_points():
     assert checked >= 300
 
 
+@pytest.mark.parametrize(
+    "x, x_max, expected",
+    # mpmath at 60 digits.  Here |q| = |x - x_max|/x_max < 0.25, and the
+    # direct form gave 1.01790, 1.00439 and 5.3e-5 too much: the rounding
+    # of x/x_max is amplified by x_max.
+    [
+        (1e15 - 300, 1e15, 0.999999999955),
+        (1e15 - 700, 1e15, 0.999999999755),
+        (1e12 - 700, 1e12, 0.9999997550000299),
+    ],
+)
+def test_gh_near_the_peak_at_large_x_max(x, x_max, expected):
+    with mpmath.workdps(60):
+        exact = (mpmath.mpf(x) / x_max) ** x_max * mpmath.exp(mpmath.mpf(x_max) - x)
+    assert float(exact) == expected
+    value = gaisser_hillas(x, x_max)
+    assert value <= 1.0
+    assert abs(value - expected) <= 4 * math.ulp(expected)
+
+
 def test_gh_keeps_the_direct_form_where_it_does_not_overflow():
+    """Bit for bit where |q| = |x - x_max|/x_max >= 0.25."""
+    checked = 0
     for x_max in (0.5, 1.0, 23.0, 700.0, 1030.0):
-        for x in (1e-300, 0.01, 0.5 * x_max, x_max, 1.5 * x_max, 700.0, 1e4):
+        for x in (1e-300, 0.01, 0.5 * x_max, 1.5 * x_max, 700.0, 1e4):
+            if abs(x - x_max) < 0.25 * x_max:
+                continue  # the series form of the exponent serves |q| < 0.25
             try:
                 direct = (x / x_max) ** x_max * math.exp(x_max - x)
             except OverflowError:
                 continue
             assert gaisser_hillas(x, x_max) == direct, (x, x_max)
+            checked += 1
+    assert checked >= 20
 
 
 # ----------------------------------------------------------------------
