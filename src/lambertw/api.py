@@ -1,14 +1,18 @@
 """Public evaluation entry points, region dispatch and the refinement step.
 
-Every float evaluation takes one path: ``dispatch_region`` validates the
-branch and x and picks the region whose initial approximation (the seed)
-serves x; ``lambert_w`` evaluates the seed and applies one ``fritsch_step``
-unless it is exact (w = 0 at x = 0, w = -1 at the branch point), the test
-``_step`` makes for the sweeps.  ``_lambert_w_list`` writes the same
-arithmetic out in one loop, bit for bit equal (``tests/test_array.py``),
-for arrays and the physics inverses.  Floats keep the public stages: the
-benchmark's tracer wraps each one, wants one ``lambert_w`` per float call,
-and divides by the calls of each public seed family.
+A float evaluation is one seed and one Fritsch step.  ``lambert_w``
+checks the branch and x, picks the region whose initial approximation
+(the seed) serves x by comparison with the breakpoints, and applies
+``fritsch_step``'s arithmetic inline unless the seed is exact (w = 0 at
+x = 0, w = -1 at the branch point).  It still calls the public seed
+family and ``defining_residual``: the benchmark's tracer times those
+layers from float calls and divides by their call counts.
+``dispatch_region`` (the region table, with the same checks), ``_seed``
+and ``_step`` serve ``lambert_w_approximation``, the sweeps and
+``steps_to_converge``.  ``_lambert_w_list`` writes all of it out in one
+loop for arrays and the physics inverses.  ``tests/test_api.py`` pins
+``lambert_w``'s regions and errors to ``dispatch_region``'s, and
+``tests/test_array.py`` holds the list path bit for bit equal.
 
 Three call shapes are exposed:
 
@@ -201,20 +205,49 @@ def lambert_w_approximation(branch: int, x: float) -> float:
 def lambert_w(branch: int, x: float) -> EvalResult:
     """Lambert W with runtime branch selection and diagnostics.
 
-    Raises DomainError outside the branch domain (NaN and -inf
-    included).  x = +inf on branch 0 returns +inf with a NaN residual,
-    the one place the defining identity cannot be formed.
+    Raises ValueError for a branch other than 0 or -1 and DomainError
+    outside the branch domain (NaN and -inf included), as
+    ``dispatch_region`` does.  x = +inf on branch 0 returns +inf with a
+    NaN residual, the one place the defining identity cannot be formed.
     """
-    # The region's kind is read once: a named tuple's field costs more to
-    # read than a plain attribute (CPython 3.11 does not specialise it).
-    kind = dispatch_region(branch, x).kind
-    # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
-    if math.isinf(x):
-        return tuple.__new__(EvalResult, (math.inf, kind, 0, math.nan))
-    w, steps = _seed(branch, kind, x), 0
-    if not (w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD):  # _step's exact seeds
-        w, steps = fritsch_step(x, w), 1
-    return tuple.__new__(EvalResult, (w, kind, steps, defining_residual(x, w)))
+    # dispatch_region, _seed and fritsch_step written out: their checks
+    # repeat this one, and each call costs more than the arithmetic.
+    if branch != 0 and branch != -1:
+        raise invalid_branch(branch)
+    if math.isnan(x) or x < _X_MIN:
+        raise _domain_error(x)
+    if branch == 0:
+        if x < _W0_SERIES_END:
+            kind, w = "branch-point-series", branch_point_series(0, x, 9)
+        elif x < _W0_FIT1_END:
+            kind, w = "rational-fit-1", rational_fit_eval(W0_FIT_1, x)
+        elif x < _W0_FIT2_END:
+            kind, w = "rational-fit-2", rational_fit_eval(W0_FIT_2, x)
+        elif x < math.inf:
+            kind, w = "asymptotic", asymptotic_series(0, x)
+        else:
+            # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
+            return tuple.__new__(EvalResult, (math.inf, "asymptotic", 0, math.nan))
+    elif x < _WM1_SERIES_END:
+        kind, w = "branch-point-series", branch_point_series(-1, x, 11)
+    elif x < _WM1_FIT_END:
+        kind, w = "rational-fit-1", rational_fit_eval(WM1_FIT, x)
+    elif x < 0.0:
+        kind, w = "continued-log", continued_log_recursion_wm1(x)
+    else:
+        raise _domain_error(x)
+    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:  # _step's exact seeds
+        return tuple.__new__(EvalResult, (w, kind, 0, defining_residual(x, w)))
+    # fritsch_step's arithmetic; its checks cannot fire on these seeds
+    # (see _lambert_w_list).
+    ratio = x / w
+    if ratio < _SMALLEST_NORMAL:
+        z = math.log(abs(x)) - math.log(abs(w)) - w
+    else:
+        z = math.log(ratio) - w
+    q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
+    w = w * (1.0 + (z / (1.0 + w)) * ((q - z) / (q - 2.0 * z)))
+    return tuple.__new__(EvalResult, (w, kind, 1, defining_residual(x, w)))
 
 
 def _lambert_w_array(branch: int, x):

@@ -114,6 +114,12 @@ def gh_rescale(X: float, p: GaisserHillasParams) -> tuple[float, float]:
     return (X - p.X0) / p.lam, (p.Xmax - p.X0) / p.lam
 
 
+# 1/(k+2) for k = 26..0, in Horner order: (ln(1+q) - q)/q^2 is the sum
+# of (-q)^k/(k+2), whose terms from k = 27 on are below 2^-53 of it for
+# |q| < 0.25.
+_GH_SERIES = tuple(1.0 / (k + 2) for k in range(26, -1, -1))
+
+
 def gaisser_hillas(x: float, x_max: float) -> float:
     """One-parameter Gaisser-Hillas profile (x/x_max)^x_max * e^(x_max - x).
 
@@ -131,7 +137,10 @@ def gaisser_hillas(x: float, x_max: float) -> float:
     # value of 1.018 at x_max = 1e15, x = x_max - 300).
     q = (x - x_max) / x_max
     if abs(q) < 0.25:
-        return math.exp(-x_max * q * q * math.fsum((-q) ** k / (k + 2) for k in range(27)))
+        t, acc = -q, 0.0
+        for c in _GH_SERIES:
+            acc = acc * t + c
+        return math.exp(-x_max * q * q * acc)
     ratio = x / x_max
     if ratio < math.inf:
         try:

@@ -154,6 +154,7 @@ def test_eval_result_reports_region_and_steps():
         (-1, 1e-9),
         (0, -math.inf),
         (-1, math.inf),
+        (-1, -0.0),
         (0, math.nan),
         (-1, math.nan),
     ],
@@ -163,6 +164,14 @@ def test_domain_errors(branch, x):
         lambert_w(branch, x)
     with pytest.raises(DomainError):
         lambert_w_approximation(branch, x)
+    assert _raised(lambert_w, branch, x) == _raised(dispatch_region, branch, x)
+
+
+def _raised(fn, *args):
+    """Type and message of the exception that ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
 
 
 # Every function that takes a branch, with an x inside both branch
@@ -193,6 +202,9 @@ def test_invalid_branch_raises_the_enum_error(name, branch):
     fn, xs = BRANCH_TAKERS[name]
     with pytest.raises(ValueError, match=re.escape(f"{branch!r} is not a valid Branch")):
         fn(branch, xs[0])
+    # The branch is checked first, also where x is bad too.
+    for x in (xs[0], math.nan):
+        assert _raised(fn, branch, x) == _raised(dispatch_region, branch, x)
 
 
 @pytest.mark.parametrize("branch", [0, -1])
@@ -375,10 +387,24 @@ def _region_grid(region, n=200):
     return np.linspace(region.lower, region.upper, n, endpoint=False)
 
 
-# Each region's grid starts at its lower end, so the branch point is in.
+def _ulps_around(x, n):
+    """x and the n doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# Each region's grid starts at its lower end, so the branch point is in;
+# every breakpoint comes with its neighbours, and the branch point with
+# the band from 4 ulp below (rounding, clamped to -1/e) to 4 ulp above.
 ONE_STEP_GRID = (
     [(0, x) for x in np.geomspace(1e20, 1e300, 400)]
     + [(region.branch, x) for region in W0_REGIONS + WM1_REGIONS for x in _region_grid(region)]
+    + [(region.branch, x) for region in W0_REGIONS[:-1] + WM1_REGIONS[:-1]
+       for x in _ulps_around(region.upper, 1)]
+    + [(branch, x) for branch in (0, -1) for x in _ulps_around(MINUS_INV_E, 4)]
     + [(0, 0.0)]
 )
 
@@ -395,6 +421,7 @@ def test_lambert_w_is_one_fritsch_step_from_the_seed():
         x = float(x)
         seed = lambert_w_approximation(branch, x)
         result = lambert_w(branch, x)
+        assert result.region == dispatch_region(branch, x).kind, (branch, x)
         exact = seed == 0.0 or abs(1.0 + seed) <= SINGULARITY_GUARD
         assert result.value == (seed if exact else fritsch_step(x, seed)), (branch, x)
         assert result.refinement_steps == (0 if exact else 1), (branch, x)

@@ -372,6 +372,18 @@ def test_gh_exponent_without_overflow_or_cancellation(x, x_max):
     _assert_gh_within_exponent_rounding(x, x_max)
 
 
+def test_gh_series_exponent_over_random_points():
+    """Near the peak, |q| < 0.25, where the exponent is summed as a series:
+    q = (x - x_max)/x_max stratified over (-0.25, 0.25), log x_max over
+    [1, 1e15] in a shuffled set of strata of its own."""
+    rng = np.random.default_rng(37)
+    n = 400
+    for i, j in enumerate(rng.permutation(n)):
+        q = -0.25 + (i + float(rng.random())) / n * 0.5
+        x_max = 10.0 ** ((j + float(rng.random())) / n * 15.0)
+        _assert_gh_within_exponent_rounding(x_max * (1.0 + q), x_max)
+
+
 def test_gh_log_space_over_random_points():
     """Stratified in log x_max over [1, 1e308]; x = x_max (1 + q) with
     |q| log-uniform over [1e-17, 10], or x/x_max log-uniform over
