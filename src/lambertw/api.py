@@ -118,9 +118,10 @@ class EvalResult(NamedTuple):
 def dispatch_region(branch: int, x: float) -> ApproximationRegion:
     """Region of the dispatch table that evaluates x on this branch.
 
-    The one place where ``(branch, x)`` is validated: raises ValueError
-    for a branch other than 0 or -1 and DomainError for x outside it.
-    ``math.isnan`` comes first so that a non-scalar x raises TypeError.
+    Raises ValueError for a branch other than 0 or -1 and DomainError
+    for x outside it; ``lambert_w`` makes the same checks in the same
+    order.  ``math.isnan`` comes first so that a non-scalar x raises
+    TypeError.
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
