@@ -202,7 +202,7 @@ def test_invalid_branch_raises_the_enum_error(name, branch):
     fn, xs = BRANCH_TAKERS[name]
     with pytest.raises(ValueError, match=re.escape(f"{branch!r} is not a valid Branch")):
         fn(branch, xs[0])
-    # The branch is checked first, also where x is bad too.
+    # The branch is checked first, also where x is bad.
     for x in (xs[0], math.nan):
         assert _raised(fn, branch, x) == _raised(dispatch_region, branch, x)
 
