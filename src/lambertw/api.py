@@ -41,6 +41,7 @@ from .approx import (
     _X_MIN,
     _domain_error,
     BRANCH_POINT_COEFFICIENTS,
+    CONTINUED_LOG_DEPTH_BOUNDS,
     ApproximationRegion,
     MINUS_INV_E,
     W0_FIT_1,
@@ -48,6 +49,7 @@ from .approx import (
     WM1_FIT,
     asymptotic_series,
     branch_point_series,
+    continued_log_depth,
     continued_log_recursion_wm1,
     rational_fit_eval,
 )
@@ -149,7 +151,7 @@ def _seed(b: int, kind: str, x: float) -> float:
         return rational_fit_eval(W0_FIT_2, x)
     if kind == "asymptotic":
         return asymptotic_series(b, x)
-    return continued_log_recursion_wm1(x)
+    return continued_log_recursion_wm1(x, continued_log_depth(x))
 
 
 def _step(x: float, w: float, scheme: str) -> tuple[float, int]:
@@ -234,7 +236,7 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     elif x < _WM1_FIT_END:
         kind, w = "rational-fit-1", rational_fit_eval(WM1_FIT, x)
     elif x < 0.0:
-        kind, w = "continued-log", continued_log_recursion_wm1(x)
+        kind, w = "continued-log", continued_log_recursion_wm1(x, continued_log_depth(x))
     else:
         raise _domain_error(x)
     if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:  # _step's exact seeds
@@ -247,7 +249,7 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     else:
         z = math.log(ratio) - w
     q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
-    w = w * (1.0 + (z / (1.0 + w)) * ((q - z) / (q - 2.0 * z)))
+    w = w + w * ((z / (1.0 + w)) * ((q - z) / (q - 2.0 * z)))
     return tuple.__new__(EvalResult, (w, kind, 1, defining_residual(x, w)))
 
 
@@ -270,6 +272,7 @@ _F2N0, _F2N1, _F2N2, _F2N3, _F2N4 = W0_FIT_2.numerator
 _F2D0, _F2D1, _F2D2, _F2D3, _F2D4 = W0_FIT_2.denominator
 _MN0, _MN1, _MN2 = WM1_FIT.numerator
 _MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
+_DEPTH_2_BOUND = CONTINUED_LOG_DEPTH_BOUNDS[-1]
 
 
 def _lambert_w_list(branch: int, values: list) -> list:
@@ -297,10 +300,15 @@ def _lambert_w_list(branch: int, values: list) -> list:
                 w = ((_MN0 + v * (_MN1 + v * _MN2))
                      / (_MD0 + v * (_MD1 + v * (_MD2 + v * (_MD3 + v * (_MD4 + v * _MD5))))))
             elif v < 0.0:
-                # continued_log_recursion_wm1 at its depth of 9
-                w = lx = log(-v)
-                for _ in range(9):
-                    w = lx - log(-w)
+                # continued_log_recursion_wm1 at continued_log_depth(v),
+                # with the common depth of 2 unrolled
+                lx = log(-v)
+                if v >= _DEPTH_2_BOUND:
+                    w = lx - log(-(lx - log(-lx)))
+                else:
+                    w = lx
+                    for _ in range(continued_log_depth(v)):
+                        w = lx - log(-w)
             else:
                 raise _domain_error(v)
         elif v < _W0_SERIES_END:
@@ -344,7 +352,7 @@ def _lambert_w_list(branch: int, values: list) -> list:
         else:
             z = log(ratio) - w
         q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
-        out.append(w * (1.0 + (z / (1.0 + w)) * ((q - z) / (q - 2.0 * z))))
+        out.append(w + w * ((z / (1.0 + w)) * ((q - z) / (q - 2.0 * z))))
     return out
 
 

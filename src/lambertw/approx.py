@@ -8,7 +8,9 @@ interval where the dispatcher (see :mod:`lambertw.api`) selects it:
 * rational fits in x, refreshed to full double precision by least
   squares (see ``tools/refit_rational.py``);
 * the classic two-logarithm asymptotic expansion for large arguments;
-* a continued-logarithm recursion for branch -1 near zero.
+* a continued-logarithm recursion for branch -1 near zero, run to the
+  depth ``continued_log_depth(x)`` that x needs: two levels below
+  |x| = 2.8e-41, nine only next to the fit's region.
 
 All polynomials are evaluated in Horner form, lowest coefficient last.
 """
@@ -16,6 +18,7 @@ All polynomials are evaluated in Horner form, lowest coefficient last.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
 from .branches import Branch, invalid_branch
@@ -272,13 +275,28 @@ WM1_FIT = RationalFit(
 # Continued logarithm
 # ---------------------------------------------------------------------------
 
+# Continued-log depth by x: 9 left of the first bound, one level less from
+# each bound on (x >= bound), so 2 from -2.8e-41 to 0.  A depth keeps its
+# fewest decimals at the bound where it starts, 5.30 to 5.63 of them.
+CONTINUED_LOG_DEPTH_BOUNDS = (-0.048, -0.029, -9.6e-3, -1.04e-3, -8.4e-6, -6.4e-12, -2.8e-41)
+
+
+def continued_log_depth(x: float) -> int:
+    """Levels of the continued logarithm that a five-decimal seed at x
+    needs on branch -1's continued-log region: 2 to 9."""
+    return 9 - bisect_right(CONTINUED_LOG_DEPTH_BOUNDS, x)
+
+
 def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
     """Continued logarithm for branch -1 on (-1/e, 0).
 
     R_0 = ln(-x), R_n = ln(-x) - ln(-R_{n-1}).  Converges linearly with
-    ratio ~1/|W|, so it is excellent close to zero and still worth five
-    decimals at depth 9 near x = -0.05.  Every R_n is <= -1: ln(-x) <= -1
-    on the domain, and -ln(-R) >= 0 for R <= -1.
+    ratio ~1/|W|, so each level gains about log10|W| decimals: depth 9
+    is worth five decimals near x = -0.05, depth 2 from x = -2.8e-41 to
+    zero.  The dispatcher runs it at ``continued_log_depth(x)``, the
+    least depth that keeps five decimals at x; the default of 9 serves
+    the whole region.  Every R_n is <= -1: ln(-x) <= -1 on the domain,
+    and -ln(-R) >= 0 for R <= -1.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")

@@ -6,7 +6,12 @@ improved estimate:
 * ``halley_step`` is third order and needs one exp per call;
 * ``fritsch_step`` is fourth order, needs one log per call, and in
   practice turns any five-decimal initial guess into a result at the
-  rounding floor, which is why the evaluation path defaults to it.
+  rounding floor, which is why the evaluation path defaults to it.  Its
+  update is written w + w*eps, not w*(1 + eps).  The product w*eps is
+  far below w, and so is its rounding error, which leaves one rounding
+  at w's scale, in the sum.  Forming 1 + eps drops the bits of eps
+  below half an ulp of 1 and the product rounds again; that error moves
+  with the seed, and shorter seeds then give worse final values.
 
 ``lambertw.api`` applies exactly one Fritsch step per evaluation;
 only ``steps_to_converge`` there repeats steps, to count them.
@@ -61,9 +66,11 @@ def fritsch_step(x: float, w: float) -> float:
     """One Fritsch iteration for w*e^w = x (fourth order).
 
     With z = ln(x/w) - w, q = 2*(1+w)*(1+w+(2/3)*z) and
-    eps = (z/(1+w)) * (q-z)/(q-2z), updates w <- w*(1+eps).  Requires x
-    and w of equal sign (true for every in-branch estimate except the
-    removable point x = w = 0, which callers short-circuit).
+    eps = (z/(1+w)) * (q-z)/(q-2z), updates w <- w + w*eps, which
+    rounds once at w's scale where w*(1+eps) rounds twice (see the module
+    docstring).  Requires x and w of equal sign (true for every in-branch
+    estimate except the removable point x = w = 0, which callers
+    short-circuit).
     """
     if abs(w + 1.0) < SINGULARITY_GUARD:
         raise SingularityError(
@@ -87,5 +94,5 @@ def fritsch_step(x: float, w: float) -> float:
             f"fritsch step denominator underflow at x = {x!r}, w = {w!r}"
         )
     eps = (z / (1.0 + w)) * ((q - z) / denom)
-    return w * (1.0 + eps)
+    return w + w * eps
 

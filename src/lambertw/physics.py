@@ -196,7 +196,8 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
             right = x_max - math.log(y)
     else:
         right = -x_max * _lambert_w_list(-1, [arg])[0]
-    return GhRoots(-x_max * _lambert_w_list(0, [arg])[0], right)
+    # tuple.__new__ builds the record in C, at about half GhRoots(...)'s cost.
+    return tuple.__new__(GhRoots, (-x_max * _lambert_w_list(0, [arg])[0], right))
 
 
 def gh_profile(X: float, p: GaisserHillasParams) -> float:

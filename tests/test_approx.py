@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,11 +16,17 @@ from lambertw import (
     asymptotic_series,
     branch_point_series,
     continued_log_recursion_wm1,
+    lambert_w_approximation,
     rational_fit_eval,
     reference_w,
 )
-from lambertw.api import W0_REGIONS, WM1_REGIONS
-from lambertw.approx import BRANCH_POINT_COEFFICIENTS, MAX_SERIES_ORDER
+from lambertw.api import _WM1_FIT_END, W0_REGIONS, WM1_REGIONS
+from lambertw.approx import (
+    BRANCH_POINT_COEFFICIENTS,
+    CONTINUED_LOG_DEPTH_BOUNDS,
+    MAX_SERIES_ORDER,
+    continued_log_depth,
+)
 
 # Stratified points per bit-identity case: one drawn in each of as many
 # equal cells.
@@ -233,6 +240,39 @@ def test_continued_log_depth_nine_five_decimals():
     value = continued_log_recursion_wm1(-0.01, depth=9)
     delta = math.log10(abs(ref)) - math.log10(abs(value - ref))
     assert delta >= 5.0
+
+
+def test_continued_log_depth_steps_down_one_level_at_each_bound():
+    assert continued_log_depth(_WM1_FIT_END) == 9
+    for depth, bound in zip(range(8, 1, -1), CONTINUED_LOG_DEPTH_BOUNDS):
+        assert continued_log_depth(bound) == depth
+        assert continued_log_depth(math.nextafter(bound, -math.inf)) == depth + 1
+    assert continued_log_depth(-5e-324) == 2
+
+
+def _continued_log_seed_points() -> list[float]:
+    """2000 x log-stratified from the region's end to -5e-324, then every
+    depth bound and the doubles next to it."""
+    lo, hi = math.log(-_WM1_FIT_END), math.log(5e-324)
+    spread = [-math.exp(lo + (hi - lo) * (i + 0.5) / 2000) for i in range(2000)]
+    return spread + [_WM1_FIT_END, -5e-324] + [
+        y for bound in CONTINUED_LOG_DEPTH_BOUNDS
+        for y in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, 0.0))
+    ]
+
+
+def test_continued_log_seed_keeps_five_decimals_at_its_depth():
+    """The dispatched seed, whose depth falls to 2 near zero, against
+    mpmath: criterion 2's grid stops at -1e-12, above depths 2 and 3."""
+    worst = math.inf
+    with mpmath.workdps(30):
+        for x in _continued_log_seed_points():
+            exact = mpmath.lambertw(x, -1).real
+            seed = lambert_w_approximation(-1, x)
+            delta = float(mpmath.log10(abs(exact) / abs(mpmath.mpf(seed) - exact)))
+            worst = min(worst, delta)
+            assert delta >= 5.0, (x, delta)
+    print(f"continued-log seed: min delta {worst:.3f}")
 
 
 def test_continued_log_domain():

@@ -24,6 +24,7 @@ from lambertw import (
     lambert_w_approximation,
     lambert_wm1,
 )
+from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS
 
 POINTS_PER_REGION = 500
 FUNCTIONS = {0: lambert_w0, -1: lambert_wm1}
@@ -50,6 +51,18 @@ def _breakpoints(regions) -> list[float]:
             for y in (math.nextafter(r.lower, -math.inf), r.lower, math.nextafter(r.lower, math.inf))]
 
 
+def _depth_bounds() -> list[float]:
+    """Every continued-log depth bound and the doubles within 2 ulp of it."""
+    out = []
+    for bound in CONTINUED_LOG_DEPTH_BOUNDS:
+        below = above = bound
+        for _ in range(2):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+        out.append(bound)
+    return out
+
+
 def _band() -> list[float]:
     ulp = math.ulp(MINUS_INV_E)
     return [MINUS_INV_E + k * ulp for k in range(-4, 17)]
@@ -65,7 +78,8 @@ EDGES = {
 def _inputs(branch: int) -> np.ndarray:
     regions = W0_REGIONS if branch == 0 else WM1_REGIONS
     parts = [_region_points(r, seed) for seed, r in enumerate(regions)]
-    parts.append(np.array(_breakpoints(regions) + _band() + EDGES[branch]))
+    depth_bounds = _depth_bounds() if branch == -1 else []
+    parts.append(np.array(_breakpoints(regions) + _band() + depth_bounds + EDGES[branch]))
     return np.concatenate(parts)
 
 

@@ -1,6 +1,7 @@
 """Tests for the Moyal and Gaisser-Hillas profile inverses."""
 
 import math
+import pickle
 import sys
 
 import mpmath
@@ -10,6 +11,7 @@ import pytest
 from lambertw import (
     DomainError,
     GaisserHillasParams,
+    GhRoots,
     MOYAL_PEAK,
     gaisser_hillas,
     gh_inverse,
@@ -215,6 +217,22 @@ def test_gh_inverse_where_the_w_argument_is_not_normal(y, x_max, expected_right)
     roots = gh_inverse(y, x_max)
     assert abs(roots.right - expected_right) <= 2 * math.ulp(expected_right)
     assert 0.0 <= roots.left < x_max
+
+
+@pytest.mark.parametrize("y, x_max", [(0.5, 2.0), (1.0, 3.0), (1e-200, 0.5)])
+def test_gh_inverse_returns_a_full_named_tuple(y, x_max):
+    """gh_inverse builds its GhRoots with tuple.__new__, on the Lambert W
+    path, at the peak and where the W argument underflows."""
+    roots = gh_inverse(y, x_max)
+    assert type(roots) is GhRoots
+    assert GhRoots._fields == roots._fields == ("left", "right")
+    assert roots == GhRoots(*roots) == (roots.left, roots.right)
+    assert roots._asdict() == {"left": roots.left, "right": roots.right}
+    replaced = roots._replace(right=-1.0)
+    assert type(replaced) is GhRoots and replaced == (roots.left, -1.0)
+    assert repr(roots) == f"GhRoots(left={roots.left!r}, right={roots.right!r})"
+    again = pickle.loads(pickle.dumps(roots))
+    assert type(again) is GhRoots and again == roots
 
 
 def test_gh_inverse_domain_errors():
