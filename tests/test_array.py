@@ -53,14 +53,7 @@ def _breakpoints(regions) -> list[float]:
 
 def _depth_bounds() -> list[float]:
     """Every continued-log depth bound and the doubles within 2 ulp of it."""
-    out = []
-    for bound in CONTINUED_LOG_DEPTH_BOUNDS:
-        below = above = bound
-        for _ in range(2):
-            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-            out += [below, above]
-        out.append(bound)
-    return out
+    return [b + k * math.ulp(b) for b in CONTINUED_LOG_DEPTH_BOUNDS for k in range(-2, 3)]
 
 
 def _band() -> list[float]:
