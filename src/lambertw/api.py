@@ -7,11 +7,11 @@ checks the branch and x, picks the region whose initial approximation
 x = 0, w = -1 at the branch point).  It still calls the public seed
 family and ``defining_residual``: the benchmark's tracer times those
 layers from float calls and divides by their call counts.
-``dispatch_region`` (the region table, with the same checks), ``_seed``
-and ``_step`` serve ``lambert_w_approximation``, the sweeps and
-``steps_to_converge``.  ``_lambert_w_list`` writes all of it out in one
-loop for arrays and the physics inverses.  ``tests/test_api.py`` pins
-``lambert_w``'s regions and errors to ``dispatch_region``'s, and
+``lambert_w_approximation`` picks the seed family by ``dispatch_region``
+(the region table, with the same checks); it and ``_step`` serve the
+sweeps and ``steps_to_converge``.  ``_lambert_w_list`` writes all of it
+out in one loop for arrays and the physics inverses.  ``tests/test_api.py``
+pins ``lambert_w``'s regions and errors to ``dispatch_region``'s, and
 ``tests/test_array.py`` holds the list path bit for bit equal.
 
 Three call shapes are exposed:
@@ -74,8 +74,8 @@ _TWO_EPS = 2.0 * sys.float_info.epsilon
 _W0_SERIES_END = -0.323581
 _W0_FIT1_END = 0.145469
 _W0_FIT2_END = 8.706658
-# The branch -1 series here runs at order 11 (see _seed), which
-# pushes its five-decimal range past the order-9 crossing near -0.302985.
+# The branch -1 series here runs at order 11 (see lambert_w_approximation),
+# which pushes its five-decimal range past the order-9 crossing near -0.302985.
 # The rational fit only reaches five decimals right of -0.3005, so the
 # handoff sits at the measured order-11 crossing; both sides hold
 # delta >= 5.36 there.
@@ -134,26 +134,6 @@ def dispatch_region(branch: int, x: float) -> ApproximationRegion:
     return WM1_REGIONS[bisect_right(_WM1_BREAKS, x)]
 
 
-def _seed(b: int, kind: str, x: float) -> float:
-    """Initial approximation of W(x) on branch b (validated by
-    ``dispatch_region``) by the family named ``kind``, the region's kind.
-
-    x in the rounding band below -1/e needs no clamp: the series clamps
-    its root argument and returns exactly -1 there, as at -1/e itself.
-    """
-    if kind == "branch-point-series":
-        # Branch -1 runs two orders hotter: its series region reaches
-        # p = -0.594, where order 9 falls a shade short of five decimals.
-        return branch_point_series(b, x, 9 if b == 0 else 11)
-    if kind == "rational-fit-1":
-        return rational_fit_eval(W0_FIT_1 if b == 0 else WM1_FIT, x)
-    if kind == "rational-fit-2":
-        return rational_fit_eval(W0_FIT_2, x)
-    if kind == "asymptotic":
-        return asymptotic_series(b, x)
-    return continued_log_recursion_wm1(x, continued_log_depth(x))
-
-
 def _step(x: float, w: float, scheme: str) -> tuple[float, int]:
     """One refinement step of the estimate w of W(x): ``(w, steps)``.
 
@@ -202,7 +182,19 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     for throughput-critical callers that can live with that accuracy.
     """
     kind = dispatch_region(branch, x).kind
-    return math.inf if math.isinf(x) else _seed(branch, kind, x)
+    # x in the rounding band below -1/e needs no clamp: the series clamps
+    # its root argument and returns exactly -1 there, as at -1/e itself.
+    if kind == "branch-point-series":
+        # Branch -1 runs two orders hotter: its series region reaches
+        # p = -0.594, where order 9 falls a shade short of five decimals.
+        return branch_point_series(branch, x, 9 if branch == 0 else 11)
+    if kind == "rational-fit-1":
+        return rational_fit_eval(W0_FIT_1 if branch == 0 else WM1_FIT, x)
+    if kind == "rational-fit-2":
+        return rational_fit_eval(W0_FIT_2, x)
+    if kind == "asymptotic":
+        return math.inf if x == math.inf else asymptotic_series(0, x)
+    return continued_log_recursion_wm1(x, continued_log_depth(x))
 
 
 def lambert_w(branch: int, x: float) -> EvalResult:
@@ -213,8 +205,8 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     ``dispatch_region`` does.  x = +inf on branch 0 returns +inf with a
     NaN residual, the one place the defining identity cannot be formed.
     """
-    # dispatch_region, _seed and fritsch_step written out: their checks
-    # repeat this one, and each call costs more than the arithmetic.
+    # dispatch_region, lambert_w_approximation and fritsch_step written out:
+    # their checks repeat this one, and each call costs more than the arithmetic.
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
     if math.isnan(x) or x < _X_MIN:
@@ -287,7 +279,7 @@ def _lambert_w_list(branch: int, values: list) -> list:
     lower = branch == -1
     out = []
     for v in values:
-        # Seed: dispatch_region's test order, then _seed's family.
+        # Seed: dispatch_region's tests, then lambert_w_approximation's family.
         if lower:
             if v < _WM1_SERIES_END:
                 if v < _X_MIN:

@@ -55,11 +55,15 @@ def derive_branch_coefficients(n: int) -> list[Fraction]:
     """Exact coefficients b_0..b_n of the branch point series.
 
     Both branches may be written w = sum_i b_i p^i with
-    p = +-sqrt(2*(1 + e*x)).  The b_i follow from reverting the series of
-    f(y) = 2*(e * (y - 1)*exp(y - 1) + 1), whose Taylor coefficients are
-    analytic: f(y) = sum_{k>=2} 2*(k-1)/k! * y^k.  The reversion is done
-    in exact rational arithmetic, so the result is reproducible bit for
-    bit and usable as a test oracle for the frozen float table below.
+    p = +-sqrt(2*(1 + e*x)).  The b_i follow from the recurrence of
+    Corless et al. (1996, section 4), with b_0 = -1, b_1 = 1, a_0 = 2,
+    a_1 = -1:
+
+        b_k = (k-1)/(k+1) * (b_{k-2}/2 + a_{k-2}/4) - a_k/2 - b_{k-1}/(k+1),
+        a_k = sum_{j=2}^{k-1} b_j * b_{k+1-j}.
+
+    Exact rational arithmetic makes the result reproducible bit for bit
+    and a test oracle for the frozen float table below.
 
     Parameters
     ----------
@@ -78,33 +82,13 @@ def derive_branch_coefficients(n: int) -> list[Fraction]:
 
     if not 0 <= n <= 12:
         raise ValueError(f"n must be in [0, 12], got {n}")
-    if n == 0:
-        return [Fraction(-1)]
-    forward = [Fraction(0), Fraction(0)]
-    forward += [Fraction(2 * (k - 1), math.factorial(k)) for k in range(2, n + 2)]
-    # Solve f(u(p)) = p^2 order by order for u(p) = sum c_i p^i.  The
-    # coefficient of p^(m+1) depends on c_m only through the cross term
-    # 2*c_1*c_m of u^2, so each order is a linear solve with slope 2.
-    c = [Fraction(0), Fraction(1)]
-    for m in range(2, n + 1):
-        trunc = m + 2
-        composed = [Fraction(0)] * trunc
-        power = [Fraction(1)] + [Fraction(0)] * (trunc - 1)
-        for k in range(1, len(forward)):
-            nxt = [Fraction(0)] * trunc
-            for i, a in enumerate(power):
-                if a == 0:
-                    continue
-                for j, b in enumerate(c):
-                    if b == 0 or i + j >= trunc:
-                        continue
-                    nxt[i + j] += a * b
-            power = nxt
-            if forward[k] != 0:
-                for i in range(trunc):
-                    composed[i] += forward[k] * power[i]
-        c.append(-composed[m + 1] / 2)
-    return [Fraction(-1)] + c[1 : n + 1]
+    b = [Fraction(-1), Fraction(1)]
+    a = [Fraction(2), Fraction(-1)]
+    for k in range(2, n + 1):
+        a.append(sum((b[j] * b[k + 1 - j] for j in range(2, k)), Fraction(0)))
+        b.append(Fraction(k - 1, k + 1) * (b[k - 2] / 2 + a[k - 2] / 4)
+                 - a[k] / 2 - b[k - 1] / (k + 1))
+    return b[: n + 1]
 
 
 # Frozen float table: b_0..b_7 are the classical rationals, the rest

@@ -3,7 +3,8 @@
 Both steps take the point x and the current estimate w and return an
 improved estimate:
 
-* ``halley_step`` is third order and needs one exp per call;
+* ``halley_step`` is third order and needs one exp per call, and a log
+  and a second exp where e^w is subnormal (branch -1, |x| < ~1e-305);
 * ``fritsch_step`` is fourth order, needs one log per call, and in
   practice turns any five-decimal initial guess into a result at the
   rounding floor, which is why the evaluation path defaults to it.  Its
@@ -49,16 +50,21 @@ def halley_step(x: float, w: float) -> float:
     """One Halley iteration for w*e^w = x (third order).
 
     Uses t = w*e^w - x, s = (w+2)/(2*(w+1)), u = (w+1)*e^w and updates
-    w <- w + t/(t*s - u).
+    w <- w + t/(t*s - u).  Where e^w is subnormal or 0 and x < 0, t and u
+    are divided by e^w, with x*e^-w = -exp(ln(-x) - w).
     """
     if abs(w + 1.0) < SINGULARITY_GUARD:
         raise SingularityError(
             f"halley step undefined within {SINGULARITY_GUARD} of w = -1, got w = {w!r}"
         )
     ew = math.exp(w)
-    t = w * ew - x
+    if ew < _SMALLEST_NORMAL and x < 0.0:
+        t = w + math.exp(math.log(-x) - w)
+        u = w + 1.0
+    else:
+        t = w * ew - x
+        u = (w + 1.0) * ew
     s = (w + 2.0) / (2.0 * (w + 1.0))
-    u = (w + 1.0) * ew
     return w + t / (t * s - u)
 
 

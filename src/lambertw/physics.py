@@ -13,6 +13,7 @@ import sys
 from typing import NamedTuple
 
 from .api import _lambert_w_list
+from .approx import MINUS_INV_E
 from .errors import DomainError
 
 # Peak value of the Moyal function, attained at x = 0.
@@ -131,10 +132,9 @@ def gaisser_hillas(x: float, x_max: float) -> float:
         raise DomainError(f"profile depth must be >= 0, got x={x!r}")
     if x == 0.0 or x == math.inf:
         return 0.0
-    # The exponent is x_max (ln(1+q) - q) with q = (x - x_max)/x_max.  Near
-    # the peak take it by its series, where log1p(q) - q cancels: the
-    # direct form's rounding of x/x_max is amplified by x_max there (to a
-    # value of 1.018 at x_max = 1e15, x = x_max - 300).
+    # The exponent is x_max (ln(1+q) - q) with q = (x - x_max)/x_max; each
+    # factor of (x/x_max)^x_max * e^(x_max - x) can over- or underflow alone.
+    # Near the peak take it by its series, where log1p(q) - q cancels.
     q = (x - x_max) / x_max
     if abs(q) < 0.25:
         t, acc = -q, 0.0
@@ -142,17 +142,11 @@ def gaisser_hillas(x: float, x_max: float) -> float:
             acc = acc * t + c
         return math.exp(-x_max * q * q * acc)
     ratio = x / x_max
-    if ratio < math.inf:
-        try:
-            return ratio ** x_max * math.exp(x_max - x)
-        except OverflowError:
-            pass
-    # In log space where x/x_max overflows (tiny x_max) or a factor of the
-    # direct form does (large x_max), although the profile is at most 1.
-    if not 0.0 < ratio < math.inf:
+    # As x_max (ln x - ln x_max) + x_max - x where x/x_max overflows (tiny
+    # x_max) or is not normal, although the profile is at most 1.
+    if not sys.float_info.min <= ratio < math.inf:
         return math.exp(x_max * (math.log(x) - math.log(x_max)) + x_max - x)
-    # Else as x_max (ln(1+q) - q), which cannot overflow, with ln(x/x_max)
-    # for ln(1+q) where 1 + q < 1/2 is rounded.
+    # Else with ln(x/x_max) for ln(1+q) where 1 + q < 1/2 is rounded.
     return math.exp(x_max * ((math.log(ratio) if q < -0.5 else math.log1p(q)) - q))
 
 
@@ -181,9 +175,9 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
         raise DomainError(f"profile values lie in (0, 1]; got y={y!r}")
     # (x/x_max) e^(1 - x/x_max) = y^(1/x_max) rearranges to
     # (-x/x_max) e^(-x/x_max) = -y^(1/x_max)/e, a Lambert W equation.
-    # Writing the right side with exp(-1) keeps y = 1 exactly on the
+    # Writing the right side with MINUS_INV_E keeps y = 1 exactly on the
     # branch point, so both roots collapse to x_max with no rounding.
-    arg = -(y ** (1.0 / x_max)) * math.exp(-1.0)
+    arg = y ** (1.0 / x_max) * MINUS_INV_E
     if -arg < sys.float_info.min:
         # u = right/x_max solves u - ln u = c = 1 - ln(y)/x_max.
         c = 1.0 - math.log(y) / x_max

@@ -150,6 +150,12 @@ def test_one_halley_lower_branch_reaches_thirteen():
     assert report.min_delta >= 13.0
 
 
+def test_one_halley_lower_branch_at_subnormal_x():
+    # exp(w) is subnormal or 0 here; the step divides it out.
+    grid = GridSpec("log", -1e-300, -5e-324, 200)
+    assert accuracy_sweep(-1, "one-halley", grid).min_delta >= 15.0
+
+
 def test_one_fritsch_stage_is_machine_accurate_on_log_panel():
     report = accuracy_sweep(0, "one-fritsch", GridSpec("log", 0.3, 1e5, 200))
     assert report.min_delta >= 13.0

@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from lambertw import (
@@ -10,7 +12,9 @@ from lambertw import (
     SingularityError,
     fritsch_step,
     halley_step,
+    lambert_w_approximation,
     reference_w,
+    steps_to_converge,
 )
 
 # x values (with their branch) used for the empirical order-of-convergence
@@ -34,6 +38,23 @@ def test_halley_hand_value_from_zero_seed():
 
 def test_halley_one_step_from_coarse_seed():
     assert halley_step(1.0, 0.5) == pytest.approx(0.5671433, abs=1e-3)
+
+
+def test_halley_where_e_to_the_w_underflows():
+    """Branch -1 below |x| ~ 1e-305, where exp(w) is subnormal or 0: one
+    step from the seed keeps 15 digits.  Before t and u were divided by
+    e^w the step gave -746.0618 at x = -1e-322 (W = -748.0618) and
+    raised ZeroDivisionError at x = -5e-324."""
+    with mpmath.workdps(40):
+        for x in np.geomspace(-1e-300, -5e-324, 2000):
+            x = float(x)
+            value = halley_step(x, lambert_w_approximation(-1, x))
+            exact = float(mpmath.lambertw(x, -1).real)
+            assert abs(value - exact) <= 1e-15 * abs(exact), (x, value, exact)
+
+
+def test_halley_converges_in_one_step_at_the_smallest_subnormal():
+    assert steps_to_converge(-1, -5e-324, "halley") == 1
 
 
 def test_fritsch_exact_root_is_fixed():

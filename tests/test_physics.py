@@ -447,20 +447,78 @@ def test_gh_near_the_peak_at_large_x_max(x, x_max, expected):
     assert abs(value - expected) <= 4 * math.ulp(expected)
 
 
-def test_gh_keeps_the_direct_form_where_it_does_not_overflow():
-    """Bit for bit where |q| = |x - x_max|/x_max >= 0.25."""
-    checked = 0
+def _gh_exact_with_cond(x: float, x_max: float) -> tuple[float, float]:
+    """The profile at the doubles x, x_max by mpmath at 120 digits, and
+    cond = |x - x_max| + x_max |ln(x/x_max)| + 1: the relative error
+    that rounding x and x_max alone carries into it, in units of eps."""
+    with mpmath.workdps(120):
+        x, x_max = mpmath.mpf(x), mpmath.mpf(x_max)
+        log_ratio = mpmath.log(x / x_max)
+        value = mpmath.exp(x_max * log_ratio + x_max - x)
+        return float(value), float(abs(x - x_max) + x_max * abs(log_ratio) + 1)
+
+
+def _assert_gh_within_input_rounding(x: float, x_max: float) -> None:
+    # 2 eps cond relative, and the spacing of the subnormals below the
+    # smallest normal, where the result itself is rounded that coarsely.
+    expected, cond = _gh_exact_with_cond(x, x_max)
+    value = gaisser_hillas(x, x_max)
+    floor = math.ulp(0.0) if expected < sys.float_info.min else 0.0
+    error = abs(value - expected) - floor
+    assert error <= 0.0 or error / expected / cond <= 2.0 * sys.float_info.epsilon, (
+        x, x_max, value, expected
+    )
+
+
+@pytest.mark.parametrize(
+    "x, x_max",
+    # (x/x_max)^x_max underflows where e^(x_max - x) is large, or the
+    # reverse: the direct form gave 0.0 for 2.7071782767869986e-305,
+    # 7.15e-143 for 5.867096894714485e-143 and 0.0 for 1.8e-250.  In the
+    # last three x/x_max is subnormal, and the direct form was up to 22%
+    # off (9.76e-227 for 1.253391569203903e-226).
+    [
+        (50.0, 500.0),
+        (1136.2154262784281, 391.5774894425908),
+        (100.0, 600.0),
+        (5e-324, 0.7),
+        (1.5e-323, 0.9),
+        (2e-320, 0.3),
+    ],
+)
+def test_gh_where_a_factor_of_the_direct_form_underflows(x, x_max):
+    _assert_gh_within_input_rounding(x, x_max)
+
+
+def test_gh_within_input_rounding_over_random_points():
+    """x_max log-uniform over [1e-3, 1e8] with x/x_max log-uniform over
+    [1e-6, 30], and over [1e-300, 1e300] with x/x_max over [1e-6, 100]:
+    every q = (x - x_max)/x_max, the series near the peak included."""
+    rng = np.random.default_rng(41)
+    for i in range(600):
+        if i % 2:
+            x_max = 10.0 ** rng.uniform(-3.0, 8.0)
+            x = x_max * 10.0 ** rng.uniform(-6.0, math.log10(30.0))
+        else:
+            x_max = 10.0 ** rng.uniform(-300.0, 300.0)
+            x = x_max * 10.0 ** rng.uniform(-6.0, 2.0)
+        _assert_gh_within_input_rounding(float(x), float(x_max))
+
+
+def test_gh_within_input_rounding_on_a_fixed_grid():
     for x_max in (0.5, 1.0, 23.0, 700.0, 1030.0):
         for x in (1e-300, 0.01, 0.5 * x_max, 1.5 * x_max, 700.0, 1e4):
-            if abs(x - x_max) < 0.25 * x_max:
-                continue  # the series form of the exponent serves |q| < 0.25
-            try:
-                direct = (x / x_max) ** x_max * math.exp(x_max - x)
-            except OverflowError:
-                continue
-            assert gaisser_hillas(x, x_max) == direct, (x, x_max)
-            checked += 1
-    assert checked >= 20
+            _assert_gh_within_input_rounding(x, x_max)
+
+
+def test_gh_forward_check_of_the_roots_where_the_direct_form_underflows():
+    # At x_max = 500 the direct form mapped both roots to 0.0.  A root's
+    # own rounding moves the value by eps |x_max - root| <= eps cond.
+    y, x_max = 1e-300, 500.0
+    for root in gh_inverse(y, x_max):
+        _assert_gh_within_input_rounding(root, x_max)
+        cond = _gh_exact_with_cond(root, x_max)[1]
+        assert abs(gaisser_hillas(root, x_max) - y) <= 4.0 * sys.float_info.epsilon * cond * y
 
 
 # ----------------------------------------------------------------------
