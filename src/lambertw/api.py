@@ -9,10 +9,11 @@ family and ``defining_residual``: the benchmark's tracer times those
 layers from float calls and divides by their call counts.
 ``lambert_w_approximation`` picks the seed family by ``dispatch_region``
 (the region table, with the same checks); it and ``_step`` serve the
-sweeps and ``steps_to_converge``.  ``_lambert_w_list`` writes all of it
-out in one loop for arrays and the physics inverses.  ``tests/test_api.py``
-pins ``lambert_w``'s regions and errors to ``dispatch_region``'s, and
-``tests/test_array.py`` holds the list path bit for bit equal.
+sweeps and ``steps_to_converge``.  ``_w`` writes all of it out for one
+float, for the physics inverses, and ``_lambert_w_list`` in one loop,
+for arrays; floats take ``lambert_w``.  ``tests/test_api.py`` pins
+``lambert_w``'s regions and errors to ``dispatch_region``'s, and
+``tests/test_array.py`` holds ``_w`` and the list path bit for bit equal.
 
 Three call shapes are exposed:
 
@@ -265,6 +266,75 @@ _F2D0, _F2D1, _F2D2, _F2D3, _F2D4 = W0_FIT_2.denominator
 _MN0, _MN1, _MN2 = WM1_FIT.numerator
 _MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
 _DEPTH_2_BOUND = CONTINUED_LOG_DEPTH_BOUNDS[-1]
+# math's functions and constants for _w, bound once: a global is cheaper than an attribute.
+_log, _sqrt, _E, _INF = math.log, math.sqrt, math.e, math.inf
+
+
+def _w(branch: int, x: float) -> float:
+    """``lambert_w(branch, x).value``, bit for bit, with its errors.
+
+    ``_lambert_w_list``'s loop body for one float.  The list kernel stays
+    written out: looping it over this function costs bulk arrays ~9%.
+    """
+    if branch == 0:
+        if x < _W0_SERIES_END:
+            if x < _X_MIN:
+                raise _domain_error(x)
+            s = 2.0 * (1.0 + _E * x)
+            p = _sqrt(s) if s > 0.0 else 0.0
+            w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+                _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
+        elif x < _W0_FIT1_END:
+            w = x * ((_F1N0 + x * (_F1N1 + x * (_F1N2 + x * (_F1N3 + x * _F1N4))))
+                     / (_F1D0 + x * (_F1D1 + x * (_F1D2 + x * (_F1D3 + x * _F1D4)))))
+        elif x < _W0_FIT2_END:
+            w = x * ((_F2N0 + x * (_F2N1 + x * (_F2N2 + x * (_F2N3 + x * _F2N4))))
+                     / (_F2D0 + x * (_F2D1 + x * (_F2D2 + x * (_F2D3 + x * _F2D4)))))
+        elif x < _INF:
+            a = _log(x)
+            b = _log(a)
+            ia = 1.0 / a
+            tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
+            tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
+            tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
+            tail = (-2.0 + b) / 2.0 + ia * tail
+            w = a - b + b * ia * (1.0 + ia * tail)
+        elif x == _INF:
+            return x
+        else:
+            raise _domain_error(x)
+    elif branch == -1:
+        if x < _WM1_SERIES_END:
+            if x < _X_MIN:
+                raise _domain_error(x)
+            s = 2.0 * (1.0 + _E * x)
+            p = -_sqrt(s) if s > 0.0 else 0.0
+            w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+                _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
+        elif x < _WM1_FIT_END:
+            w = ((_MN0 + x * (_MN1 + x * _MN2))
+                 / (_MD0 + x * (_MD1 + x * (_MD2 + x * (_MD3 + x * (_MD4 + x * _MD5))))))
+        elif x < 0.0:
+            lx = _log(-x)
+            if x >= _DEPTH_2_BOUND:
+                w = lx - _log(-(lx - _log(-lx)))
+            else:
+                w = lx
+                for _ in range(continued_log_depth(x)):
+                    w = lx - _log(-w)
+        else:
+            raise _domain_error(x)
+    else:
+        raise invalid_branch(branch)
+    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
+        return w
+    ratio = x / w
+    if ratio < _SMALLEST_NORMAL:
+        z = _log(abs(x)) - _log(abs(w)) - w
+    else:
+        z = _log(ratio) - w
+    q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
+    return w + w * ((z / (1.0 + w)) * ((q - z) / (q - 2.0 * z)))
 
 
 def _lambert_w_list(branch: int, values: list) -> list:

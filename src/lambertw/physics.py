@@ -9,16 +9,17 @@ maximum, the lower branch the other side.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
-from .api import _lambert_w_list
+from .api import _w
 from .approx import MINUS_INV_E
 from .errors import DomainError
+from .iteration import _SMALLEST_NORMAL
 
 # Peak value of the Moyal function, attained at x = 0.
 MOYAL_PEAK = math.exp(-0.5)
 _MOYAL_PEAK_TOL = 4.0 * math.ulp(MOYAL_PEAK)
+_MOYAL_Y_MAX = MOYAL_PEAK + _MOYAL_PEAK_TOL
 
 MOYAL_SIDES = ("plus", "minus")
 
@@ -59,24 +60,25 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     DomainError
         If y is not in (0, e^-1/2].
     """
-    if side not in MOYAL_SIDES:
+    if side != "plus" and side != "minus":
         raise ValueError(f"side must be one of {MOYAL_SIDES}, got {side!r}")
     if not y > 0.0:
         raise DomainError(f"moyal values are positive; y={y!r} is outside (0, {MOYAL_PEAK!r}]")
-    if y > MOYAL_PEAK + _MOYAL_PEAK_TOL:
+    if y > _MOYAL_Y_MAX:
         raise DomainError(
             f"y={y!r} exceeds the Moyal maximum e^-1/2 = {MOYAL_PEAK!r}"
         )
     # Values within rounding of the peak correspond to the branch point;
     # snap them so the W argument does not land below -1/e.
-    y = min(y, MOYAL_PEAK)
+    if y > MOYAL_PEAK:
+        y = MOYAL_PEAK
     if side == "plus":
-        return _lambert_w_list(0, [-y * y])[0] - 2.0 * math.log(y)
+        return _w(0, -y * y) - 2.0 * math.log(y)
     # With w e^w = -y^2, x = w - 2 ln y equals -ln(-w), which does not
     # cancel w against 2 ln y.
-    if y * y < sys.float_info.min:
+    if y * y < _SMALLEST_NORMAL:
         return -math.log(_t_minus_log_t_root(-2.0 * math.log(y)))
-    return -math.log(-_lambert_w_list(-1, [-y * y])[0])
+    return -math.log(-_w(-1, -y * y))
 
 
 class _GaisserHillasFields(NamedTuple):
@@ -144,7 +146,7 @@ def gaisser_hillas(x: float, x_max: float) -> float:
     ratio = x / x_max
     # As x_max (ln x - ln x_max) + x_max - x where x/x_max overflows (tiny
     # x_max) or is not normal, although the profile is at most 1.
-    if not sys.float_info.min <= ratio < math.inf:
+    if not _SMALLEST_NORMAL <= ratio < math.inf:
         return math.exp(x_max * (math.log(x) - math.log(x_max)) + x_max - x)
     # Else with ln(x/x_max) for ln(1+q) where 1 + q < 1/2 is rounded.
     return math.exp(x_max * ((math.log(ratio) if q < -0.5 else math.log1p(q)) - q))
@@ -178,7 +180,7 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     # Writing the right side with MINUS_INV_E keeps y = 1 exactly on the
     # branch point, so both roots collapse to x_max with no rounding.
     arg = y ** (1.0 / x_max) * MINUS_INV_E
-    if -arg < sys.float_info.min:
+    if -arg < _SMALLEST_NORMAL:
         # u = right/x_max solves u - ln u = c = 1 - ln(y)/x_max.
         c = 1.0 - math.log(y) / x_max
         if c < math.inf:
@@ -189,9 +191,9 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
             # is below 1e-305 of right here, so it rounds to x_max - ln y.
             right = x_max - math.log(y)
     else:
-        right = -x_max * _lambert_w_list(-1, [arg])[0]
+        right = -x_max * _w(-1, arg)
     # tuple.__new__ builds the record in C, at about half GhRoots(...)'s cost.
-    return tuple.__new__(GhRoots, (-x_max * _lambert_w_list(0, [arg])[0], right))
+    return tuple.__new__(GhRoots, (-x_max * _w(0, arg), right))
 
 
 def gh_profile(X: float, p: GaisserHillasParams) -> float:

@@ -1,8 +1,9 @@
 """The ndarray path of ``lambert_w0`` and ``lambert_wm1``.
 
 An x with a dtype is evaluated by a second, written-out copy of the
-scalar path's seed and step arithmetic.  These tests tie that copy to
-the scalar functions bit for bit, over every dispatch region, its
+scalar path's seed and step arithmetic, and the physics inverses by a
+third, the one-float kernel ``_w``.  These tests tie both copies to the
+scalar functions bit for bit, over every dispatch region, its
 breakpoints and the edges of the double range, and pin the array
 contract: shape, float64 arithmetic, and the scalar path's errors.
 """
@@ -20,11 +21,13 @@ from lambertw import (
     WM1_REGIONS,
     DomainError,
     continued_log_recursion_wm1,
+    lambert_w,
     lambert_w0,
     lambert_w_approximation,
     lambert_wm1,
 )
-from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS
+from lambertw.api import _lambert_w_list, _w
+from lambertw.approx import _X_MIN, CONTINUED_LOG_DEPTH_BOUNDS
 
 POINTS_PER_REGION = 500
 FUNCTIONS = {0: lambert_w0, -1: lambert_wm1}
@@ -76,6 +79,9 @@ def _inputs(branch: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+BELOW = MINUS_INV_E - 5 * math.ulp(math.exp(-1.0))
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
@@ -92,6 +98,31 @@ def test_array_equals_scalar_bit_for_bit(branch):
     out = FUNCTIONS[branch](xs)
     assert out.dtype == np.float64 and out.shape == xs.shape
     np.testing.assert_array_equal(_bits(out), _bits(_scalar(branch, xs)))
+
+
+@pytest.mark.parametrize("branch", [0, -1])
+def test_one_float_kernel_equals_the_list_and_float_paths_bit_for_bit(branch):
+    xs = _inputs(branch).tolist()
+    below = [x for x in xs if _X_MIN <= x < MINUS_INV_E]
+    assert len(below) == 4 and MINUS_INV_E in xs and -5e-324 in xs
+    if branch == 0:
+        assert {0.0, 5e-324, 1.7e308, math.inf} <= set(xs)
+    kernel = _bits([_w(branch, x) for x in xs])
+    np.testing.assert_array_equal(kernel, _bits(_lambert_w_list(branch, xs)))
+    np.testing.assert_array_equal(kernel, _bits([lambert_w(branch, x).value for x in xs]))
+
+
+def _error(fn, *args) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("branch, bad", [
+    (0, math.nan), (-1, math.nan), (0, -math.inf), (-1, -math.inf), (0, BELOW), (-1, BELOW),
+    (-1, 0.0), (-1, -0.0), (-1, 5e-324), (-1, 0.5), (-1, math.inf), (1, 0.5), (-2, -0.2)])
+def test_one_float_kernel_raises_the_float_path_error(branch, bad):
+    assert _error(_w, branch, bad) == _error(lambert_w, branch, bad)
 
 
 # The kernel's Fritsch step checks neither the signs of x and w nor its
@@ -196,9 +227,6 @@ def _scalar_message(fn, x: float) -> str:
     with pytest.raises(DomainError) as info:
         fn(x)
     return str(info.value)
-
-
-BELOW = MINUS_INV_E - 5 * math.ulp(math.exp(-1.0))
 
 
 @pytest.mark.parametrize("branch, bad", [(0, math.nan), (-1, math.nan), (0, BELOW),

@@ -18,8 +18,7 @@ from lambertw import (
     gh_profile,
     gh_profile_inverse,
     gh_rescale,
-    lambert_w0,
-    lambert_wm1,
+    lambert_w,
     moyal,
     moyal_inverse,
     reference_w,
@@ -111,16 +110,30 @@ def test_moyal_inverse_side_ordering():
         assert moyal_inverse(y, "minus") < 0.0 < moyal_inverse(y, "plus")
 
 
+def _around(v: float, k: int = 8) -> list[float]:
+    """v and the k doubles on either side of it."""
+    below, above = [v], [v]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
 def test_moyal_inverse_is_the_w_formula_bit_for_bit():
-    # Up to 4 ulp above the peak is accepted and clamped; beyond, y is
-    # outside the domain.
-    near_peak = [MOYAL_PEAK + k * math.ulp(MOYAL_PEAK) for k in range(-8, 5)]
-    for y in _profile_values(MOYAL_PEAK, near_peak):
+    # The inverses take W from their own kernel; this pins them to the
+    # public float path.  Up to 4 ulp above the peak is accepted and
+    # clamped; beyond, y is outside the domain.
+    for y in _profile_values(MOYAL_PEAK, _around(MOYAL_PEAK)):
+        if y > MOYAL_PEAK + 4.0 * math.ulp(MOYAL_PEAK):
+            for side in ("plus", "minus"):
+                with pytest.raises(DomainError):
+                    moyal_inverse(y, side)
+            continue
         clamped = min(y, MOYAL_PEAK)
-        plus = lambert_w0(-clamped * clamped) - 2.0 * math.log(clamped)
+        plus = lambert_w(0, -clamped * clamped).value - 2.0 * math.log(clamped)
         assert moyal_inverse(y, "plus") == plus, y
         if clamped * clamped >= sys.float_info.min:
-            minus = -math.log(-lambert_wm1(-clamped * clamped))
+            minus = -math.log(-lambert_w(-1, -clamped * clamped).value)
             assert moyal_inverse(y, "minus") == minus, y
 
 
@@ -244,13 +257,17 @@ def test_gh_inverse_domain_errors():
 
 
 def test_gh_inverse_is_the_w_formula_bit_for_bit():
-    near_peak = [1.0 - k * math.ulp(0.5) for k in range(9)]
     for x_max in (1.0, 1.7, 4.2, 23.0, 100.0):
-        for y in _profile_values(1.0, near_peak):
+        for y in _profile_values(1.0, _around(1.0)):
+            if y > 1.0:
+                with pytest.raises(DomainError):
+                    gh_inverse(y, x_max)
+                continue
             arg = -(y ** (1.0 / x_max)) * math.exp(-1.0)
+            left, right = gh_inverse(y, x_max)
+            assert left == -x_max * lambert_w(0, arg).value, (y, x_max)
             if -arg >= sys.float_info.min:
-                roots = gh_inverse(y, x_max)
-                assert roots == (-x_max * lambert_w0(arg), -x_max * lambert_wm1(arg)), (y, x_max)
+                assert right == -x_max * lambert_w(-1, arg).value, (y, x_max)
 
 
 @pytest.mark.parametrize("x_max", [math.inf, math.nan])

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertw import MINUS_INV_E, RESIDUAL_TOL, defining_residual, lambert_w
+from lambertw.api import _w
+from lambertw.approx import _X_MIN
 
 EPS = math.ulp(1.0)
 
@@ -24,6 +26,13 @@ BRANCH_W = {
 BRANCH_X = {
     0: st.floats(MINUS_INV_E, 1.7976931348623157e308),
     -1: st.floats(MINUS_INV_E, 0.0, exclude_max=True),
+}
+
+# Every double lambert_w accepts: the 4-ulp band below -1/e, subnormals,
+# both zeros on branch 0 and +inf.
+IN_DOMAIN = {
+    0: st.floats(_X_MIN),
+    -1: st.floats(_X_MIN, 0.0, exclude_max=True),
 }
 
 
@@ -73,3 +82,12 @@ def test_defining_residual_within_tolerance(branch_x):
     result = lambert_w(branch, x)
     assert result.residual == defining_residual(x, result.value)
     assert result.residual <= RESIDUAL_TOL * max(abs(x), 1.0)
+
+
+@SETTINGS
+@given(_per_branch(IN_DOMAIN))
+def test_one_float_kernel_is_the_float_path_bit_for_bit(branch_x):
+    """``_w``, the physics inverses' kernel, returns lambert_w's value;
+    hex compares the sign bit, so -0.0 and 0.0 differ."""
+    branch, x = branch_x
+    assert _w(branch, x).hex() == lambert_w(branch, x).value.hex()
