@@ -7,13 +7,15 @@ checks the branch and x, picks the region whose initial approximation
 x = 0, w = -1 at the branch point).  It still calls the public seed
 family and ``defining_residual``: the benchmark's tracer times those
 layers from float calls and divides by their call counts.
-``lambert_w_approximation`` picks the seed family by ``dispatch_region``
-(the region table, with the same checks); it and ``_step`` serve the
-sweeps and ``steps_to_converge``.  ``_w`` writes all of it out for one
-float, for the physics inverses, and ``_lambert_w_list`` in one loop,
-for arrays; floats take ``lambert_w``.  ``tests/test_api.py`` pins
-``lambert_w``'s regions and errors to ``dispatch_region``'s, and
-``tests/test_array.py`` holds ``_w`` and the list path bit for bit equal.
+``lambert_w_approximation`` is the one seed kernel: the region chain
+and every seed family in Horner form, with ``dispatch_region``'s checks.
+It and ``_step`` serve the sweeps and ``steps_to_converge``; ``_w``,
+for the physics inverses, is it and one inline Fritsch step.
+``_lambert_w_list`` writes seed and step out in one loop, for arrays;
+floats take ``lambert_w``.  ``tests/test_api.py`` pins ``lambert_w``'s
+regions and errors to ``dispatch_region``'s and each seed to its public
+family, and ``tests/test_array.py`` holds ``_w`` and the list path bit
+for bit equal.
 
 Three call shapes are exposed:
 
@@ -175,29 +177,6 @@ def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     return steps
 
 
-def lambert_w_approximation(branch: int, x: float) -> float:
-    """Initial approximation only: piecewise dispatch, no refinement.
-
-    Accurate to at least five decimal places (three beyond x ~ 7 on the
-    principal branch); intended as the seed for one refinement step or
-    for throughput-critical callers that can live with that accuracy.
-    """
-    kind = dispatch_region(branch, x).kind
-    # x in the rounding band below -1/e needs no clamp: the series clamps
-    # its root argument and returns exactly -1 there, as at -1/e itself.
-    if kind == "branch-point-series":
-        # Branch -1 runs two orders hotter: its series region reaches
-        # p = -0.594, where order 9 falls a shade short of five decimals.
-        return branch_point_series(branch, x, 9 if branch == 0 else 11)
-    if kind == "rational-fit-1":
-        return rational_fit_eval(W0_FIT_1 if branch == 0 else WM1_FIT, x)
-    if kind == "rational-fit-2":
-        return rational_fit_eval(W0_FIT_2, x)
-    if kind == "asymptotic":
-        return math.inf if x == math.inf else asymptotic_series(0, x)
-    return continued_log_recursion_wm1(x, continued_log_depth(x))
-
-
 def lambert_w(branch: int, x: float) -> EvalResult:
     """Lambert W with runtime branch selection and diagnostics.
 
@@ -232,7 +211,8 @@ def lambert_w(branch: int, x: float) -> EvalResult:
         kind, w = "continued-log", continued_log_recursion_wm1(x, continued_log_depth(x))
     else:
         raise _domain_error(x)
-    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:  # _step's exact seeds
+    u = 1.0 + w
+    if w == 0.0 or abs(u) <= SINGULARITY_GUARD:  # _step's exact seeds
         return tuple.__new__(EvalResult, (w, kind, 0, defining_residual(x, w)))
     # fritsch_step's arithmetic; its checks cannot fire on these seeds
     # (see _lambert_w_list).
@@ -241,8 +221,8 @@ def lambert_w(branch: int, x: float) -> EvalResult:
         z = math.log(abs(x)) - math.log(abs(w)) - w
     else:
         z = math.log(ratio) - w
-    q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
-    w = w + w * ((z / (1.0 + w)) * ((q - z) / (q - 2.0 * z)))
+    q = 2.0 * u * (u + (2.0 / 3.0) * z)
+    w = w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
     return tuple.__new__(EvalResult, (w, kind, 1, defining_residual(x, w)))
 
 
@@ -257,7 +237,7 @@ def _lambert_w_array(branch: int, x):
     return out[0] if array.ndim == 0 else np.array(out).reshape(array.shape)
 
 
-# The seed tables of _lambert_w_list, unpacked once.
+# The seed tables of lambert_w_approximation and _lambert_w_list, unpacked once.
 _B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8, _B9, _B10, _B11 = BRANCH_POINT_COEFFICIENTS
 _F1N0, _F1N1, _F1N2, _F1N3, _F1N4 = W0_FIT_1.numerator
 _F1D0, _F1D1, _F1D2, _F1D3, _F1D4 = W0_FIT_1.denominator
@@ -266,31 +246,37 @@ _F2D0, _F2D1, _F2D2, _F2D3, _F2D4 = W0_FIT_2.denominator
 _MN0, _MN1, _MN2 = WM1_FIT.numerator
 _MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
 _DEPTH_2_BOUND = CONTINUED_LOG_DEPTH_BOUNDS[-1]
-# math's functions and constants for _w, bound once: a global is cheaper than an attribute.
+# math's functions and constants for lambert_w_approximation and _w, bound
+# once: a global is cheaper than an attribute.
 _log, _sqrt, _E, _INF = math.log, math.sqrt, math.e, math.inf
 
 
-def _w(branch: int, x: float) -> float:
-    """``lambert_w(branch, x).value``, bit for bit, with its errors.
+def lambert_w_approximation(branch: int, x: float) -> float:
+    """Initial approximation only: piecewise dispatch, no refinement.
 
-    ``_lambert_w_list``'s loop body for one float.  The list kernel stays
-    written out: looping it over this function costs bulk arrays ~9%.
+    Accurate to at least five decimal places (three beyond x ~ 7 on the
+    principal branch); intended as the seed for one refinement step or
+    for throughput-critical callers that can live with that accuracy.
+    Equal, bit for bit, to the public seed family of ``dispatch_region``'s
+    region, which it writes out in Horner form, with the same errors.
     """
     if branch == 0:
         if x < _W0_SERIES_END:
             if x < _X_MIN:
                 raise _domain_error(x)
+            # x in the rounding band below -1/e needs no clamp: p = 0 gives
+            # exactly -1 there, as at -1/e itself.
             s = 2.0 * (1.0 + _E * x)
             p = _sqrt(s) if s > 0.0 else 0.0
-            w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+            return _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
                 _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
-        elif x < _W0_FIT1_END:
-            w = x * ((_F1N0 + x * (_F1N1 + x * (_F1N2 + x * (_F1N3 + x * _F1N4))))
-                     / (_F1D0 + x * (_F1D1 + x * (_F1D2 + x * (_F1D3 + x * _F1D4)))))
-        elif x < _W0_FIT2_END:
-            w = x * ((_F2N0 + x * (_F2N1 + x * (_F2N2 + x * (_F2N3 + x * _F2N4))))
-                     / (_F2D0 + x * (_F2D1 + x * (_F2D2 + x * (_F2D3 + x * _F2D4)))))
-        elif x < _INF:
+        if x < _W0_FIT1_END:
+            return x * ((_F1N0 + x * (_F1N1 + x * (_F1N2 + x * (_F1N3 + x * _F1N4))))
+                        / (_F1D0 + x * (_F1D1 + x * (_F1D2 + x * (_F1D3 + x * _F1D4)))))
+        if x < _W0_FIT2_END:
+            return x * ((_F2N0 + x * (_F2N1 + x * (_F2N2 + x * (_F2N3 + x * _F2N4))))
+                        / (_F2D0 + x * (_F2D1 + x * (_F2D2 + x * (_F2D3 + x * _F2D4)))))
+        if x < _INF:
             a = _log(x)
             b = _log(a)
             ia = 1.0 / a
@@ -298,43 +284,54 @@ def _w(branch: int, x: float) -> float:
             tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
             tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
             tail = (-2.0 + b) / 2.0 + ia * tail
-            w = a - b + b * ia * (1.0 + ia * tail)
-        elif x == _INF:
+            return a - b + b * ia * (1.0 + ia * tail)
+        if x == _INF:
             return x
-        else:
-            raise _domain_error(x)
-    elif branch == -1:
+        raise _domain_error(x)
+    if branch == -1:
         if x < _WM1_SERIES_END:
             if x < _X_MIN:
                 raise _domain_error(x)
+            # Branch -1 runs two orders hotter: its series region reaches
+            # p = -0.594, where order 9 falls a shade short of five decimals.
             s = 2.0 * (1.0 + _E * x)
             p = -_sqrt(s) if s > 0.0 else 0.0
-            w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+            return _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
                 _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
-        elif x < _WM1_FIT_END:
-            w = ((_MN0 + x * (_MN1 + x * _MN2))
-                 / (_MD0 + x * (_MD1 + x * (_MD2 + x * (_MD3 + x * (_MD4 + x * _MD5))))))
-        elif x < 0.0:
+        if x < _WM1_FIT_END:
+            return ((_MN0 + x * (_MN1 + x * _MN2))
+                    / (_MD0 + x * (_MD1 + x * (_MD2 + x * (_MD3 + x * (_MD4 + x * _MD5))))))
+        if x < 0.0:
             lx = _log(-x)
             if x >= _DEPTH_2_BOUND:
-                w = lx - _log(-(lx - _log(-lx)))
-            else:
-                w = lx
-                for _ in range(continued_log_depth(x)):
-                    w = lx - _log(-w)
-        else:
-            raise _domain_error(x)
-    else:
-        raise invalid_branch(branch)
-    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
+                return lx - _log(-(lx - _log(-lx)))
+            w = lx
+            for _ in range(continued_log_depth(x)):
+                w = lx - _log(-w)
+            return w
+        raise _domain_error(x)
+    raise invalid_branch(branch)
+
+
+def _w(branch: int, x: float) -> float:
+    """``lambert_w(branch, x).value``, bit for bit, with its errors:
+    ``lambert_w_approximation`` and one Fritsch step.
+
+    The seed comes back unstepped where it is exact (x = 0 and the branch
+    point) and at x = +inf.  The list kernel stays written out: looping
+    it over this function costs bulk arrays ~9%.
+    """
+    w = lambert_w_approximation(branch, x)
+    u = 1.0 + w
+    if w == 0.0 or abs(u) <= SINGULARITY_GUARD or w == _INF:
         return w
     ratio = x / w
     if ratio < _SMALLEST_NORMAL:
         z = _log(abs(x)) - _log(abs(w)) - w
     else:
         z = _log(ratio) - w
-    q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
-    return w + w * ((z / (1.0 + w)) * ((q - z) / (q - 2.0 * z)))
+    q = 2.0 * u * (u + (2.0 / 3.0) * z)
+    return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
 
 
 def _lambert_w_list(branch: int, values: list) -> list:
@@ -403,7 +400,8 @@ def _lambert_w_list(branch: int, values: list) -> list:
         else:
             raise _domain_error(v)
         # Step: _step's exact seeds, then fritsch_step.
-        if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
+        u = 1.0 + w
+        if w == 0.0 or abs(u) <= SINGULARITY_GUARD:
             out.append(w)
             continue
         # fritsch_step's own checks cannot fire here: every seed has x's
@@ -413,8 +411,8 @@ def _lambert_w_list(branch: int, values: list) -> list:
             z = log(abs(v)) - log(abs(w)) - w
         else:
             z = log(ratio) - w
-        q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
-        out.append(w + w * ((z / (1.0 + w)) * ((q - z) / (q - 2.0 * z))))
+        q = 2.0 * u * (u + (2.0 / 3.0) * z)
+        out.append(w + w * ((z / u) * ((q - z) / (q - 2.0 * z))))
     return out
 
 

@@ -78,7 +78,8 @@ def fritsch_step(x: float, w: float) -> float:
     estimate except the removable point x = w = 0, which callers
     short-circuit).
     """
-    if abs(w + 1.0) < SINGULARITY_GUARD:
+    u = 1.0 + w
+    if abs(u) < SINGULARITY_GUARD:
         raise SingularityError(
             f"fritsch step undefined within {SINGULARITY_GUARD} of w = -1, got w = {w!r}"
         )
@@ -93,12 +94,12 @@ def fritsch_step(x: float, w: float) -> float:
         z = math.log(abs(x)) - math.log(abs(w)) - w
     else:
         z = math.log(ratio) - w
-    q = 2.0 * (1.0 + w) * (1.0 + w + (2.0 / 3.0) * z)
+    q = 2.0 * u * (u + (2.0 / 3.0) * z)
     denom = q - 2.0 * z
     if abs(denom) < 1e-300:
         raise SingularityError(
             f"fritsch step denominator underflow at x = {x!r}, w = {w!r}"
         )
-    eps = (z / (1.0 + w)) * ((q - z) / denom)
+    eps = (z / u) * ((q - z) / denom)
     return w + w * eps
 

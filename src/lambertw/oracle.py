@@ -8,22 +8,27 @@ iteration, or dispatch modules.
 The solver keeps a sign-checked bracket, takes Newton steps inside it
 (with a midpoint in the order of doubles as the fallback) until the
 bracket collapses to adjacent floats (a one ulp interval), and then
-returns the endpoint with the smaller defining residual.  Each
-formulation supplies its own derivative, from the same exponential or
-logarithm as its residual, and a start point, which only decides how
-many evaluations the bracket takes to close.  The formulations are:
+returns the endpoint with the smaller defining residual.  The ends of
+the given bracket are evaluated, and sign-checked, only where the solve
+reads them, which most solves never do.  Each formulation supplies its
+own derivative, from the same exponential or logarithm as its residual,
+and a start point, which only decides how many evaluations the bracket
+takes to close.  The formulations are:
 
-* away from the branch point, plain ``g(y) = y*exp(y) - x``, started at
-  ``log1p(x)`` on branch 0 and at ``L1 - L2 + L2/L1`` on branch -1;
+* away from the branch point, plain ``g(y) = y*exp(y) - x``, started on
+  branch 0 at Winitzki's ``L*(1 - ln(1 + L)/(2 + L))`` with
+  ``L = log1p(x)``, and on branch -1 at the asymptotic start
+  ``L1 - L2 + L2/L1 + L2*(L2 - 2)/(2*L1**2)``;
 * on branch 0 at x > e, the same residual divided by x,
   ``expm1(y + log(y/x))``, so huge x cannot overflow ``y*exp(y)``,
-  started at ``L1 - L2 + L2/L1``;
+  started at the asymptotic start;
 * within ``x <= -0.2``, the shifted variable ``u = 1 + w`` and the
   identity ``(u - 1)*e^u + 1 = 1 + e*x``, evaluated through ``expm1`` so
   the cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens,
   started at ``u = +-sqrt(2*(1 + e*x))``;
 * on branch -1 at subnormal x, the logarithm of the identity,
-  ``y + log(-y) = log(-x)``, because ``y*exp(y)`` underflows there.
+  ``y + log(-y) = log(-x)``, because ``y*exp(y)`` underflows there,
+  started at the asymptotic start.
 
 Here ``L1 = ln|x|`` and ``L2 = ln|L1|``.  Without the shifted form, the
 root location drowns in rounding noise of size
@@ -48,6 +53,10 @@ BRANCH_POINT_TOL = 4.0 * math.ulp(math.exp(-1.0))
 # Below this x both branches sit close enough to w = -1 that the shifted
 # formulation is required; above it the plain residual is well conditioned.
 _SHIFTED_CUTOFF = -0.2
+
+# math's functions for the residuals and the solver, bound once: a global
+# is cheaper than an attribute.
+_exp, _expm1, _log, _nextafter, _INF = math.exp, math.expm1, math.log, math.nextafter, math.inf
 
 _FLOAT64 = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
@@ -81,15 +90,24 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
     ``|f|`` is returned.  Where the rounded ``f`` changes sign once, that
     bracket is unique, so ``start`` decides only how fast it closes, not
     where.
+
+    An end of the given [lo, hi] is evaluated only when its value is
+    read: when the Newton step would start from it, which an unread end,
+    counted as |f| = inf, never wins, or when the one-ulp bracket closes
+    on it.  It is sign-checked then, and a wrong sign raises ValueError.
+    A ``start`` outside (lo, hi) has both ends evaluated first.
     """
-    flo, dlo = fd(lo)
-    fhi, dhi = fd(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0.0 or fhi < 0.0:
-        raise ValueError(f"root not bracketed by [{lo}, {hi}]")
+    given = lo, hi
+    flo, dlo, fhi, dhi = -_INF, 0.0, _INF, 0.0  # an end not read yet
+    if not lo < start < hi:
+        flo, dlo = fd(lo)
+        fhi, dhi = fd(hi)
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if flo > 0.0 or fhi < 0.0:
+            raise ValueError(f"root not bracketed by [{lo}, {hi}]")
     t = start
     older = step = hi - lo
     while True:
@@ -101,16 +119,22 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
                 hi, fhi, dhi = t, f, d
             else:
                 return t
-        if math.nextafter(lo, hi) == hi:
+        if _nextafter(lo, hi) == hi:
+            if flo == -_INF:
+                flo = fd(lo)[0]
+            if fhi == _INF:
+                fhi = fd(hi)[0]
+            if flo > 0.0 or fhi < 0.0:
+                raise ValueError(f"root not bracketed by [{given[0]}, {given[1]}]")
             return lo if -flo <= fhi else hi
         # Step from the endpoint with the smaller |f|; a flat one has none.
         if -flo <= fhi:
             t, f, d = lo, flo, dlo
         else:
             t, f, d = hi, fhi, dhi
-        new = t - f / d if d > 0.0 else math.inf
+        new = t - f / d if d > 0.0 else _INF
         if new == t:
-            new = math.nextafter(t, hi if f < 0.0 else lo)
+            new = _nextafter(t, hi if f < 0.0 else lo)
         elif not lo < new < hi or abs(new - t) > 0.5 * older:
             new = _midpoint(lo, hi)
         older, step = step, abs(new - t)
@@ -124,24 +148,25 @@ def _shifted(c: float, sign: float):
     """
 
     def fd(u: float) -> tuple[float, float]:
-        em1 = math.expm1(u)
+        em1 = _expm1(u)
         return sign * ((u - 1.0) * em1 + u - c), sign * u * (em1 + 1.0)
 
     return fd
 
 
 def _asymptotic_start(log_x: float) -> float:
-    # L1 - L2 + L2/L1 with L1 = ln|x|, L2 = ln|L1|: the first terms of the
-    # asymptotic series of W0 at large x and of W-1 at small -x.
-    log_log = math.log(abs(log_x))
-    return log_x - log_log + log_log / log_x
+    # L1 - L2 + L2/L1 + L2(L2 - 2)/(2 L1^2) with L1 = ln|x|, L2 = ln|L1|:
+    # the first terms of the asymptotic series of W0 at large x and of
+    # W-1 at small -x.
+    log_log = _log(abs(log_x))
+    return log_x - log_log + log_log / log_x + log_log * (log_log - 2.0) / (2.0 * log_x * log_x)
 
 
 def _reference_w0(x: float) -> float:
     if x == 0.0:
         return 0.0
-    if math.isinf(x):
-        return math.inf
+    if x == _INF:
+        return x
     if x <= _SHIFTED_CUTOFF:
         c = 1.0 + math.e * x
         if c <= 0.0:
@@ -150,16 +175,19 @@ def _reference_w0(x: float) -> float:
     if x <= math.e:
 
         def plain(y: float) -> tuple[float, float]:
-            ey = math.exp(y)
+            ey = _exp(y)
             return y * ey - x, (1.0 + y) * ey
 
-        return _solve(plain, -1.0, 1.0, math.log1p(x))
+        # Winitzki's L*(1 - ln(1 + L)/(2 + L)), L = ln(1 + x): within 2% of W.
+        log1p_x = math.log1p(x)
+        return _solve(plain, -1.0, 1.0,
+                      log1p_x * (1.0 - _log(1.0 + log1p_x) / (2.0 + log1p_x)))
     # For x > e solve in y >= 1 on the residual divided by x, written
     # through expm1 so huge x cannot overflow y*exp(y).
-    log_x = math.log(x)
+    log_x = _log(x)
 
     def scaled(y: float) -> tuple[float, float]:
-        g = math.expm1(y + math.log(y / x))
+        g = _expm1(y + _log(y / x))
         return g, (g + 1.0) * (1.0 + 1.0 / y)
 
     return _solve(scaled, 1.0, log_x + 1.0, _asymptotic_start(log_x))
@@ -171,17 +199,17 @@ def _reference_wm1(x: float) -> float:
         if c <= 0.0:
             return -1.0
         return -1.0 + _solve(_shifted(c, -1.0), -3.0, 0.0, -math.sqrt(2.0 * c))
-    log_x = math.log(-x)
+    log_x = _log(-x)
     start = _asymptotic_start(log_x)
     if -x < sys.float_info.min:
 
         def log_space(y: float) -> tuple[float, float]:
-            return y + math.log(-y) - log_x, 1.0 + 1.0 / y
+            return y + _log(-y) - log_x, 1.0 + 1.0 / y
 
         return _solve(log_space, log_x - 40.0, -1.0, start)
 
     def plain(y: float) -> tuple[float, float]:
-        ey = math.exp(y)
+        ey = _exp(y)
         return x - y * ey, -(1.0 + y) * ey
 
     return _solve(plain, log_x - 40.0, -1.0, start)

@@ -29,10 +29,10 @@ def _t_minus_log_t_root(c: float) -> float:
 
     That is t = -W_-1(-e^-c), solved in log space for where the W
     argument -e^-c is subnormal or underflows to -0.0: t <- c + ln t
-    contracts by 1/t, so eight steps from t = c reach rounding.
+    contracts by 1/t < 1/708, so six steps from t = c reach rounding.
     """
     t = c
-    for _ in range(8):
+    for _ in range(6):
         t = c + math.log(t)
     return t
 

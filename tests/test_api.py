@@ -15,8 +15,12 @@ from lambertw import (
     SCHEMES,
     W0_REGIONS,
     WM1_REGIONS,
+    W0_FIT_1,
+    W0_FIT_2,
+    WM1_FIT,
     asymptotic_series,
     branch_point_series,
+    continued_log_recursion_wm1,
     defining_residual,
     dispatch_region,
     fritsch_step,
@@ -24,9 +28,11 @@ from lambertw import (
     lambert_w0,
     lambert_wm1,
     lambert_w_approximation,
+    rational_fit_eval,
     reference_w,
     steps_to_converge,
 )
+from lambertw.approx import continued_log_depth
 from lambertw.iteration import SINGULARITY_GUARD
 
 
@@ -425,6 +431,34 @@ def test_lambert_w_is_one_fritsch_step_from_the_seed():
         exact = seed == 0.0 or abs(1.0 + seed) <= SINGULARITY_GUARD
         assert result.value == (seed if exact else fritsch_step(x, seed)), (branch, x)
         assert result.refinement_steps == (0 if exact else 1), (branch, x)
+
+
+# The public seed family of each region, at the series order and
+# continued-log depth that lambert_w_approximation writes out.
+PUBLIC_SEEDS = {
+    (0, "branch-point-series"): lambda x: branch_point_series(0, x, 9),
+    (0, "rational-fit-1"): lambda x: rational_fit_eval(W0_FIT_1, x),
+    (0, "rational-fit-2"): lambda x: rational_fit_eval(W0_FIT_2, x),
+    (0, "asymptotic"): lambda x: math.inf if x == math.inf else asymptotic_series(0, x),
+    (-1, "branch-point-series"): lambda x: branch_point_series(-1, x, 11),
+    (-1, "rational-fit-1"): lambda x: rational_fit_eval(WM1_FIT, x),
+    (-1, "continued-log"): lambda x: continued_log_recursion_wm1(x, continued_log_depth(x)),
+}
+
+
+def test_seed_is_the_public_family_of_its_region_bit_for_bit():
+    """lambert_w_approximation writes the seed families out in Horner form;
+    each seed equals the family of dispatch_region's region to the bit.
+    One Fritsch step usually erases a one-ulp change in a seed, so the
+    step test above would not see one."""
+    points = ONE_STEP_GRID + [
+        (region.branch, x) for region in W0_REGIONS[:-1] + WM1_REGIONS[:-1]
+        for x in _ulps_around(region.upper, 3)]
+    points += [(0, math.inf), (-1, -5e-324), (-1, -1e-300)]
+    for branch, x in points:
+        x = float(x)
+        family = PUBLIC_SEEDS[branch, dispatch_region(branch, x).kind]
+        assert lambert_w_approximation(branch, x) == family(x), (branch, x)
 
 
 def test_steps_to_converge_stops_at_the_residual_rounding_noise():

@@ -238,7 +238,8 @@ def test_root_is_the_better_end_of_a_one_ulp_sign_change():
 def test_at_most_64_evaluations_per_solve():
     """Over the mpmath points and the default panels, no solve takes more
     evaluations than halving in the order of doubles could need (64),
-    and the mean stays near the handful that Newton needs."""
+    and the mean stays near the handful that Newton needs: the bracket's
+    given ends are evaluated only where the solve reads them."""
     points = [(branch, float(x)) for branch, x in MPMATH_POINTS]
     for branch in (0, -1):
         points += [(branch, x) for grid in default_panels(branch) for x in grid.points()]
@@ -254,7 +255,7 @@ def test_at_most_64_evaluations_per_solve():
         counts.append(calls[0])
     assert len(counts) > 4000
     assert max(counts) <= 64
-    assert sum(counts) / len(counts) <= 10
+    assert sum(counts) / len(counts) <= 5
 
 
 def test_solver_rejects_a_bracket_without_a_sign_change():
@@ -262,6 +263,31 @@ def test_solver_rejects_a_bracket_without_a_sign_change():
         oracle._solve(lambda t: (t - 5.0, 1.0), 0.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="not bracketed"):
         oracle._solve(lambda t: (t + 5.0, 1.0), 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("fd", [lambda t: (t - 1.5, 1.0), lambda t: (t + 0.5, 1.0)])
+def test_solver_rejects_a_wrong_sign_first_read_at_the_close(fd):
+    """Every point inside the bracket has the sign of one end, so the
+    other end is first evaluated when the one-ulp bracket closes on it,
+    and its sign is checked there; the message names the given bracket."""
+    reads = []
+
+    def recorded(t):
+        reads.append(t)
+        return fd(t)
+
+    with pytest.raises(ValueError, match=re.escape("not bracketed by [0.0, 1.0]")):
+        oracle._solve(recorded, 0.0, 1.0, 0.5)
+    assert reads[0] == 0.5 and reads[-1] in (0.0, 1.0) and reads.count(reads[-1]) == 1
+
+
+def test_a_start_outside_the_bracket_gives_the_same_root():
+    """A start outside (lo, hi) has both ends evaluated first; the solve
+    then closes on the same one-ulp bracket."""
+    solves = _recorded_solves(WELL_CONDITIONED[::4])
+    for fd, lo, hi, start, root in solves:
+        for outside in (lo - 1.0, hi + 1.0, math.inf):
+            assert oracle._solve(fd, lo, hi, outside) == root, (lo, hi, start, outside)
 
 
 def test_extreme_arguments():

@@ -23,6 +23,7 @@ from lambertw import (
     moyal_inverse,
     reference_w,
 )
+from lambertw import physics
 
 
 def _profile_values(top: float, near_top: list[float], n: int = 400) -> list[float]:
@@ -76,6 +77,22 @@ def test_moyal_inverse_examples():
 )
 def test_moyal_inverse_minus_below_sqrt_of_smallest_normal(y, expected):
     assert abs(moyal_inverse(y, "minus") - expected) <= 4 * math.ulp(expected)
+
+
+def test_six_log_space_steps_give_the_bits_of_eight():
+    """t <- c + ln t from t = c has reached its double after six steps,
+    over unit steps of c from 708 and log-uniform c up to the largest
+    double; five steps are short of it at some of these c."""
+    cs = [708.0 + k for k in range(2000)]
+    cs += [math.exp(t) for t in np.linspace(math.log(708.0), math.log(sys.float_info.max), 20000)]
+
+    def eight_steps(c):
+        t = c
+        for _ in range(8):
+            t = c + math.log(t)
+        return t
+
+    assert [physics._t_minus_log_t_root(c) for c in cs] == [eight_steps(c) for c in cs]
 
 
 @pytest.mark.parametrize(

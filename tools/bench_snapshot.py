@@ -1,15 +1,18 @@
 """Write the committed benchmark snapshots ``BENCH_<workload>.json``.
 
-Runs ``perfbench/run.py --trace 0`` of one checkout on every workload of
-``BENCHMARK.json`` for seeds 1, 2 and 3, and stores the runs under a
-label in ``BENCH_<workload>.json`` at the root of this repository.  The
-other label already in a file is kept, so one file carries the numbers
-of a change and of its parent, measured by the same harness on the same
-machine:
+Runs ``perfbench/run.py --trace 0`` of this checkout (the change) and of
+a parent checkout on every workload of ``BENCHMARK.json`` for seeds 1, 2
+and 3, and stores both in ``BENCH_<workload>.json`` at the root of this
+repository, under the labels ``change`` and ``parent``:
 
     git clone . ../parent && git -C ../parent checkout <parent revision>
-    python3 tools/bench_snapshot.py --label parent --checkout ../parent
-    python3 tools/bench_snapshot.py --label change
+    python3 tools/bench_snapshot.py --parent ../parent
+
+The two are measured in alternation: for each workload and seed, one run
+of each, the first side switching from one pair to the next.  So the two
+runs of a pair are seconds apart, and a drift of the machine's speed
+over the minutes a snapshot takes moves both labels alike instead of
+reading as a change.
 
 Each run keeps the result line (the end-to-end metrics and the
 correctness flag) and from the report line the checksums, the number of
@@ -18,8 +21,8 @@ revision).  Each label also gets the median of every metric over its
 runs, and ``clean``: whether ``src/`` and ``perfbench/`` of the checkout
 matched its git revision (``git status --porcelain`` printed nothing),
 so that a label measured on uncommitted changes says so.  Runs last
-``run_seconds`` of BENCHMARK.json, as the benchmark's own runs do; one
-label of four workloads takes about six minutes.
+``run_seconds`` of BENCHMARK.json, as the benchmark's own runs do; the
+24 runs of a snapshot take about twelve minutes.
 """
 
 from __future__ import annotations
@@ -64,30 +67,42 @@ def clean_tree(checkout: Path) -> bool:
     return done.stdout == ""
 
 
+def label(workload: str, clean: bool, runs: list[dict]) -> dict:
+    """The snapshot entry of one checkout: its runs and their medians."""
+    metrics = runs[0]["result"]["metrics"]
+    return {
+        "command": f"python3 perfbench/run.py --workload {workload} --seed N "
+                   f"--seconds {SECONDS} --trace 0",
+        "clean": clean,
+        "median": {name: statistics.median(r["result"]["metrics"][name]["value"] for r in runs)
+                   for name in metrics},
+        "runs": runs,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, choices=("parent", "change"))
-    parser.add_argument("--checkout", type=Path, default=ROOT,
-                        help="tree whose perfbench/run.py and src/ are run (default: this one)")
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent revision, measured against this one")
     args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
-    clean = clean_tree(checkout)
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    clean = {side: clean_tree(path) for side, path in checkouts.items()}
+    pair = 0
     for workload in (w["name"] for w in SPEC["workloads"]):
-        runs = [run_once(checkout, workload, seed) for seed in SEEDS]
-        metrics = runs[0]["result"]["metrics"]
+        runs = {"parent": [], "change": []}
+        for seed in SEEDS:
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(checkouts[side], workload, seed))
+            pair += 1
+        snapshot = {"workload": workload}
+        for side in ("parent", "change"):
+            snapshot[side] = label(workload, clean[side], runs[side])
         path = ROOT / f"BENCH_{workload}.json"
-        snapshot = json.loads(path.read_text()) if path.exists() else {"workload": workload}
-        snapshot[args.label] = {
-            "command": f"python3 perfbench/run.py --workload {workload} --seed N "
-                       f"--seconds {SECONDS} --trace 0",
-            "clean": clean,
-            "median": {name: statistics.median(r["result"]["metrics"][name]["value"] for r in runs)
-                       for name in metrics},
-            "runs": runs,
-        }
         path.write_text(json.dumps(snapshot, indent=1) + "\n")
-        print(f"{path.name}: {args.label} " + " ".join(
-            f"{name}={value:.6g}" for name, value in snapshot[args.label]["median"].items()))
+        for side in ("parent", "change"):
+            print(f"{path.name}: {side} " + " ".join(
+                f"{name}={value:.6g}" for name, value in snapshot[side]["median"].items()))
     return 0
 
 
