@@ -9,119 +9,54 @@ accuracy metric with grid sweeps, two shower-physics profile inverses, a
 command-line utility, and the Halley-vs-Fritsch step count
 (``steps_to_converge``) round out the library.  Timing lives outside
 the package, in the repository's ``perfbench/`` harness.
+
+Each public name loads on first use: reading one imports the submodule
+that defines it (``_EXPORTS`` below) and binds all of that submodule's
+public names here, so a scalar ``lambert_w0`` call never loads the
+accuracy sweeps, the reference solver or the physics inverses.
 """
 
-from .accuracy import (
-    STAGES,
-    AccuracyReport,
-    DELTA_CAP,
-    GridSpec,
-    accuracy_sweep,
-    default_panels,
-    delta_accuracy,
-    write_report,
-)
-from .api import (
-    RESIDUAL_TOL,
-    EvalResult,
-    W0_REGIONS,
-    WM1_REGIONS,
-    dispatch_region,
-    lambert_w,
-    lambert_w0,
-    lambert_wm1,
-    lambert_w_approximation,
-    steps_to_converge,
-)
-from .approx import (
-    BRANCH_POINT_COEFFICIENTS,
-    BRANCH_POINT_TOL,
-    MAX_SERIES_ORDER,
-    MINUS_INV_E,
-    ApproximationRegion,
-    RationalFit,
-    W0_FIT_1,
-    W0_FIT_2,
-    WM1_FIT,
-    asymptotic_series,
-    branch_point_series,
-    continued_log_recursion_wm1,
-    derive_branch_coefficients,
-    rational_fit_eval,
-)
-from .branches import Branch
-from .errors import DomainError, SingularityError
-from .iteration import (
-    SCHEMES,
-    defining_residual,
-    fritsch_step,
-    halley_step,
-)
-from .oracle import reference_w
-from .physics import (
-    GaisserHillasParams,
-    GhRoots,
-    MOYAL_PEAK,
-    gaisser_hillas,
-    gh_inverse,
-    gh_profile,
-    gh_profile_inverse,
-    gh_rescale,
-    moyal,
-    moyal_inverse,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyReport",
-    "ApproximationRegion",
-    "Branch",
-    "BRANCH_POINT_COEFFICIENTS",
-    "BRANCH_POINT_TOL",
-    "DELTA_CAP",
-    "DomainError",
-    "EvalResult",
-    "GaisserHillasParams",
-    "GhRoots",
-    "GridSpec",
-    "MAX_SERIES_ORDER",
-    "MINUS_INV_E",
-    "MOYAL_PEAK",
-    "RationalFit",
-    "RESIDUAL_TOL",
-    "SCHEMES",
-    "SingularityError",
-    "STAGES",
-    "W0_FIT_1",
-    "W0_FIT_2",
-    "W0_REGIONS",
-    "WM1_FIT",
-    "WM1_REGIONS",
-    "accuracy_sweep",
-    "asymptotic_series",
-    "branch_point_series",
-    "continued_log_recursion_wm1",
-    "default_panels",
-    "defining_residual",
-    "delta_accuracy",
-    "derive_branch_coefficients",
-    "dispatch_region",
-    "fritsch_step",
-    "gaisser_hillas",
-    "gh_inverse",
-    "gh_profile",
-    "gh_profile_inverse",
-    "gh_rescale",
-    "halley_step",
-    "lambert_w",
-    "lambert_w0",
-    "lambert_wm1",
-    "lambert_w_approximation",
-    "moyal",
-    "moyal_inverse",
-    "rational_fit_eval",
-    "reference_w",
-    "steps_to_converge",
-    "write_report",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("accuracy", "STAGES AccuracyReport DELTA_CAP GridSpec accuracy_sweep"
+                     " default_panels delta_accuracy write_report"),
+        ("api", "RESIDUAL_TOL EvalResult W0_REGIONS WM1_REGIONS dispatch_region"
+                " lambert_w lambert_w0 lambert_wm1 lambert_w_approximation"
+                " steps_to_converge"),
+        ("approx", "BRANCH_POINT_COEFFICIENTS BRANCH_POINT_TOL MAX_SERIES_ORDER"
+                   " MINUS_INV_E ApproximationRegion RationalFit W0_FIT_1 W0_FIT_2"
+                   " WM1_FIT asymptotic_series branch_point_series"
+                   " continued_log_recursion_wm1 derive_branch_coefficients"
+                   " rational_fit_eval"),
+        ("branches", "Branch"),
+        ("errors", "DomainError SingularityError"),
+        ("iteration", "SCHEMES defining_residual fritsch_step halley_step"),
+        ("oracle", "reference_w"),
+        ("physics", "GaisserHillasParams GhRoots MOYAL_PEAK gaisser_hillas"
+                    " gh_inverse gh_profile gh_profile_inverse gh_rescale moyal"
+                    " moyal_inverse"),
+    )
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name, name)  # a submodule name stands for itself
+    if module not in _EXPORTS.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    globals().update((key, getattr(loaded, key))
+                     for key, home in _EXPORTS.items() if home == module)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(globals().keys() | _EXPORTS.keys())

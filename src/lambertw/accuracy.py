@@ -12,8 +12,6 @@ per-point deltas; ``write_report`` writes a report as a plain-text data
 file suitable for plotting.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from typing import NamedTuple
@@ -68,7 +66,7 @@ class GridSpec(_GridSpecFields):
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, start: float, stop: float, count: int) -> GridSpec:
+    def __new__(cls, kind: str, start: float, stop: float, count: int) -> "GridSpec":
         if kind not in ("linear", "log"):
             raise ValueError(f"grid kind must be 'linear' or 'log', got {kind!r}")
         if count < 2:

@@ -33,8 +33,6 @@ own rounding noise where that is larger: the paper's comparison of the
 two schemes.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from bisect import bisect_right

@@ -15,8 +15,6 @@ interval where the dispatcher (see :mod:`lambertw.api`) selects it:
 All polynomials are evaluated in Horner form, lowest coefficient last.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from typing import TYPE_CHECKING, NamedTuple
@@ -51,7 +49,7 @@ def _domain_error(x: float) -> DomainError:
 # Branch point series
 # ---------------------------------------------------------------------------
 
-def derive_branch_coefficients(n: int) -> list[Fraction]:
+def derive_branch_coefficients(n: int) -> "list[Fraction]":
     """Exact coefficients b_0..b_n of the branch point series.
 
     Both branches may be written w = sum_i b_i p^i with
@@ -204,7 +202,7 @@ class RationalFit(_RationalFitFields):
         numerator: tuple[float, ...],
         denominator: tuple[float, ...],
         leading_factor_x: bool = False,
-    ) -> RationalFit:
+    ) -> "RationalFit":
         if not numerator or not denominator:
             raise ValueError("numerator and denominator must be non-empty")
         if denominator[0] != 1.0:

@@ -24,8 +24,6 @@ Exit codes: 0 success, 1 domain error (message on stderr names the
 violated bound), 2 malformed arguments or an unwritable --output file.
 """
 
-from __future__ import annotations
-
 # argparse is imported by the three subcommands that build a parser:
 # the bare and ``eval`` forms never need it, so they do not pay to load it.
 import contextlib

@@ -22,8 +22,6 @@ estimates within 1e-12 of that point must not be refined at all, since
 only the branch point series is trustworthy there.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -36,8 +36,6 @@ root location drowns in rounding noise of size
 1e-9 of the branch point.
 """
 
-from __future__ import annotations
-
 import math
 import struct
 import sys

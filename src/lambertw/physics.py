@@ -6,8 +6,6 @@ the principal branch selects the solution on one side of the profile
 maximum, the lower branch the other side.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -98,7 +96,7 @@ class GaisserHillasParams(_GaisserHillasFields):
 
     __slots__ = ()
 
-    def __new__(cls, X0: float, Xmax: float, lam: float) -> GaisserHillasParams:
+    def __new__(cls, X0: float, Xmax: float, lam: float) -> "GaisserHillasParams":
         if not lam > 0.0:
             raise DomainError(f"lam must be > 0, got {lam!r}")
         if not Xmax > X0:

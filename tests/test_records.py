@@ -4,15 +4,19 @@ Every record type is a ``typing.NamedTuple``; the three that check their
 fields do so in ``__new__`` and route ``_make`` (and so ``_replace``)
 through it.  Importing the package loads none of ``dataclasses``,
 ``inspect`` or ``fractions``, whose import would cost more than
-thousands of evaluations.
+thousands of evaluations, and a scalar evaluation loads only the
+submodules it runs: each public name loads with its submodule on first
+use.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lambertw
 from lambertw import (
     AccuracyReport,
     ApproximationRegion,
@@ -84,19 +88,20 @@ def test_record_invariants(cls, fields, invalid):
         assert str(caught.value) == str(from_constructor.value)
 
 
-def _newly_loaded(code: str) -> set[str]:
-    """Modules that ``code`` loads in a fresh isolated interpreter with
-    this checkout's ``src`` first on the path."""
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(SRC)!r})\n"
-        "before = set(sys.modules)\n"
-        f"{code}\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
+def _fresh(code: str) -> str:
+    """The last line that ``code`` prints in a fresh isolated interpreter
+    with this checkout's ``src`` first on the path."""
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
     proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True,
                           text=True, timeout=60, check=True)
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout.splitlines()[-1]
+
+
+def _newly_loaded(code: str) -> set[str]:
+    """Modules that ``code`` loads in a fresh isolated interpreter."""
+    return set(_fresh("before = set(sys.modules)\n"
+                      f"{code}\n"
+                      "print(' '.join(sorted(set(sys.modules) - before)))").split())
 
 
 _HEAVY = {"dataclasses", "inspect", "ast", "dis", "fractions", "decimal", "numpy"}
@@ -112,3 +117,64 @@ def test_bare_cli_call_loads_no_argparse():
     loaded = _newly_loaded("from lambertw.cli import run_cli\nrun_cli(['0.5'])")
     assert "lambertw.cli" in loaded
     assert not loaded & (_HEAVY | {"argparse"}), sorted(loaded & (_HEAVY | {"argparse"}))
+
+
+# The package's public names by defining submodule.
+PUBLIC = {
+    "accuracy": "AccuracyReport DELTA_CAP GridSpec STAGES accuracy_sweep default_panels"
+                " delta_accuracy write_report",
+    "api": "EvalResult RESIDUAL_TOL W0_REGIONS WM1_REGIONS dispatch_region lambert_w"
+           " lambert_w0 lambert_w_approximation lambert_wm1 steps_to_converge",
+    "approx": "ApproximationRegion BRANCH_POINT_COEFFICIENTS BRANCH_POINT_TOL"
+              " MAX_SERIES_ORDER MINUS_INV_E RationalFit W0_FIT_1 W0_FIT_2 WM1_FIT"
+              " asymptotic_series branch_point_series continued_log_recursion_wm1"
+              " derive_branch_coefficients rational_fit_eval",
+    "branches": "Branch",
+    "errors": "DomainError SingularityError",
+    "iteration": "SCHEMES defining_residual fritsch_step halley_step",
+    "oracle": "reference_w",
+    "physics": "GaisserHillasParams GhRoots MOYAL_PEAK gaisser_hillas gh_inverse gh_profile"
+               " gh_profile_inverse gh_rescale moyal moyal_inverse",
+}
+PUBLIC_NAMES = {name for names in PUBLIC.values() for name in names.split()}
+
+
+@pytest.mark.parametrize("call", ["lambert_w0(0.5)", "lambert_w(-1, -0.1)"])
+def test_scalar_call_loads_only_the_evaluation_modules(call):
+    loaded = _newly_loaded(f"import lambertw\nlambertw.{call}")
+    unused = {"lambertw.accuracy", "lambertw.oracle", "lambertw.physics", "lambertw.cli",
+              "__future__"}
+    assert "lambertw.api" in loaded
+    assert not loaded & unused, sorted(loaded & unused)
+
+
+def test_star_import_binds_each_public_name_from_its_submodule():
+    star = json.loads(_fresh(
+        "import importlib, json\n"
+        "star = {}\n"
+        "exec('from lambertw import *', star)\n"
+        "del star['__builtins__']\n"
+        f"public = {PUBLIC!r}\n"
+        "print(json.dumps({'names': sorted(star), 'foreign': [\n"
+        "    name for module, names in public.items() for name in names.split()\n"
+        "    if star[name] is not getattr(importlib.import_module(f'lambertw.{module}'), name)]}))"))
+    assert len(PUBLIC_NAMES) == 50
+    assert set(star["names"]) == PUBLIC_NAMES
+    assert star["foreign"] == []
+
+
+def test_dir_lists_every_public_name_before_use():
+    listed = set(_fresh("import lambertw\nprint(' '.join(dir(lambertw)))").split())
+    assert set(lambertw.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= listed
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'lambertw' has no attribute 'no_such_name'$"):
+        lambertw.no_such_name
+
+
+def test_submodule_resolves_without_an_explicit_import():
+    loaded = _newly_loaded("import lambertw\nassert lambertw.oracle.reference_w(0, 0.0) == 0.0")
+    assert "lambertw.oracle" in loaded
+    assert not loaded & {"lambertw.accuracy", "lambertw.physics"}, sorted(loaded)
