@@ -139,13 +139,15 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
         t = new
 
 
+# The residual closures here are left unannotated: every reference_w call
+# defines one, and their annotations would be evaluated on each call.
 def _shifted(c: float, sign: float):
     """``sign`` times (u-1)*e^u + 1 - c and its derivative u*e^u.
 
     The +1 is folded in via expm1 to avoid cancellation for small u.
     """
 
-    def fd(u: float) -> tuple[float, float]:
+    def fd(u):
         em1 = _expm1(u)
         return sign * ((u - 1.0) * em1 + u - c), sign * u * (em1 + 1.0)
 
@@ -172,7 +174,7 @@ def _reference_w0(x: float) -> float:
         return -1.0 + _solve(_shifted(c, 1.0), 0.0, 2.0, math.sqrt(2.0 * c))
     if x <= math.e:
 
-        def plain(y: float) -> tuple[float, float]:
+        def plain(y):
             ey = _exp(y)
             return y * ey - x, (1.0 + y) * ey
 
@@ -184,7 +186,7 @@ def _reference_w0(x: float) -> float:
     # through expm1 so huge x cannot overflow y*exp(y).
     log_x = _log(x)
 
-    def scaled(y: float) -> tuple[float, float]:
+    def scaled(y):
         g = _expm1(y + _log(y / x))
         return g, (g + 1.0) * (1.0 + 1.0 / y)
 
@@ -201,12 +203,12 @@ def _reference_wm1(x: float) -> float:
     start = _asymptotic_start(log_x)
     if -x < sys.float_info.min:
 
-        def log_space(y: float) -> tuple[float, float]:
+        def log_space(y):
             return y + _log(-y) - log_x, 1.0 + 1.0 / y
 
         return _solve(log_space, log_x - 40.0, -1.0, start)
 
-    def plain(y: float) -> tuple[float, float]:
+    def plain(y):
         ey = _exp(y)
         return x - y * ey, -(1.0 + y) * ey
 
