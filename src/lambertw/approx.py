@@ -17,13 +17,10 @@ All polynomials are evaluated in Horner form, lowest coefficient last.
 
 import math
 from bisect import bisect_right
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .branches import Branch, invalid_branch
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 MINUS_INV_E = -math.exp(-1.0)
 
@@ -49,7 +46,7 @@ def _domain_error(x: float) -> DomainError:
 # Branch point series
 # ---------------------------------------------------------------------------
 
-def derive_branch_coefficients(n: int) -> "list[Fraction]":
+def derive_branch_coefficients(n: int) -> list:
     """Exact coefficients b_0..b_n of the branch point series.
 
     Both branches may be written w = sum_i b_i p^i with

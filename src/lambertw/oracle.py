@@ -22,10 +22,14 @@ takes to close.  The formulations are:
 * on branch 0 at x > e, the same residual divided by x,
   ``expm1(y + log(y/x))``, so huge x cannot overflow ``y*exp(y)``,
   started at the asymptotic start;
-* within ``x <= -0.2``, the shifted variable ``u = 1 + w`` and the
-  identity ``(u - 1)*e^u + 1 = 1 + e*x``, evaluated through ``expm1`` so
-  the cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens,
-  started at ``u = +-sqrt(2*(1 + e*x))``;
+* within ``x <= -0.2``, the identity ``(u - 1)*e^u + 1 = 1 + e*x`` in
+  the shifted variable ``u = 1 + w``, evaluated through ``expm1`` so the
+  cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens, but
+  solved for w itself on [-1, 1] (branch 0) or [-4, -1] (branch -1), so
+  that the bracket closes on adjacent doubles of the returned value;
+  started at the branch point series
+  ``-1 + p - p**2/3 + 11*p**3/72 - 43*p**4/540 + 769*p**5/17280`` with
+  ``p = +-sqrt(2*(1 + e*x))`` (Corless et al. 1996);
 * on branch -1 at subnormal x, the logarithm of the identity,
   ``y + log(-y) = log(-x)``, because ``y*exp(y)`` underflows there,
   started at the asymptotic start.
@@ -142,16 +146,30 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
 # The residual closures here are left unannotated: every reference_w call
 # defines one, and their annotations would be evaluated on each call.
 def _shifted(c: float, sign: float):
-    """``sign`` times (u-1)*e^u + 1 - c and its derivative u*e^u.
+    """``sign`` times (u-1)*e^u + 1 - c, u = 1 + w, and its derivative u*e^u.
 
-    The +1 is folded in via expm1 to avoid cancellation for small u.
+    The residual is a function of w itself, so the solve closes on
+    adjacent doubles of w, not of u.  The sum u = 1 + w is exact for every
+    w in [-4, -1/2] (Sterbenz below |w| = 2), which covers branch -1 and
+    the branch 0 values up to -1/2; w stands in for u - 1.  The +1 is
+    folded in via expm1 to avoid cancellation for small u.
     """
 
-    def fd(u):
+    def fd(w):
+        u = 1.0 + w
         em1 = _expm1(u)
-        return sign * ((u - 1.0) * em1 + u - c), sign * u * (em1 + 1.0)
+        return sign * (w * em1 + u - c), sign * u * (em1 + 1.0)
 
     return fd
+
+
+def _branch_point_start(c: float, sign: float) -> float:
+    # The branch point series w = -1 + p - p^2/3 + ... at p = sign*sqrt(2c)
+    # to fifth order (Corless et al. 1996), written out here so that the
+    # oracle shares no code with the approximations it judges.
+    p = sign * math.sqrt(2.0 * c)
+    return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (
+        -43.0 / 540.0 + p * (769.0 / 17280.0)))))
 
 
 def _asymptotic_start(log_x: float) -> float:
@@ -171,7 +189,7 @@ def _reference_w0(x: float) -> float:
         c = 1.0 + math.e * x
         if c <= 0.0:
             return -1.0
-        return -1.0 + _solve(_shifted(c, 1.0), 0.0, 2.0, math.sqrt(2.0 * c))
+        return _solve(_shifted(c, 1.0), -1.0, 1.0, _branch_point_start(c, 1.0))
     if x <= math.e:
 
         def plain(y):
@@ -198,7 +216,7 @@ def _reference_wm1(x: float) -> float:
         c = 1.0 + math.e * x
         if c <= 0.0:
             return -1.0
-        return -1.0 + _solve(_shifted(c, -1.0), -3.0, 0.0, -math.sqrt(2.0 * c))
+        return _solve(_shifted(c, -1.0), -4.0, -1.0, _branch_point_start(c, -1.0))
     log_x = _log(-x)
     start = _asymptotic_start(log_x)
     if -x < sys.float_info.min:

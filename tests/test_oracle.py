@@ -235,14 +235,9 @@ def test_root_is_the_better_end_of_a_one_ulp_sign_change():
         assert (f < 0.0) != (other < 0.0) and abs(f) <= abs(other), (lo, hi, root)
 
 
-def test_at_most_64_evaluations_per_solve():
-    """Over the mpmath points and the default panels, no solve takes more
-    evaluations than halving in the order of doubles could need (64),
-    and the mean stays near the handful that Newton needs: the bracket's
-    given ends are evaluated only where the solve reads them."""
-    points = [(branch, float(x)) for branch, x in MPMATH_POINTS]
-    for branch in (0, -1):
-        points += [(branch, x) for grid in default_panels(branch) for x in grid.points()]
+def _evaluation_counts(points):
+    """Residual evaluations of every solve that ``reference_w`` runs on
+    ``points``, each solve replayed from its start."""
     counts = []
     for fd, lo, hi, start, root in _recorded_solves(points):
         calls = [0]
@@ -253,8 +248,39 @@ def test_at_most_64_evaluations_per_solve():
 
         assert oracle._solve(counted, lo, hi, start) == root
         counts.append(calls[0])
+    return counts
+
+
+def _count_points():
+    """The mpmath points and both branches' default panels."""
+    points = [(branch, float(x)) for branch, x in MPMATH_POINTS]
+    for branch in (0, -1):
+        points += [(branch, x) for grid in default_panels(branch) for x in grid.points()]
+    return points
+
+
+def test_at_most_16_evaluations_per_solve():
+    """Over the mpmath points and the default panels, no solve takes more
+    than 16 evaluations, and the mean stays near the handful that Newton
+    needs from these starts: the bracket's given ends are evaluated only
+    where the solve reads them."""
+    counts = _evaluation_counts(_count_points())
     assert len(counts) > 4000
-    assert max(counts) <= 64
+    assert max(counts) <= 16
+    assert sum(counts) / len(counts) <= 4.5
+
+
+def test_shifted_zone_solves_start_near_the_root():
+    """In the shifted zone x <= -0.2 the branch point series start and a
+    bracket in w itself keep the solve as short as in the other zones:
+    stepping one ulp of u = 1 + w at a time through the rounded residual,
+    from u = +-sqrt(2*(1 + e*x)), took 6.5 evaluations on average and up
+    to 29."""
+    shifted = [(branch, x) for branch, x in _count_points()
+               if x <= -0.2 and 1.0 + math.e * x > 0.0]
+    counts = _evaluation_counts(shifted)
+    assert len(counts) > 700
+    assert max(counts) <= 16
     assert sum(counts) / len(counts) <= 5
 
 

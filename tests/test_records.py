@@ -9,9 +9,11 @@ submodules it runs: each public name loads with its submodule on first
 use.
 """
 
+import inspect
 import json
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -167,6 +169,26 @@ def test_dir_lists_every_public_name_before_use():
     listed = set(_fresh("import lambertw\nprint(' '.join(dir(lambertw)))").split())
     assert set(lambertw.__all__) == PUBLIC_NAMES
     assert PUBLIC_NAMES <= listed
+
+
+def test_type_hints_resolve_for_every_public_function_and_class():
+    """Every annotation of the public API names something the module
+    defines at run time, so ``typing.get_type_hints`` evaluates it (an
+    annotation naming a TYPE_CHECKING-only import raises NameError)."""
+    checked = []
+    for name in lambertw.__all__:
+        obj = getattr(lambertw, name)
+        if inspect.isclass(obj):
+            typing.get_type_hints(obj)
+            for member in vars(obj).values():
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
+        elif inspect.isfunction(obj):
+            typing.get_type_hints(obj)
+        else:
+            continue
+        checked.append(name)
+    assert "derive_branch_coefficients" in checked and len(checked) >= 30
 
 
 def test_unknown_attribute_raises_attribute_error():

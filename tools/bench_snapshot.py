@@ -12,7 +12,10 @@ The two are measured in alternation: for each workload and seed, one run
 of each, the first side switching from one pair to the next.  So the two
 runs of a pair are seconds apart, and a drift of the machine's speed
 over the minutes a snapshot takes moves both labels alike instead of
-reading as a change.
+reading as a change.  Before the pairs of a workload, each checkout
+makes one run of it that is discarded: the first run of a workload
+after runs of another one can read a much slower set-up (bulk-array
+read ``setup_s`` of 104-111 ms there, 55-72 ms in every later run).
 
 Each run keeps the result line (the end-to-end metrics and the
 correctness flag) and from the report line the checksums, the number of
@@ -22,7 +25,8 @@ runs, and ``clean``: whether ``src/`` and ``perfbench/`` of the checkout
 matched its git revision (``git status --porcelain`` printed nothing),
 so that a label measured on uncommitted changes says so.  Runs last
 ``run_seconds`` of BENCHMARK.json, as the benchmark's own runs do; the
-24 runs of a snapshot take about twelve minutes.
+32 runs of a snapshot, 8 of them warm-up runs, take about sixteen
+minutes.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ def main(argv=None) -> int:
     pair = 0
     for workload in (w["name"] for w in SPEC["workloads"]):
         runs = {"parent": [], "change": []}
+        for side in checkouts:
+            run_once(checkouts[side], workload, SEEDS[0])  # warm-up, discarded
         for seed in SEEDS:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
