@@ -16,8 +16,9 @@ import math
 import os
 from typing import NamedTuple
 
-from .api import _step, dispatch_region, lambert_w_approximation
+from .api import dispatch_region, lambert_w_approximation
 from .branches import Branch
+from .iteration import SINGULARITY_GUARD, fritsch_step, halley_step
 from .oracle import MINUS_INV_E, reference_w
 
 # Value reported when approximation and reference agree bit-for-bit.  A
@@ -133,14 +134,6 @@ def default_panels(branch: int) -> tuple[GridSpec, ...]:
     )
 
 
-def _stage_value(branch: Branch, stage: str, x: float) -> float:
-    """Evaluate one pipeline stage at ``x``."""
-    w = lambert_w_approximation(branch, x)
-    if stage == "approximation":
-        return w
-    return _step(x, w, "halley" if stage == "one-halley" else "fritsch")[0]
-
-
 def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
     """Measure ``stage`` against the reference solver over ``grid``.
 
@@ -160,13 +153,18 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
     b = Branch(branch)
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
+    step = None if stage == "approximation" else (
+        halley_step if stage == "one-halley" else fritsch_step)
     samples = []
     for x in grid.points():
         if x == 0.0:
             raise ValueError("accuracy grids must exclude x = 0 (delta undefined)")
         try:
             exact = reference_w(b, x)
-            value = _stage_value(b, stage, x)
+            value = lambert_w_approximation(b, x)
+            # An exact seed (0, or -1 at the branch point) is not stepped.
+            if step is not None and not (value == 0.0 or abs(1.0 + value) <= SINGULARITY_GUARD):
+                value = step(x, value)
             delta = delta_accuracy(value, exact)
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"at x={x!r}: {exc}") from exc

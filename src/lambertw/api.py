@@ -9,7 +9,7 @@ family and ``defining_residual``: the benchmark's tracer times those
 layers from float calls and divides by their call counts.
 ``lambert_w_approximation`` is the one seed kernel: the region chain
 and every seed family in Horner form, with ``dispatch_region``'s checks.
-It and ``_step`` serve the sweeps and ``steps_to_converge``; ``_w``,
+It serves the sweeps and, with ``_step``, ``steps_to_converge``; ``_w``,
 for the physics inverses, is it and one inline Fritsch step.
 ``_lambert_w_list`` writes seed and step out in one loop, for arrays;
 floats take ``lambert_w``.  ``tests/test_api.py`` pins ``lambert_w``'s

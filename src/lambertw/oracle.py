@@ -13,26 +13,29 @@ the given bracket are evaluated, and sign-checked, only where the solve
 reads them, which most solves never do.  Each formulation supplies its
 own derivative, from the same exponential or logarithm as its residual,
 and a start point, which only decides how many evaluations the bracket
-takes to close.  The formulations are:
+takes to close.  Outside the shifted and log-space forms, the closed-form
+starts get two steps of Iacono and Boyd's (2017) iteration
+``w <- w/(1 + w)*(1 + ln(x/w))``, one log each, which bring them to a
+relative error of about 1e-7 or less.  The formulations are:
 
 * away from the branch point, plain ``g(y) = y*exp(y) - x``, started on
   branch 0 at Winitzki's ``L*(1 - ln(1 + L)/(2 + L))`` with
-  ``L = log1p(x)``, and on branch -1 at the asymptotic start
-  ``L1 - L2 + L2/L1 + L2*(L2 - 2)/(2*L1**2)``;
+  ``L = log1p(x)``, refined through ``ln(x/w)``, and on branch -1 at
+  the asymptotic start ``L1 - L2 + L2/L1 + L2*(L2 - 2)/(2*L1**2)``,
+  refined through ``ln(x/w) = L1 - ln|w|``;
 * on branch 0 at x > e, the same residual divided by x,
   ``expm1(y + log(y/x))``, so huge x cannot overflow ``y*exp(y)``,
-  started at the asymptotic start;
+  started at the asymptotic start, refined through ``L1 - ln(w)``;
 * within ``x <= -0.2``, the identity ``(u - 1)*e^u + 1 = 1 + e*x`` in
   the shifted variable ``u = 1 + w``, evaluated through ``expm1`` so the
   cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens, but
   solved for w itself on [-1, 1] (branch 0) or [-4, -1] (branch -1), so
   that the bracket closes on adjacent doubles of the returned value;
-  started at the branch point series
-  ``-1 + p - p**2/3 + 11*p**3/72 - 43*p**4/540 + 769*p**5/17280`` with
-  ``p = +-sqrt(2*(1 + e*x))`` (Corless et al. 1996);
+  started at the branch point series ``-1 + p - p**2/3 + 11*p**3/72 ...``
+  to order 9 in ``p = +-sqrt(2*(1 + e*x))`` (Corless et al. 1996);
 * on branch -1 at subnormal x, the logarithm of the identity,
   ``y + log(-y) = log(-x)``, because ``y*exp(y)`` underflows there,
-  started at the asymptotic start.
+  started at the asymptotic start, unrefined.
 
 Here ``L1 = ln|x|`` and ``L2 = ln|L1|``.  Without the shifted form, the
 root location drowns in rounding noise of size
@@ -88,8 +91,10 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
     that step leaves the bracket or is more than half the step before the
     last one.  A Newton step under one ulp is replaced by the neighbouring
     double on its far side, which closes the bracket when the sign changes
-    there.  The endpoint of the final one-ulp bracket with the smaller
-    ``|f|`` is returned.  Where the rounded ``f`` changes sign once, that
+    there.  The one-ulp test runs only when the Newton step is not taken:
+    a step strictly inside leaves a double between the ends.  The
+    endpoint of the final one-ulp bracket with the smaller ``|f|`` is
+    returned.  Where the rounded ``f`` changes sign once, that
     bracket is unique, so ``start`` decides only how fast it closes, not
     where.
 
@@ -121,24 +126,22 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
                 hi, fhi, dhi = t, f, d
             else:
                 return t
-        if _nextafter(lo, hi) == hi:
-            if flo == -_INF:
-                flo = fd(lo)[0]
-            if fhi == _INF:
-                fhi = fd(hi)[0]
-            if flo > 0.0 or fhi < 0.0:
-                raise ValueError(f"root not bracketed by [{given[0]}, {given[1]}]")
-            return lo if -flo <= fhi else hi
         # Step from the endpoint with the smaller |f|; a flat one has none.
         if -flo <= fhi:
             t, f, d = lo, flo, dlo
         else:
             t, f, d = hi, fhi, dhi
         new = t - f / d if d > 0.0 else _INF
-        if new == t:
-            new = _nextafter(t, hi if f < 0.0 else lo)
-        elif not lo < new < hi or abs(new - t) > 0.5 * older:
-            new = _midpoint(lo, hi)
+        if not (lo < new < hi and abs(new - t) <= 0.5 * older):
+            if _nextafter(lo, hi) == hi:
+                if flo == -_INF:
+                    flo = fd(lo)[0]
+                if fhi == _INF:
+                    fhi = fd(hi)[0]
+                if flo > 0.0 or fhi < 0.0:
+                    raise ValueError(f"root not bracketed by [{given[0]}, {given[1]}]")
+                return lo if -flo <= fhi else hi
+            new = _nextafter(t, hi if f < 0.0 else lo) if new == t else _midpoint(lo, hi)
         older, step = step, abs(new - t)
         t = new
 
@@ -165,11 +168,13 @@ def _shifted(c: float, sign: float):
 
 def _branch_point_start(c: float, sign: float) -> float:
     # The branch point series w = -1 + p - p^2/3 + ... at p = sign*sqrt(2c)
-    # to fifth order (Corless et al. 1996), written out here so that the
+    # to ninth order (Corless et al. 1996), written out here so that the
     # oracle shares no code with the approximations it judges.
     p = sign * math.sqrt(2.0 * c)
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (
-        -43.0 / 540.0 + p * (769.0 / 17280.0)))))
+        -43.0 / 540.0 + p * (769.0 / 17280.0 + p * (-221.0 / 8505.0 + p * (
+            680863.0 / 43545600.0 + p * (-1963.0 / 204120.0 + p * (
+                226287557.0 / 37623398400.0)))))))))
 
 
 def _asymptotic_start(log_x: float) -> float:
@@ -196,10 +201,12 @@ def _reference_w0(x: float) -> float:
             ey = _exp(y)
             return y * ey - x, (1.0 + y) * ey
 
-        # Winitzki's L*(1 - ln(1 + L)/(2 + L)), L = ln(1 + x): within 2% of W.
+        # Winitzki's L*(1 - ln(1 + L)/(2 + L)), L = ln(1 + x), within 2% of
+        # W, and two steps w <- w/(1 + w)*(1 + ln(x/w)) (Iacono and Boyd 2017).
         log1p_x = math.log1p(x)
-        return _solve(plain, -1.0, 1.0,
-                      log1p_x * (1.0 - _log(1.0 + log1p_x) / (2.0 + log1p_x)))
+        w = log1p_x * (1.0 - _log(1.0 + log1p_x) / (2.0 + log1p_x))
+        w = w / (1.0 + w) * (1.0 + _log(x / w))
+        return _solve(plain, -1.0, 1.0, w / (1.0 + w) * (1.0 + _log(x / w)))
     # For x > e solve in y >= 1 on the residual divided by x, written
     # through expm1 so huge x cannot overflow y*exp(y).
     log_x = _log(x)
@@ -208,7 +215,9 @@ def _reference_w0(x: float) -> float:
         g = _expm1(y + _log(y / x))
         return g, (g + 1.0) * (1.0 + 1.0 / y)
 
-    return _solve(scaled, 1.0, log_x + 1.0, _asymptotic_start(log_x))
+    w = _asymptotic_start(log_x)
+    w = w / (1.0 + w) * (1.0 + log_x - _log(w))
+    return _solve(scaled, 1.0, log_x + 1.0, w / (1.0 + w) * (1.0 + log_x - _log(w)))
 
 
 def _reference_wm1(x: float) -> float:
@@ -218,19 +227,20 @@ def _reference_wm1(x: float) -> float:
             return -1.0
         return _solve(_shifted(c, -1.0), -4.0, -1.0, _branch_point_start(c, -1.0))
     log_x = _log(-x)
-    start = _asymptotic_start(log_x)
+    w = _asymptotic_start(log_x)
     if -x < sys.float_info.min:
 
         def log_space(y):
             return y + _log(-y) - log_x, 1.0 + 1.0 / y
 
-        return _solve(log_space, log_x - 40.0, -1.0, start)
+        return _solve(log_space, log_x - 40.0, -1.0, w)
 
     def plain(y):
         ey = _exp(y)
         return x - y * ey, -(1.0 + y) * ey
 
-    return _solve(plain, log_x - 40.0, -1.0, start)
+    w = w / (1.0 + w) * (1.0 + log_x - _log(-w))
+    return _solve(plain, log_x - 40.0, -1.0, w / (1.0 + w) * (1.0 + log_x - _log(-w)))
 
 
 def reference_w(branch: int, x: float) -> float:

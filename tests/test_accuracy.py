@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lambertw
+from lambertw import api
 from lambertw import (
     DELTA_CAP,
     AccuracyReport,
@@ -159,6 +160,31 @@ def test_one_halley_lower_branch_at_subnormal_x():
 def test_one_fritsch_stage_is_machine_accurate_on_log_panel():
     report = accuracy_sweep(0, "one-fritsch", GridSpec("log", 0.3, 1e5, 200))
     assert report.min_delta >= 13.0
+
+
+# Grids from the branch point itself, where the seed -1 is exact, across
+# every region of their branch.
+_FROM_BRANCH_POINT = {
+    0: GridSpec("linear", MINUS_INV_E, 20.0, 400),
+    -1: GridSpec("linear", MINUS_INV_E, -1e-3, 400),
+}
+
+
+@pytest.mark.parametrize("stage", lambertw.STAGES)
+@pytest.mark.parametrize("branch", [0, -1])
+def test_sweep_matches_the_seed_and_one_step_bit_for_bit(branch, stage):
+    """Every delta is that of the seed, stepped as ``_step`` steps it,
+    against ``reference_w``: an exact seed comes back unstepped."""
+    grid = _FROM_BRANCH_POINT[branch]
+    report = accuracy_sweep(branch, stage, grid)
+    regions = lambertw.W0_REGIONS if branch == 0 else lambertw.WM1_REGIONS
+    assert {region for _, _, region in report.samples} == {r.kind for r in regions}
+    assert report.samples[0][:2] == (MINUS_INV_E, DELTA_CAP)
+    for x, delta, _ in report.samples:
+        value = lambertw.lambert_w_approximation(branch, x)
+        if stage != "approximation":
+            value = api._step(x, value, "halley" if stage == "one-halley" else "fritsch")[0]
+        assert delta == delta_accuracy(value, lambertw.reference_w(branch, x)), x
 
 
 def test_stage_validation():

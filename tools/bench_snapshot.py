@@ -8,7 +8,14 @@ repository, under the labels ``change`` and ``parent``:
     git clone . ../parent && git -C ../parent checkout <parent revision>
     python3 tools/bench_snapshot.py --parent ../parent
 
-The two are measured in alternation: for each workload and seed, one run
+``--workload NAME`` (repeatable) limits a refresh to those workloads,
+and ``--pairs N`` measures N pairs per seed instead of one, for a
+workload whose runs spread too widely for three pairs to resolve a
+change:
+
+    python3 tools/bench_snapshot.py --parent ../parent --workload sweep-panels --pairs 3
+
+The two are measured in alternation: for each workload and seed, N runs
 of each, the first side switching from one pair to the next.  So the two
 runs of a pair are seconds apart, and a drift of the machine's speed
 over the minutes a snapshot takes moves both labels alike instead of
@@ -25,8 +32,8 @@ runs, and ``clean``: whether ``src/`` and ``perfbench/`` of the checkout
 matched its git revision (``git status --porcelain`` printed nothing),
 so that a label measured on uncommitted changes says so.  Runs last
 ``run_seconds`` of BENCHMARK.json, as the benchmark's own runs do; the
-32 runs of a snapshot, 8 of them warm-up runs, take about sixteen
-minutes.
+32 runs of a snapshot of every workload at one pair per seed, 8 of them
+warm-up runs, take about sixteen minutes.
 """
 
 from __future__ import annotations
@@ -86,22 +93,30 @@ def label(workload: str, clean: bool, runs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    names = [w["name"] for w in SPEC["workloads"]]
     parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent revision, measured against this one")
+    parser.add_argument("--workload", action="append", choices=names,
+                        help="workload to measure, repeatable (default: every workload)")
+    parser.add_argument("--pairs", type=int, default=1,
+                        help="alternating parent/change pairs per seed (default: 1)")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     clean = {side: clean_tree(path) for side, path in checkouts.items()}
     pair = 0
-    for workload in (w["name"] for w in SPEC["workloads"]):
+    for workload in args.workload or names:
         runs = {"parent": [], "change": []}
         for side in checkouts:
             run_once(checkouts[side], workload, SEEDS[0])  # warm-up, discarded
         for seed in SEEDS:
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(checkouts[side], workload, seed))
-            pair += 1
-        snapshot = {"workload": workload}
+            for _ in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(checkouts[side], workload, seed))
+                pair += 1
+        snapshot = {"workload": workload, "pairs_per_seed": args.pairs}
         for side in ("parent", "change"):
             snapshot[side] = label(workload, clean[side], runs[side])
         path = ROOT / f"BENCH_{workload}.json"
