@@ -116,7 +116,7 @@ def main(argv=None) -> int:
                 for side in order:
                     runs[side].append(run_once(checkouts[side], workload, seed))
                 pair += 1
-        snapshot = {"workload": workload, "pairs_per_seed": args.pairs}
+        snapshot = {"workload": workload}
         for side in ("parent", "change"):
             snapshot[side] = label(workload, clean[side], runs[side])
         path = ROOT / f"BENCH_{workload}.json"
