@@ -8,13 +8,12 @@ the number of correct decimal places of an approximation relative to the
 reference value.  ``accuracy_sweep`` evaluates a chosen pipeline stage
 (the raw approximation, or one Halley or Fritsch step from it; the last
 is the value ``lambert_w`` returns) over a sampling grid and reports the
-per-point deltas; ``write_report`` writes a report as a plain-text data
-file suitable for plotting.
+per-point deltas; ``write_report`` writes a report to an open text file
+as plain-text data suitable for plotting.
 """
 
 import math
-import os
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .api import dispatch_region, lambert_w_approximation
 from .branches import Branch
@@ -172,16 +171,10 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
     return AccuracyReport(b, stage, grid, tuple(samples))
 
 
-def write_report(report: AccuracyReport, destination) -> None:
-    """Write a report as plain text: a ``#`` header, then x/delta/region rows.
-
-    ``destination`` may be a filesystem path or an open text file.
-    Values are printed with full (round-trippable) precision.
+def write_report(report: AccuracyReport, destination: TextIO) -> None:
+    """Write a report to the open text file ``destination``: a ``#``
+    header, then x/delta/region rows at full (round-trippable) precision.
     """
-    if not hasattr(destination, "write"):
-        with open(os.fspath(destination), "w", encoding="ascii") as handle:
-            write_report(report, handle)
-        return
     destination.write(
         f"# branch={int(report.branch)} stage={report.stage} grid={report.grid.describe()}\n"
     )

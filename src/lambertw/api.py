@@ -246,7 +246,7 @@ _MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
 _DEPTH_2_BOUND = CONTINUED_LOG_DEPTH_BOUNDS[-1]
 # math's functions and constants for lambert_w_approximation and _w, bound
 # once: a global is cheaper than an attribute.
-_log, _sqrt, _E, _INF = math.log, math.sqrt, math.e, math.inf
+_isnan, _log, _sqrt, _E, _INF = math.isnan, math.log, math.sqrt, math.e, math.inf
 
 
 def lambert_w_approximation(branch: int, x: float) -> float:
@@ -257,8 +257,12 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     for throughput-critical callers that can live with that accuracy.
     Equal, bit for bit, to the public seed family of ``dispatch_region``'s
     region, which it writes out in Horner form, with the same errors.
+    ``_isnan`` comes first on each branch, as in ``dispatch_region``, so
+    that a non-scalar x raises TypeError.
     """
     if branch == 0:
+        if _isnan(x):
+            raise _domain_error(x)
         if x < _W0_SERIES_END:
             if x < _X_MIN:
                 raise _domain_error(x)
@@ -283,10 +287,10 @@ def lambert_w_approximation(branch: int, x: float) -> float:
             tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
             tail = (-2.0 + b) / 2.0 + ia * tail
             return a - b + b * ia * (1.0 + ia * tail)
-        if x == _INF:
-            return x
-        raise _domain_error(x)
+        return x  # +inf
     if branch == -1:
+        if _isnan(x):
+            raise _domain_error(x)
         if x < _WM1_SERIES_END:
             if x < _X_MIN:
                 raise _domain_error(x)

@@ -46,51 +46,12 @@ def _domain_error(x: float) -> DomainError:
 # Branch point series
 # ---------------------------------------------------------------------------
 
-def derive_branch_coefficients(n: int) -> list:
-    """Exact coefficients b_0..b_n of the branch point series.
-
-    Both branches may be written w = sum_i b_i p^i with
-    p = +-sqrt(2*(1 + e*x)).  The b_i follow from the recurrence of
-    Corless et al. (1996, section 4), with b_0 = -1, b_1 = 1, a_0 = 2,
-    a_1 = -1:
-
-        b_k = (k-1)/(k+1) * (b_{k-2}/2 + a_{k-2}/4) - a_k/2 - b_{k-1}/(k+1),
-        a_k = sum_{j=2}^{k-1} b_j * b_{k+1-j}.
-
-    Exact rational arithmetic makes the result reproducible bit for bit
-    and a test oracle for the frozen float table below.
-
-    Parameters
-    ----------
-    n : int
-        Highest index to produce, at most 12 (beyond that the series is
-        of no practical use in double precision).
-
-    Returns
-    -------
-    list of Fraction
-        [b_0, ..., b_n] with b_0 = -1, b_1 = 1, b_2 = -1/3, ...
-    """
-    # Only this test oracle needs exact rationals; importing fractions
-    # (and through it decimal) here keeps it out of ``import lambertw``.
-    from fractions import Fraction
-
-    if not 0 <= n <= 12:
-        raise ValueError(f"n must be in [0, 12], got {n}")
-    b = [Fraction(-1), Fraction(1)]
-    a = [Fraction(2), Fraction(-1)]
-    for k in range(2, n + 1):
-        a.append(sum((b[j] * b[k + 1 - j] for j in range(2, k)), Fraction(0)))
-        b.append(Fraction(k - 1, k + 1) * (b[k - 2] / 2 + a[k - 2] / 4)
-                 - a[k] / 2 - b[k - 1] / (k + 1))
-    return b[: n + 1]
-
-
 # Frozen float table: b_0..b_7 are the classical rationals, the rest
-# come from derive_branch_coefficients and are pinned by a test.  Orders
-# 10 and 11 exist because the order-9 truncation bottoms out at 4.7
-# decimals at the right edge of the branch -1 series region, just under
-# the five-decimal floor the dispatcher promises.
+# come from the recurrence of Corless et al. (1996, section 4), which
+# tests/test_branch_coefficients.py runs in exact rationals to pin every
+# entry.  Orders 10 and 11 exist because the order-9 truncation bottoms
+# out at 4.7 decimals at the right edge of the branch -1 series region,
+# just under the five-decimal floor the dispatcher promises.
 BRANCH_POINT_COEFFICIENTS: tuple[float, ...] = (
     -1.0,
     1.0,
@@ -106,9 +67,9 @@ BRANCH_POINT_COEFFICIENTS: tuple[float, ...] = (
     169709463197 / 69528040243200,
 )
 
-MAX_SERIES_ORDER = len(BRANCH_POINT_COEFFICIENTS) - 1
+_MAX_SERIES_ORDER = len(BRANCH_POINT_COEFFICIENTS) - 1
 # b_order..b_0 per truncation order, in the order Horner's rule takes them.
-_SERIES_DESCENDING = tuple(BRANCH_POINT_COEFFICIENTS[k::-1] for k in range(MAX_SERIES_ORDER + 1))
+_SERIES_DESCENDING = tuple(BRANCH_POINT_COEFFICIENTS[k::-1] for k in range(_MAX_SERIES_ORDER + 1))
 
 
 def branch_point_series(branch: int, x: float, order: int = 9) -> float:
@@ -121,8 +82,8 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if not 1 <= order <= MAX_SERIES_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_SERIES_ORDER}], got {order}")
+    if not 1 <= order <= _MAX_SERIES_ORDER:
+        raise ValueError(f"order must be in [1, {_MAX_SERIES_ORDER}], got {order}")
     if math.isnan(x) or x < _X_MIN:
         raise _domain_error(x)
     s = 2.0 * (1.0 + math.e * x)
@@ -178,39 +139,17 @@ def asymptotic_series(branch: int, x: float) -> float:
 # Rational fits
 # ---------------------------------------------------------------------------
 
-class _RationalFitFields(NamedTuple):
+class RationalFit(NamedTuple):
+    """Rational approximation N(x)/D(x), optionally times a leading x
+    (an immutable named tuple).
+
+    Coefficients are stored lowest order first; the denominator is
+    normalized to D(0) = 1 so the representation is unique.
+    """
+
     numerator: tuple[float, ...]
     denominator: tuple[float, ...]
     leading_factor_x: bool = False
-
-
-class RationalFit(_RationalFitFields):
-    """Rational approximation N(x)/D(x), optionally times a leading x.
-
-    Coefficients are stored lowest order first; the denominator is
-    normalized to D(0) = 1 so the representation is unique.  An
-    immutable named tuple, validated on construction and by ``_replace``.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        numerator: tuple[float, ...],
-        denominator: tuple[float, ...],
-        leading_factor_x: bool = False,
-    ) -> "RationalFit":
-        if not numerator or not denominator:
-            raise ValueError("numerator and denominator must be non-empty")
-        if denominator[0] != 1.0:
-            raise ValueError("denominator must be normalized to D(0) = 1")
-        return super().__new__(cls, numerator, denominator, leading_factor_x)
-
-    @classmethod
-    def _make(cls, iterable):
-        # The inherited _make (and so _replace) calls tuple.__new__,
-        # which would skip the checks above.
-        return cls(*iterable)
 
 
 def rational_fit_eval(fit: RationalFit, x: float) -> float:

@@ -79,42 +79,6 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     return -math.log(-_w(-1, -y * y))
 
 
-class _GaisserHillasFields(NamedTuple):
-    X0: float
-    Xmax: float
-    lam: float
-
-
-class GaisserHillasParams(_GaisserHillasFields):
-    """Three-parameter Gaisser-Hillas profile shape.
-
-    ``X0`` is the nominal starting depth, ``Xmax`` the depth of the
-    shower maximum, and ``lam`` the attenuation length (same units,
-    positive).  An immutable named tuple, validated on construction and
-    by ``_replace``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, X0: float, Xmax: float, lam: float) -> "GaisserHillasParams":
-        if not lam > 0.0:
-            raise DomainError(f"lam must be > 0, got {lam!r}")
-        if not Xmax > X0:
-            raise DomainError(f"Xmax must exceed X0, got Xmax={Xmax!r}, X0={X0!r}")
-        return super().__new__(cls, X0, Xmax, lam)
-
-    @classmethod
-    def _make(cls, iterable):
-        # The inherited _make (and so _replace) calls tuple.__new__,
-        # which would skip the checks above.
-        return cls(*iterable)
-
-
-def gh_rescale(X: float, p: GaisserHillasParams) -> tuple[float, float]:
-    """Map a depth to the dimensionless profile coordinates (x, x_max)."""
-    return (X - p.X0) / p.lam, (p.Xmax - p.X0) / p.lam
-
-
 # 1/(k+2) for k = 26..0, in Horner order: (ln(1+q) - q)/q^2 is the sum
 # of (-q)^k/(k+2), whose terms from k = 27 on are below 2^-53 of it for
 # |q| < 0.25.
@@ -124,7 +88,9 @@ _GH_SERIES = tuple(1.0 / (k + 2) for k in range(26, -1, -1))
 def gaisser_hillas(x: float, x_max: float) -> float:
     """One-parameter Gaisser-Hillas profile (x/x_max)^x_max * e^(x_max - x).
 
-    Normalized to peak value 1 at x = x_max.
+    Normalized to peak value 1 at x = x_max.  A profile in depth X with
+    start X0, maximum Xmax and attenuation length lam takes
+    x = (X - X0)/lam and x_max = (Xmax - X0)/lam.
     """
     if not 0.0 < x_max < math.inf:
         raise DomainError(f"x_max must be positive and finite, got {x_max!r}")
@@ -193,17 +159,3 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     # tuple.__new__ builds the record in C, at about half GhRoots(...)'s cost.
     return tuple.__new__(GhRoots, (-x_max * _w(0, arg), right))
 
-
-def gh_profile(X: float, p: GaisserHillasParams) -> float:
-    """Three-parameter Gaisser-Hillas profile value at depth X."""
-    x, x_max = gh_rescale(X, p)
-    if x < 0.0:
-        raise DomainError(f"depth X={X!r} is before the profile start X0={p.X0!r}")
-    return gaisser_hillas(x, x_max)
-
-
-def gh_profile_inverse(y: float, p: GaisserHillasParams) -> GhRoots:
-    """Both depths at which the three-parameter profile attains value y."""
-    x_max = (p.Xmax - p.X0) / p.lam
-    roots = gh_inverse(y, x_max)
-    return GhRoots(p.X0 + p.lam * roots.left, p.X0 + p.lam * roots.right)

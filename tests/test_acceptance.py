@@ -43,7 +43,6 @@ from lambertw import (
     MINUS_INV_E,
     MOYAL_PEAK,
     accuracy_sweep,
-    derive_branch_coefficients,
     fritsch_step,
     gaisser_hillas,
     gh_inverse,
@@ -54,6 +53,7 @@ from lambertw import (
     reference_w,
     steps_to_converge,
 )
+from test_branch_coefficients import derive_branch_coefficients
 
 ONE_STEP_OFFSET = 1e-5   # linear-panel start offset for single-step floors
 HALLEY_WINDOW = (6.5, 190.0)

@@ -232,16 +232,6 @@ def test_report_file_format_round_trips():
         assert region_text == region
 
 
-def test_report_writes_to_path(tmp_path):
-    grid = GridSpec("linear", 0.1, 0.2, 5)
-    target = tmp_path / "sweep.dat"
-    report = accuracy_sweep(0, "approximation", grid)
-    write_report(report, target)
-    content = target.read_text()
-    assert content.count("\n") == 6
-    assert content.startswith("# branch=0")
-
-
 # ----------------------------------------------------------------------
 # dependencies
 

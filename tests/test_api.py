@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -236,13 +237,32 @@ def test_four_ulp_band_below_branch_point(name, branch):
         fn(branch, math.nextafter(x, -math.inf))
 
 
+def _size_1_array_is_a_float() -> bool:
+    """Whether this NumPy still converts an array of one element with a
+    dimension to a float (with a DeprecationWarning) instead of raising
+    TypeError, so that ``math.isnan`` passes it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            math.isnan(np.array([0.5]))
+        except TypeError:
+            return False
+    return True
+
+
 # lambert_w0/lambert_wm1 take ndarrays (tests/test_array.py); lambert_w
-# takes neither a list nor an array.
+# and lambert_w_approximation take neither a list nor an array.
 @pytest.mark.parametrize("fn, x", [
     pytest.param(lambert_w0, [0.5, 1.0], id="lambert_w0-x0"),
     pytest.param(lambert_wm1, [0.5, 1.0], id="lambert_wm1-x0"),
     pytest.param(lambda x: lambert_w(0, x), [0.5, 1.0], id="<lambda>-x0"),
     pytest.param(lambda x: lambert_w(0, x), np.array([-0.2, -0.1]), id="<lambda>-x1"),
+    pytest.param(lambda x: lambert_w_approximation(0, x), np.array([0.5]),
+                 marks=pytest.mark.skipif(_size_1_array_is_a_float(),
+                                          reason="this NumPy converts a size-1 array to a float"),
+                 id="approximation-w0-size-1"),
+    pytest.param(lambda x: lambert_w_approximation(-1, x), np.array([-0.2, -0.1]),
+                 id="approximation-wm1-size-2"),
 ])
 def test_non_scalar_x_raises_type_error(fn, x):
     with pytest.raises(TypeError):

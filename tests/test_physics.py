@@ -10,14 +10,10 @@ import pytest
 
 from lambertw import (
     DomainError,
-    GaisserHillasParams,
     GhRoots,
     MOYAL_PEAK,
     gaisser_hillas,
     gh_inverse,
-    gh_profile,
-    gh_profile_inverse,
-    gh_rescale,
     lambert_w,
     moyal,
     moyal_inverse,
@@ -186,20 +182,6 @@ def test_gh_domain_errors():
         gaisser_hillas(1.0, 0.0)
 
 
-def test_gh_rescale():
-    params = GaisserHillasParams(X0=0.0, Xmax=700.0, lam=70.0)
-    assert gh_rescale(350.0, params) == (5.0, 10.0)
-    assert gh_rescale(0.0, params)[0] == 0.0
-    assert gh_rescale(700.0, params) == (10.0, 10.0)
-
-
-def test_gh_params_validation():
-    with pytest.raises(DomainError):
-        GaisserHillasParams(X0=0.0, Xmax=700.0, lam=0.0)
-    with pytest.raises(DomainError):
-        GaisserHillasParams(X0=10.0, Xmax=5.0, lam=70.0)
-
-
 def test_gh_inverse_example():
     roots = gh_inverse(0.5, 2.0)
     assert roots.left == pytest.approx(0.7615, abs=1e-3)
@@ -293,8 +275,6 @@ def test_gh_rejects_a_non_finite_x_max(x_max):
         gh_inverse(0.5, x_max)
     with pytest.raises(DomainError, match="finite"):
         gaisser_hillas(1.0, x_max)
-    with pytest.raises(DomainError, match="finite"):
-        gh_profile_inverse(0.5, GaisserHillasParams(X0=0.0, Xmax=1e308, lam=1e-10))
 
 
 @pytest.mark.parametrize("x_max", [1e-310, 1e-320, 5e-324])
@@ -553,22 +533,3 @@ def test_gh_forward_check_of_the_roots_where_the_direct_form_underflows():
         _assert_gh_within_input_rounding(root, x_max)
         cond = _gh_exact_with_cond(root, x_max)[1]
         assert abs(gaisser_hillas(root, x_max) - y) <= 4.0 * sys.float_info.epsilon * cond * y
-
-
-# ----------------------------------------------------------------------
-# three-parameter composition
-
-
-def test_three_parameter_profile_round_trip():
-    params = GaisserHillasParams(X0=-100.0, Xmax=750.0, lam=70.0)
-    assert gh_profile(params.Xmax, params) == 1.0
-    roots = gh_profile_inverse(0.5, params)
-    assert roots.left < params.Xmax < roots.right
-    assert gh_profile(roots.left, params) == pytest.approx(0.5, abs=1e-12)
-    assert gh_profile(roots.right, params) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_three_parameter_profile_rejects_depth_before_start():
-    params = GaisserHillasParams(X0=0.0, Xmax=700.0, lam=70.0)
-    with pytest.raises(DomainError):
-        gh_profile(-1.0, params)
