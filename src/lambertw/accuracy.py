@@ -17,7 +17,7 @@ from typing import NamedTuple, TextIO
 
 from .api import dispatch_region, lambert_w_approximation
 from .branches import Branch
-from .iteration import SINGULARITY_GUARD, fritsch_step, halley_step
+from .iteration import fritsch_step, halley_step
 from .oracle import MINUS_INV_E, reference_w
 
 # Value reported when approximation and reference agree bit-for-bit.  A
@@ -162,7 +162,7 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
             exact = reference_w(b, x)
             value = lambert_w_approximation(b, x)
             # An exact seed (0, or -1 at the branch point) is not stepped.
-            if step is not None and not (value == 0.0 or abs(1.0 + value) <= SINGULARITY_GUARD):
+            if step is not None and value != 0.0 and value != -1.0:
                 value = step(x, value)
             delta = delta_accuracy(value, exact)
         except (ValueError, ArithmeticError) as exc:

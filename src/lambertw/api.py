@@ -4,13 +4,16 @@ A float evaluation is one seed and one Fritsch step.  ``lambert_w``
 checks the branch and x, picks the region whose initial approximation
 (the seed) serves x by comparison with the breakpoints, and applies
 ``fritsch_step``'s arithmetic inline unless the seed is exact (w = 0 at
-x = 0, w = -1 at the branch point).  It still calls the public seed
-family and ``defining_residual``: the benchmark's tracer times those
-layers from float calls and divides by their call counts.
-``lambert_w_approximation`` is the one seed kernel: the region chain
-and every seed family in Horner form, with ``dispatch_region``'s checks.
-It serves the sweeps and, with ``_step``, ``steps_to_converge``; ``_w``,
-for the physics inverses, is it and one inline Fritsch step.
+x = 0, w = -1 at the branch point).  Exactness is an equality test: the
+series gives exactly -1 at -1/e and in the rounding band below it, and
+every other seed keeps |1 + w| >= 1e-8 (``tests/test_array.py``), far
+outside the 1e-12 input check of the public steps.  ``lambert_w`` still
+calls the public seed family and ``defining_residual``: the benchmark's
+tracer times those layers from float calls and divides by their call
+counts.  ``lambert_w_approximation`` is the one seed kernel: the region
+chain and every seed family in Horner form, with ``dispatch_region``'s
+checks.  It serves the sweeps and ``steps_to_converge``; ``_w``, for the
+physics inverses, is it and one inline Fritsch step.
 ``_lambert_w_list`` writes seed and step out in one loop, for arrays;
 floats take ``lambert_w``.  ``tests/test_api.py`` pins ``lambert_w``'s
 regions and errors to ``dispatch_region``'s and each seed to its public
@@ -58,7 +61,6 @@ from .branches import Branch, invalid_branch
 from .iteration import (
     _SMALLEST_NORMAL,
     SCHEMES,
-    SINGULARITY_GUARD,
     defining_residual,
     fritsch_step,
     halley_step,
@@ -135,19 +137,6 @@ def dispatch_region(branch: int, x: float) -> ApproximationRegion:
     return WM1_REGIONS[bisect_right(_WM1_BREAKS, x)]
 
 
-def _step(x: float, w: float, scheme: str) -> tuple[float, int]:
-    """One refinement step of the estimate w of W(x): ``(w, steps)``.
-
-    An exact seed (w = 0, or w within SINGULARITY_GUARD of -1, where a
-    step would divide by ~0) comes back unstepped with 0 steps.
-    Otherwise one ``scheme`` step (one of SCHEMES, checked by the caller)
-    is applied and ``steps`` is 1.
-    """
-    if w == 0.0 or abs(1.0 + w) <= SINGULARITY_GUARD:
-        return w, 0
-    return (fritsch_step(x, w) if scheme == "fritsch" else halley_step(x, w)), 1
-
-
 def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     """Refinement steps needed to reach the residual tolerance at x.
 
@@ -163,15 +152,13 @@ def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     w = lambert_w_approximation(branch, x)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if math.isinf(x):
+    if w == 0.0 or w == -1.0 or x == _INF:
         return 0
+    step = fritsch_step if scheme == "fritsch" else halley_step
     scale = max(abs(x), 1.0)
-    w, steps = _step(x, w, scheme)
-    while 0 < steps < 4 and (
-        defining_residual(x, w) > max(RESIDUAL_TOL, _TWO_EPS * abs(w)) * scale
-    ):
-        w = _step(x, w, scheme)[0]
-        steps += 1
+    w, steps = step(x, w), 1
+    while steps < 4 and defining_residual(x, w) > max(RESIDUAL_TOL, _TWO_EPS * abs(w)) * scale:
+        w, steps = step(x, w), steps + 1
     return steps
 
 
@@ -187,8 +174,9 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     # their checks repeat this one, and each call costs more than the arithmetic.
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if math.isnan(x) or x < _X_MIN:
+    if math.isnan(x):
         raise _domain_error(x)
+    # Below -1/e the series family raises dispatch_region's DomainError.
     if branch == 0:
         if x < _W0_SERIES_END:
             kind, w = "branch-point-series", branch_point_series(0, x, 9)
@@ -210,7 +198,7 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     else:
         raise _domain_error(x)
     u = 1.0 + w
-    if w == 0.0 or abs(u) <= SINGULARITY_GUARD:  # _step's exact seeds
+    if u == 0.0 or w == 0.0:  # the exact seeds
         return tuple.__new__(EvalResult, (w, kind, 0, defining_residual(x, w)))
     # fritsch_step's arithmetic; its checks cannot fire on these seeds
     # (see _lambert_w_list).
@@ -325,7 +313,7 @@ def _w(branch: int, x: float) -> float:
     """
     w = lambert_w_approximation(branch, x)
     u = 1.0 + w
-    if w == 0.0 or abs(u) <= SINGULARITY_GUARD or w == _INF:
+    if u == 0.0 or w == 0.0 or w == _INF:
         return w
     ratio = x / w
     if ratio < _SMALLEST_NORMAL:
@@ -401,9 +389,9 @@ def _lambert_w_list(branch: int, values: list) -> list:
             continue
         else:
             raise _domain_error(v)
-        # Step: _step's exact seeds, then fritsch_step.
+        # Step: skip the exact seeds, then fritsch_step.
         u = 1.0 + w
-        if w == 0.0 or abs(u) <= SINGULARITY_GUARD:
+        if u == 0.0 or w == 0.0:
             out.append(w)
             continue
         # fritsch_step's own checks cannot fire here: every seed has x's

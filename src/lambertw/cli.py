@@ -47,9 +47,6 @@ usage: lambert-w [branch] x
 branch is 0 (default) or -1; values print with 17 significant digits.
 """
 
-_SUBCOMMANDS = ("eval", "approx", "sweep", "moyal-inverse", "gh-inverse")
-
-
 def _fail_usage(message: str) -> int:
     print(f"lambert-w: error: {message}", file=sys.stderr)
     print(_USAGE, file=sys.stderr, end="")

@@ -17,9 +17,12 @@ improved estimate:
 ``lambertw.api`` applies exactly one Fritsch step per evaluation;
 only ``steps_to_converge`` there repeats steps, to count them.
 
-Neither step is defined at w = -1 (the derivative of w*e^w vanishes);
-estimates within 1e-12 of that point must not be refined at all, since
-only the branch point series is trustworthy there.
+Neither step is defined at w = -1 (the derivative of w*e^w vanishes).
+``SINGULARITY_GUARD`` is the input check of the two public steps: an
+estimate within 1e-12 of -1 raises SingularityError.  No seed of the
+evaluation path falls inside it except -1 itself, which the branch point
+series returns exactly at -1/e and which callers skip by equality; every
+other seed keeps |1 + w| >= 1e-8.
 """
 
 import math
@@ -28,8 +31,7 @@ import sys
 from .errors import DomainError, SingularityError
 
 # Estimates closer to w = -1 than this are considered to sit on the
-# branch point singularity; refinement is refused (and not needed, the
-# series is already at machine accuracy there).
+# branch point singularity; the public steps refuse to refine them.
 SINGULARITY_GUARD = 1e-12
 
 SCHEMES = ("halley", "fritsch")

@@ -185,16 +185,12 @@ def _asymptotic_start(log_x: float) -> float:
     return log_x - log_log + log_log / log_x + log_log * (log_log - 2.0) / (2.0 * log_x * log_x)
 
 
+# Each branch off the shifted zone, x > -0.2; reference_w solves that zone.
 def _reference_w0(x: float) -> float:
     if x == 0.0:
         return 0.0
     if x == _INF:
         return x
-    if x <= _SHIFTED_CUTOFF:
-        c = 1.0 + math.e * x
-        if c <= 0.0:
-            return -1.0
-        return _solve(_shifted(c, 1.0), -1.0, 1.0, _branch_point_start(c, 1.0))
     if x <= math.e:
 
         def plain(y):
@@ -221,11 +217,6 @@ def _reference_w0(x: float) -> float:
 
 
 def _reference_wm1(x: float) -> float:
-    if x <= _SHIFTED_CUTOFF:
-        c = 1.0 + math.e * x
-        if c <= 0.0:
-            return -1.0
-        return _solve(_shifted(c, -1.0), -4.0, -1.0, _branch_point_start(c, -1.0))
     log_x = _log(-x)
     w = _asymptotic_start(log_x)
     if -x < sys.float_info.min:
@@ -271,6 +262,12 @@ def reference_w(branch: int, x: float) -> float:
         )
     if x < MINUS_INV_E:
         return -1.0
+    if x <= _SHIFTED_CUTOFF:
+        c = 1.0 + math.e * x
+        if c <= 0.0:
+            return -1.0
+        sign, lo, hi = (1.0, -1.0, 1.0) if branch == 0 else (-1.0, -4.0, -1.0)
+        return _solve(_shifted(c, sign), lo, hi, _branch_point_start(c, sign))
     if branch == 0:
         return _reference_w0(x)
     if x >= 0.0:

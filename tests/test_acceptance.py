@@ -32,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,11 @@ def test_criterion_8_console_script_golden_values_and_exit_codes():
     _check_cli_contract([shutil.which("lambert-w")])
 
 
+# The full branch-0 axis for the step counts of criterion 9 and the step table.
+STEP_GRIDS = (GridSpec("linear", MINUS_INV_E + 1e-9, 0.3, 500),
+              GridSpec("log", 0.3, 1e8, 500))
+
+
 def test_criterion_9_fritsch_single_step_and_checksum_invariance():
     """Fritsch refines in exactly one step across the full branch-0 grid
     while Halley needs a second step inside (6.5, 190).
@@ -269,9 +275,7 @@ def test_criterion_9_fritsch_single_step_and_checksum_invariance():
     Checksum invariance is the benchmark's to show: ``perfbench`` reports
     a result only when its traced and untraced passes give bit-identical
     checksums and the same failures, on every workload."""
-    grids = (GridSpec("linear", MINUS_INV_E + 1e-9, 0.3, 500),
-             GridSpec("log", 0.3, 1e8, 500))
-    xs = [float(x) for grid in grids for x in grid.points()]
+    xs = [x for grid in STEP_GRIDS for x in grid.points()]
     fritsch_steps = [steps_to_converge(0, x, "fritsch") for x in xs]
     halley_extra = [x for x in xs
                     if HALLEY_WINDOW[0] < x < HALLEY_WINDOW[1]
@@ -281,3 +285,13 @@ def test_criterion_9_fritsch_single_step_and_checksum_invariance():
           f"halley needs >=2 steps at {len(halley_extra)} window points")
     assert all(steps == 1 for steps in fritsch_steps)
     assert halley_extra, "expected Halley to need a second step in the window"
+
+
+def test_criterion_9_step_table():
+    """The paper's step table over the criterion-9 grids: Fritsch takes
+    1000 steps, one per point; Halley takes 1071, two at 71 points."""
+    xs = [x for grid in STEP_GRIDS for x in grid.points()]
+    table = {scheme: Counter(steps_to_converge(0, x, scheme) for x in xs)
+             for scheme in ("fritsch", "halley")}
+    print(f"criterion 9: step table {table}")
+    assert table == {"fritsch": {1: 1000}, "halley": {1: 929, 2: 71}}

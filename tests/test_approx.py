@@ -1,6 +1,8 @@
 """Tests for the initial approximations: series, fits, and recursions."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -210,6 +212,22 @@ def test_fit_denominators_nonzero_on_dispatch_regions():
     for fit, xs in cases:
         for x in xs:
             assert abs(_horner_reference(fit.denominator, float(x))) > 1e-3
+
+
+def test_refit_tool_reproduces_the_fit_tables_bit_for_bit():
+    """``tools/refit_rational.py`` derives every table of the package,
+    coefficient for coefficient (about 3 s; needs the ``dev`` extra)."""
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parent.parent / "tools" / "refit_rational.py"
+    spec = importlib.util.spec_from_file_location("refit_rational", path)
+    refit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(refit)
+    for name, fit in (("W0_FIT_1", W0_FIT_1), ("W0_FIT_2", W0_FIT_2), ("WM1_FIT", WM1_FIT)):
+        numerator, denominator = refit.fit_table(name)
+        leading = (1.0,) if refit.PRINTED[name]["leading_x"] else ()
+        assert fit.numerator == leading + tuple(map(float, numerator)), name
+        assert fit.denominator == (1.0, *map(float, denominator)), name
+        assert fit.leading_factor_x == refit.PRINTED[name]["leading_x"], name
 
 
 # ----------------------------------------------------------------------
