@@ -29,12 +29,10 @@ _EXPORTS = {
         ("api", "RESIDUAL_TOL EvalResult W0_REGIONS WM1_REGIONS dispatch_region"
                 " lambert_w lambert_w0 lambert_wm1 lambert_w_approximation"
                 " steps_to_converge"),
-        ("approx", "BRANCH_POINT_COEFFICIENTS BRANCH_POINT_TOL MINUS_INV_E"
-                   " ApproximationRegion RationalFit W0_FIT_1 W0_FIT_2 WM1_FIT"
-                   " asymptotic_series branch_point_series"
+        ("approx", "BRANCH_POINT_COEFFICIENTS ApproximationRegion RationalFit"
+                   " W0_FIT_1 W0_FIT_2 WM1_FIT asymptotic_series branch_point_series"
                    " continued_log_recursion_wm1 rational_fit_eval"),
-        ("branches", "Branch"),
-        ("errors", "DomainError SingularityError"),
+        ("branches", "BRANCH_POINT_TOL MINUS_INV_E Branch DomainError SingularityError"),
         ("iteration", "SCHEMES defining_residual fritsch_step halley_step"),
         ("oracle", "reference_w"),
         ("physics", "GhRoots MOYAL_PEAK gaisser_hillas gh_inverse moyal"

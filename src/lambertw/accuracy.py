@@ -16,9 +16,9 @@ import math
 from typing import NamedTuple, TextIO
 
 from .api import dispatch_region, lambert_w_approximation
-from .branches import Branch
+from .branches import MINUS_INV_E, Branch
 from .iteration import fritsch_step, halley_step
-from .oracle import MINUS_INV_E, reference_w
+from .oracle import reference_w
 
 # Value reported when approximation and reference agree bit-for-bit.  A
 # double carries just under 16 significant decimal digits, so 17 sits
@@ -161,8 +161,9 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
         try:
             exact = reference_w(b, x)
             value = lambert_w_approximation(b, x)
-            # An exact seed (0, or -1 at the branch point) is not stepped.
-            if step is not None and value != 0.0 and value != -1.0:
+            # An exact seed (0, or -1 at the branch point) and +inf are
+            # not stepped, as in lambert_w.
+            if step is not None and value != 0.0 and value != -1.0 and value != math.inf:
                 value = step(x, value)
             delta = delta_accuracy(value, exact)
         except (ValueError, ArithmeticError) as exc:

@@ -42,12 +42,9 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .approx import (
-    _X_MIN,
-    _domain_error,
     BRANCH_POINT_COEFFICIENTS,
     CONTINUED_LOG_DEPTH_BOUNDS,
     ApproximationRegion,
-    MINUS_INV_E,
     W0_FIT_1,
     W0_FIT_2,
     WM1_FIT,
@@ -57,7 +54,7 @@ from .approx import (
     continued_log_recursion_wm1,
     rational_fit_eval,
 )
-from .branches import Branch, invalid_branch
+from .branches import _X_MIN, MINUS_INV_E, Branch, _domain_error, invalid_branch
 from .iteration import (
     _SMALLEST_NORMAL,
     SCHEMES,

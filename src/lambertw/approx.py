@@ -19,27 +19,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .branches import Branch, invalid_branch
-from .errors import DomainError
-
-MINUS_INV_E = -math.exp(-1.0)
-
-# x this far (or less) below -1/e is still treated as the branch point:
-# it only arises from rounding of expressions that target -1/e exactly.
-BRANCH_POINT_TOL = 4.0 * math.ulp(math.exp(-1.0))
-_X_MIN = MINUS_INV_E - BRANCH_POINT_TOL
-
-
-def _domain_error(x: float) -> DomainError:
-    """The error for an x outside the branch domain: NaN, below -1/e,
-    or else (branch -1 only) not negative."""
-    if math.isnan(x):
-        return DomainError("x is NaN, outside both branch domains")
-    if x < _X_MIN:
-        return DomainError(
-            f"x = {x!r} is below the branch point bound -1/e = {MINUS_INV_E!r}"
-        )
-    return DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
+from .branches import _X_MIN, MINUS_INV_E, Branch, DomainError, _domain_error, invalid_branch
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +58,14 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
     The principal branch takes the positive square root in
     p = sqrt(2*(1 + e*x)), branch -1 the negative one.  The argument of
     the root is clamped to zero when rounding drags it a few ulp below;
-    anything further out is a domain error.
+    anything further out, and on branch -1 any x >= 0, raises
+    ``dispatch_region``'s DomainError.
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
     if not 1 <= order <= _MAX_SERIES_ORDER:
         raise ValueError(f"order must be in [1, {_MAX_SERIES_ORDER}], got {order}")
-    if math.isnan(x) or x < _X_MIN:
+    if math.isnan(x) or x < _X_MIN or (branch == -1 and x >= 0.0):
         raise _domain_error(x)
     s = 2.0 * (1.0 + math.e * x)
     if s < 0.0:
@@ -112,6 +93,7 @@ def asymptotic_series(branch: int, x: float) -> float:
 
     The dispatcher only uses this beyond x ~ 8.7 on branch 0, where the
     truncation error is already below the 1e-3 level and falls fast.
+    x = +inf on branch 0 returns +inf, as the dispatcher's seed does.
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
@@ -120,6 +102,8 @@ def asymptotic_series(branch: int, x: float) -> float:
     if branch == 0:
         if x <= 1.0:
             raise DomainError(f"asymptotic form on branch 0 needs x > 1, got x = {x!r}")
+        if x == math.inf:
+            return x
         a = math.log(x)
     else:
         if not MINUS_INV_E < x < 0.0:

@@ -31,8 +31,7 @@ import sys
 
 from .accuracy import STAGES, GridSpec, accuracy_sweep, default_panels, write_report
 from .api import lambert_w, lambert_w_approximation
-from .branches import Branch
-from .errors import DomainError
+from .branches import Branch, DomainError
 from .physics import MOYAL_SIDES, gh_inverse, moyal_inverse
 
 _USAGE = """\

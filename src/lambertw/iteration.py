@@ -28,7 +28,7 @@ other seed keeps |1 + w| >= 1e-8.
 import math
 import sys
 
-from .errors import DomainError, SingularityError
+from .branches import DomainError, SingularityError
 
 # Estimates closer to w = -1 than this are considered to sit on the
 # branch point singularity; the public steps refuse to refine them.

@@ -1,8 +1,9 @@
 """Reference solver for w * exp(w) = x: bracketed Newton, one-ulp bracket.
 
 This module is the measuring stick for everything else in the package, so
-it deliberately shares no code with the fast evaluation path: it imports
-only the branch error and the exception types, never the approximation,
+it deliberately shares no code with the fast evaluation path: it takes
+only the branch domain from ``branches`` (-1/e with its rounding band,
+the exception types and their messages), never the approximation,
 iteration, or dispatch modules.
 
 The solver keeps a sign-checked bracket, takes Newton steps inside it
@@ -47,13 +48,7 @@ import math
 import struct
 import sys
 
-from .branches import invalid_branch
-from .errors import DomainError
-
-# Most negative representable argument: -1/e, with a 4 ulp acceptance band
-# below it that is treated as the branch point itself.
-MINUS_INV_E = -math.exp(-1.0)
-BRANCH_POINT_TOL = 4.0 * math.ulp(math.exp(-1.0))
+from .branches import _X_MIN, MINUS_INV_E, _domain_error, invalid_branch
 
 # Below this x both branches sit close enough to w = -1 that the shifted
 # formulation is required; above it the plain residual is well conditioned.
@@ -254,12 +249,8 @@ def reference_w(branch: int, x: float) -> float:
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if math.isnan(x):
-        raise DomainError("x is NaN, outside both branch domains")
-    if x < MINUS_INV_E - BRANCH_POINT_TOL:
-        raise DomainError(
-            f"x = {x!r} is below the branch point bound -1/e = {MINUS_INV_E!r}"
-        )
+    if math.isnan(x) or x < _X_MIN:
+        raise _domain_error(x)
     if x < MINUS_INV_E:
         return -1.0
     if x <= _SHIFTED_CUTOFF:
@@ -271,5 +262,5 @@ def reference_w(branch: int, x: float) -> float:
     if branch == 0:
         return _reference_w0(x)
     if x >= 0.0:
-        raise DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
+        raise _domain_error(x)
     return _reference_wm1(x)

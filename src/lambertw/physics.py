@@ -10,8 +10,7 @@ import math
 from typing import NamedTuple
 
 from .api import _w
-from .approx import MINUS_INV_E
-from .errors import DomainError
+from .branches import MINUS_INV_E, DomainError
 from .iteration import _SMALLEST_NORMAL
 
 # Peak value of the Moyal function, attained at x = 0.

@@ -191,6 +191,15 @@ def test_sweep_matches_the_seed_and_one_step_bit_for_bit(branch, stage):
         assert delta == delta_accuracy(value, lambertw.reference_w(branch, x)), x
 
 
+@pytest.mark.parametrize("stage", lambertw.STAGES)
+def test_sweep_leaves_inf_unstepped(stage):
+    """lambert_w returns the seed +inf unstepped; so does every stage.
+    A step from +inf gives NaN, whose delta min_delta would hide."""
+    report = accuracy_sweep(0, stage, GridSpec("log", 1.0, math.inf, 3))
+    assert [x for x, _, _ in report.samples] == [1.0, math.inf, math.inf]
+    assert [delta for x, delta, _ in report.samples if x == math.inf] == [DELTA_CAP] * 2
+
+
 def test_stage_validation():
     grid = GridSpec("linear", 0.1, 0.2, 10)
     with pytest.raises(ValueError):

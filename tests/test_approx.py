@@ -92,15 +92,20 @@ def test_series_domain_and_order_validation():
         branch_point_series(0, 0.0, order=0)
     with pytest.raises(ValueError):
         branch_point_series(0, 0.0, order=12)
+    # Branch -1 ends below 0, as in dispatch_region.
+    for x in (-0.0, 0.0, 0.5, math.inf):
+        with pytest.raises(DomainError, match=r"^branch -1 requires -1/e <= x < 0"):
+            branch_point_series(-1, x, order=11)
 
 
 @pytest.mark.parametrize("order", range(1, len(BRANCH_POINT_COEFFICIENTS)))
 @pytest.mark.parametrize("branch", [0, -1])
 def test_series_is_the_horner_sum_bit_for_bit(branch, order):
     """Every order, on both branches, over the series region and past it
-    to x = 0, plus -1/e and the clamped rounding band below it."""
+    to x = 0 (included on branch 0, outside branch -1's domain), plus -1/e
+    and the clamped rounding band below it."""
     xs = _stratified(MINUS_INV_E, 0.0, seed=100 * order - branch)
-    xs += [MINUS_INV_E, MINUS_INV_E - math.ulp(MINUS_INV_E), 0.0]
+    xs += [MINUS_INV_E, MINUS_INV_E - math.ulp(MINUS_INV_E)] + ([0.0] if branch == 0 else [])
     for x in xs:
         s = 2.0 * (1.0 + math.e * x)
         p = math.sqrt(s) if s > 0.0 else 0.0

@@ -27,7 +27,8 @@ from lambertw import (
     lambert_wm1,
 )
 from lambertw.api import _lambert_w_list, _w
-from lambertw.approx import _X_MIN, CONTINUED_LOG_DEPTH_BOUNDS
+from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS
+from lambertw.branches import _X_MIN
 
 POINTS_PER_REGION = 500
 FUNCTIONS = {0: lambert_w0, -1: lambert_wm1}

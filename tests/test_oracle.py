@@ -17,7 +17,7 @@ import pytest
 
 from lambertw import Branch, DomainError, default_panels, reference_w
 from lambertw import oracle
-from lambertw.oracle import MINUS_INV_E
+from lambertw.branches import MINUS_INV_E
 
 EPS = math.ulp(1.0)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lambertw import MINUS_INV_E, RESIDUAL_TOL, defining_residual, lambert_w
 from lambertw.api import _w
-from lambertw.approx import _X_MIN
+from lambertw.branches import _X_MIN
 
 EPS = math.ulp(1.0)
 

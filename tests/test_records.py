@@ -120,11 +120,10 @@ PUBLIC = {
                 " delta_accuracy write_report",
     "api": "EvalResult RESIDUAL_TOL W0_REGIONS WM1_REGIONS dispatch_region lambert_w"
            " lambert_w0 lambert_w_approximation lambert_wm1 steps_to_converge",
-    "approx": "ApproximationRegion BRANCH_POINT_COEFFICIENTS BRANCH_POINT_TOL"
-              " MINUS_INV_E RationalFit W0_FIT_1 W0_FIT_2 WM1_FIT asymptotic_series"
-              " branch_point_series continued_log_recursion_wm1 rational_fit_eval",
-    "branches": "Branch",
-    "errors": "DomainError SingularityError",
+    "approx": "ApproximationRegion BRANCH_POINT_COEFFICIENTS RationalFit W0_FIT_1 W0_FIT_2"
+              " WM1_FIT asymptotic_series branch_point_series continued_log_recursion_wm1"
+              " rational_fit_eval",
+    "branches": "BRANCH_POINT_TOL Branch DomainError MINUS_INV_E SingularityError",
     "iteration": "SCHEMES defining_residual fritsch_step halley_step",
     "oracle": "reference_w",
     "physics": "GhRoots MOYAL_PEAK gaisser_hillas gh_inverse moyal moyal_inverse",
