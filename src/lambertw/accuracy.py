@@ -28,6 +28,9 @@ DELTA_CAP = 17.0
 # Pipeline stages that a sweep can measure.
 STAGES = ("approximation", "one-halley", "one-fritsch")
 
+# math's names, bound once: a global is cheaper than an attribute.
+_log10, _copysign, _INF = math.log10, math.copysign, math.inf
+
 
 def delta_accuracy(approx: float, exact: float) -> float:
     """Number of correct decimal places of ``approx`` relative to ``exact``.
@@ -45,7 +48,7 @@ def delta_accuracy(approx: float, exact: float) -> float:
         raise ValueError("delta accuracy is undefined when the exact value is 0")
     if approx == exact:
         return DELTA_CAP
-    return math.log10(abs(exact)) - math.log10(abs(approx - exact))
+    return _log10(abs(exact)) - _log10(abs(approx - exact))
 
 
 class _GridSpecFields(NamedTuple):
@@ -85,14 +88,13 @@ class GridSpec(_GridSpecFields):
         """``count`` points from ``start`` to ``stop``, both exact: ``a + i*step``
         as in ``numpy.linspace``, with ``a, step`` taken in ``log10|x|`` for log
         grids, so that no ratio of the endpoints can overflow."""
-        a, b = self.start, self.stop
-        if self.kind == "log":
-            a, b = math.log10(abs(a)), math.log10(abs(b))
-        step = (b - a) / (self.count - 1)
-        inner = [a + i * step for i in range(1, self.count - 1)]
-        if self.kind == "log":
-            inner = [math.copysign(10.0**e, self.start) for e in inner]
-        return [self.start, *inner, self.stop]
+        kind, start, stop, count = self
+        a, b = (_log10(abs(start)), _log10(abs(stop))) if kind == "log" else (start, stop)
+        step = (b - a) / (count - 1)
+        inner = [a + i * step for i in range(1, count - 1)]
+        if kind == "log":
+            inner = [_copysign(10.0**e, start) for e in inner]
+        return [start, *inner, stop]
 
     def describe(self) -> str:
         return f"{self.kind}[{self.start:.17g}, {self.stop:.17g}, {self.count}]"
@@ -154,22 +156,24 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
         raise ValueError(f"stage must be one of {STAGES}, got {stage!r}")
     step = None if stage == "approximation" else (
         halley_step if stage == "one-halley" else fritsch_step)
+    # Read from the module's globals, where a tracer may swap them, per sweep.
+    reference, seed, region = reference_w, lambert_w_approximation, dispatch_region
     samples = []
     for x in grid.points():
         if x == 0.0:
             raise ValueError("accuracy grids must exclude x = 0 (delta undefined)")
         try:
-            exact = reference_w(b, x)
-            value = lambert_w_approximation(b, x)
+            exact = reference(b, x)
+            value = seed(b, x)
             # An exact seed (0, or -1 at the branch point) and +inf are
             # not stepped, as in lambert_w.
-            if step is not None and value != 0.0 and value != -1.0 and value != math.inf:
+            if step is not None and value != 0.0 and value != -1.0 and value != _INF:
                 value = step(x, value)
             delta = delta_accuracy(value, exact)
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"at x={x!r}: {exc}") from exc
-        samples.append((x, delta, dispatch_region(b, x).kind))
-    return AccuracyReport(b, stage, grid, tuple(samples))
+        samples.append((x, delta, region(b, x).kind))
+    return tuple.__new__(AccuracyReport, (b, stage, grid, tuple(samples)))
 
 
 def write_report(report: AccuracyReport, destination: TextIO) -> None:

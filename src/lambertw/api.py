@@ -127,7 +127,7 @@ def dispatch_region(branch: int, x: float) -> ApproximationRegion:
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if math.isnan(x) or x < _X_MIN or (branch == -1 and x >= 0.0):
+    if _isnan(x) or x < _X_MIN or (branch == -1 and x >= 0.0):
         raise _domain_error(x)
     if branch == 0:
         return W0_REGIONS[bisect_right(_W0_BREAKS, x)]
@@ -229,8 +229,8 @@ _F2D0, _F2D1, _F2D2, _F2D3, _F2D4 = W0_FIT_2.denominator
 _MN0, _MN1, _MN2 = WM1_FIT.numerator
 _MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
 _DEPTH_2_BOUND = CONTINUED_LOG_DEPTH_BOUNDS[-1]
-# math's functions and constants for lambert_w_approximation and _w, bound
-# once: a global is cheaper than an attribute.
+# math's functions and constants for dispatch_region, lambert_w_approximation
+# and _w, bound once: a global is cheaper than an attribute.
 _isnan, _log, _sqrt, _E, _INF = math.isnan, math.log, math.sqrt, math.e, math.inf
 
 

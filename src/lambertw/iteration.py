@@ -36,7 +36,8 @@ SINGULARITY_GUARD = 1e-12
 
 SCHEMES = ("halley", "fritsch")
 
-_SMALLEST_NORMAL = sys.float_info.min
+# Bound once for the steps: a global is cheaper than an attribute.
+_exp, _log, _SMALLEST_NORMAL = math.exp, math.log, sys.float_info.min
 
 
 def defining_residual(x: float, w: float) -> float:
@@ -53,13 +54,13 @@ def halley_step(x: float, w: float) -> float:
     w <- w + t/(t*s - u).  Where e^w is subnormal or 0 and x < 0, t and u
     are divided by e^w, with x*e^-w = -exp(ln(-x) - w).
     """
-    if abs(w + 1.0) < SINGULARITY_GUARD:
+    if -SINGULARITY_GUARD < w + 1.0 < SINGULARITY_GUARD:
         raise SingularityError(
             f"halley step undefined within {SINGULARITY_GUARD} of w = -1, got w = {w!r}"
         )
-    ew = math.exp(w)
+    ew = _exp(w)
     if ew < _SMALLEST_NORMAL and x < 0.0:
-        t = w + math.exp(math.log(-x) - w)
+        t = w + _exp(_log(-x) - w)
         u = w + 1.0
     else:
         t = w * ew - x
@@ -79,7 +80,7 @@ def fritsch_step(x: float, w: float) -> float:
     short-circuit).
     """
     u = 1.0 + w
-    if abs(u) < SINGULARITY_GUARD:
+    if -SINGULARITY_GUARD < u < SINGULARITY_GUARD:
         raise SingularityError(
             f"fritsch step undefined within {SINGULARITY_GUARD} of w = -1, got w = {w!r}"
         )
@@ -91,12 +92,12 @@ def fritsch_step(x: float, w: float) -> float:
     if ratio < _SMALLEST_NORMAL:
         # x/w is subnormal or underflows (branch -1 at subnormal x): the
         # quotient has lost digits, so take the logarithms apart.
-        z = math.log(abs(x)) - math.log(abs(w)) - w
+        z = _log(abs(x)) - _log(abs(w)) - w
     else:
-        z = math.log(ratio) - w
+        z = _log(ratio) - w
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     denom = q - 2.0 * z
-    if abs(denom) < 1e-300:
+    if -1e-300 < denom < 1e-300:
         raise SingularityError(
             f"fritsch step denominator underflow at x = {x!r}, w = {w!r}"
         )

@@ -54,9 +54,10 @@ from .branches import _X_MIN, MINUS_INV_E, _domain_error, invalid_branch
 # formulation is required; above it the plain residual is well conditioned.
 _SHIFTED_CUTOFF = -0.2
 
-# math's functions for the residuals and the solver, bound once: a global
-# is cheaper than an attribute.
-_exp, _expm1, _log, _nextafter, _INF = math.exp, math.expm1, math.log, math.nextafter, math.inf
+# math's names, bound once: a global is cheaper than an attribute.
+_exp, _expm1, _log, _log1p, _sqrt = math.exp, math.expm1, math.log, math.log1p, math.sqrt
+_isnan, _nextafter, _E, _INF = math.isnan, math.nextafter, math.e, math.inf
+_SMALLEST_NORMAL = sys.float_info.min
 
 _FLOAT64 = struct.Struct("<d")
 _INT64 = struct.Struct("<q")
@@ -99,8 +100,9 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
     on it.  It is sign-checked then, and a wrong sign raises ValueError.
     A ``start`` outside (lo, hi) has both ends evaluated first.
     """
-    given = lo, hi
-    flo, dlo, fhi, dhi = -_INF, 0.0, _INF, 0.0  # an end not read yet
+    lo0, hi0 = lo, hi
+    flo, dlo = -_INF, 0.0  # an end not read yet; two names build no tuple
+    fhi, dhi = _INF, 0.0
     if not lo < start < hi:
         flo, dlo = fd(lo)
         fhi, dhi = fd(hi)
@@ -127,18 +129,21 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
         else:
             t, f, d = hi, fhi, dhi
         new = t - f / d if d > 0.0 else _INF
-        if not (lo < new < hi and abs(new - t) <= 0.5 * older):
-            if _nextafter(lo, hi) == hi:
-                if flo == -_INF:
-                    flo = fd(lo)[0]
-                if fhi == _INF:
-                    fhi = fd(hi)[0]
-                if flo > 0.0 or fhi < 0.0:
-                    raise ValueError(f"root not bracketed by [{given[0]}, {given[1]}]")
-                return lo if -flo <= fhi else hi
-            new = _nextafter(t, hi if f < 0.0 else lo) if new == t else _midpoint(lo, hi)
-        older, step = step, abs(new - t)
-        t = new
+        if lo < new < hi:  # an accepted step leaves a double on each side
+            size = new - t if new > t else t - new
+            if size <= 0.5 * older:
+                older, step, t = step, size, new
+                continue
+        if _nextafter(lo, hi) == hi:
+            if flo == -_INF:
+                flo = fd(lo)[0]
+            if fhi == _INF:
+                fhi = fd(hi)[0]
+            if flo > 0.0 or fhi < 0.0:
+                raise ValueError(f"root not bracketed by [{lo0}, {hi0}]")
+            return lo if -flo <= fhi else hi
+        new = _nextafter(t, hi if f < 0.0 else lo) if new == t else _midpoint(lo, hi)
+        older, step, t = step, new - t if new > t else t - new, new
 
 
 # The residual closures here are left unannotated: every reference_w call
@@ -165,7 +170,7 @@ def _branch_point_start(c: float, sign: float) -> float:
     # The branch point series w = -1 + p - p^2/3 + ... at p = sign*sqrt(2c)
     # to ninth order (Corless et al. 1996), written out here so that the
     # oracle shares no code with the approximations it judges.
-    p = sign * math.sqrt(2.0 * c)
+    p = sign * _sqrt(2.0 * c)
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (
         -43.0 / 540.0 + p * (769.0 / 17280.0 + p * (-221.0 / 8505.0 + p * (
             680863.0 / 43545600.0 + p * (-1963.0 / 204120.0 + p * (
@@ -186,7 +191,7 @@ def _reference_w0(x: float) -> float:
         return 0.0
     if x == _INF:
         return x
-    if x <= math.e:
+    if x <= _E:
 
         def plain(y):
             ey = _exp(y)
@@ -194,7 +199,7 @@ def _reference_w0(x: float) -> float:
 
         # Winitzki's L*(1 - ln(1 + L)/(2 + L)), L = ln(1 + x), within 2% of
         # W, and two steps w <- w/(1 + w)*(1 + ln(x/w)) (Iacono and Boyd 2017).
-        log1p_x = math.log1p(x)
+        log1p_x = _log1p(x)
         w = log1p_x * (1.0 - _log(1.0 + log1p_x) / (2.0 + log1p_x))
         w = w / (1.0 + w) * (1.0 + _log(x / w))
         return _solve(plain, -1.0, 1.0, w / (1.0 + w) * (1.0 + _log(x / w)))
@@ -214,7 +219,7 @@ def _reference_w0(x: float) -> float:
 def _reference_wm1(x: float) -> float:
     log_x = _log(-x)
     w = _asymptotic_start(log_x)
-    if -x < sys.float_info.min:
+    if -x < _SMALLEST_NORMAL:
 
         def log_space(y):
             return y + _log(-y) - log_x, 1.0 + 1.0 / y
@@ -249,12 +254,12 @@ def reference_w(branch: int, x: float) -> float:
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if math.isnan(x) or x < _X_MIN:
+    if _isnan(x) or x < _X_MIN:
         raise _domain_error(x)
     if x < MINUS_INV_E:
         return -1.0
     if x <= _SHIFTED_CUTOFF:
-        c = 1.0 + math.e * x
+        c = 1.0 + _E * x
         if c <= 0.0:
             return -1.0
         sign, lo, hi = (1.0, -1.0, 1.0) if branch == 0 else (-1.0, -4.0, -1.0)
