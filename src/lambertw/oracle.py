@@ -187,9 +187,7 @@ def _asymptotic_start(log_x: float) -> float:
 
 # Each branch off the shifted zone, x > -0.2; reference_w solves that zone.
 def _reference_w0(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if x == _INF:
+    if x == 0.0 or x == _INF:  # W0(x) = x, signed zeros included
         return x
     if x <= _E:
 

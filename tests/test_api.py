@@ -48,6 +48,14 @@ def test_zero_is_exact():
     assert result.residual == 0.0
 
 
+@pytest.mark.parametrize("x", [0.0, -0.0])
+def test_zero_keeps_its_sign_in_the_oracle_and_the_fast_path(x):
+    """W0(+-0) is x itself: the oracle, the value and the seed agree in
+    the sign bit, so a sweep over signed zeros could compare them."""
+    for value in (reference_w(0, x), lambert_w0(x), lambert_w_approximation(0, x)):
+        assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, x), value
+
+
 def test_w0_at_e():
     assert lambert_w(0, math.e).value == pytest.approx(1.0, abs=4e-16)
 
