@@ -10,7 +10,7 @@ interval where the dispatcher (see :mod:`lambertw.api`) selects it:
 * the classic two-logarithm asymptotic expansion for large arguments;
 * a continued-logarithm recursion for branch -1 near zero, run to the
   depth ``continued_log_depth(x)`` that x needs: two levels below
-  |x| = 2.8e-41, nine only next to the fit's region.
+  |x| = 2.8e-41, eight only next to the fit's region.
 
 All polynomials are evaluated in Horner form, lowest coefficient last.
 """
@@ -177,27 +177,27 @@ WM1_FIT = RationalFit(
 # Continued logarithm
 # ---------------------------------------------------------------------------
 
-# Continued-log depth by x: 9 left of the first bound, one level less from
-# each bound on (x >= bound), so 2 from -2.8e-41 to 0.  A depth keeps its
-# fewest decimals at the bound where it starts, 5.30 to 5.63 of them.
-CONTINUED_LOG_DEPTH_BOUNDS = (-0.048, -0.029, -9.6e-3, -1.04e-3, -8.4e-6, -6.4e-12, -2.8e-41)
+# Continued-log depth by x: 8 from the region's end -0.051012, one level
+# less from each bound on (x >= bound), so 2 from -2.8e-41 to 0.  A depth
+# keeps its fewest decimals where it starts, 5.30 to 5.57 (8 at -0.051012).
+CONTINUED_LOG_DEPTH_BOUNDS = (-0.029, -9.6e-3, -1.04e-3, -8.4e-6, -6.4e-12, -2.8e-41)
 
 
 def continued_log_depth(x: float) -> int:
     """Levels of the continued logarithm that a five-decimal seed at x
-    needs on branch -1's continued-log region: 2 to 9."""
-    return 9 - bisect_right(CONTINUED_LOG_DEPTH_BOUNDS, x)
+    needs on branch -1's continued-log region: 2 to 8."""
+    return 8 - bisect_right(CONTINUED_LOG_DEPTH_BOUNDS, x)
 
 
 def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
     """Continued logarithm for branch -1 on (-1/e, 0).
 
     R_0 = ln(-x), R_n = ln(-x) - ln(-R_{n-1}).  Converges linearly with
-    ratio ~1/|W|, so each level gains about log10|W| decimals: depth 9
-    is worth five decimals near x = -0.05, depth 2 from x = -2.8e-41 to
-    zero.  The dispatcher runs it at ``continued_log_depth(x)``, the
-    least depth that keeps five decimals at x; the default of 9 serves
-    the whole region.  Every R_n is <= -1: ln(-x) <= -1 on the domain,
+    ratio ~1/|W|, so each level gains about log10|W| decimals: depth 8
+    is worth 5.57 decimals at the region's end x = -0.051012, depth 2
+    from x = -2.8e-41 to zero.  The dispatcher runs it at
+    ``continued_log_depth(x)``, the least depth that keeps five decimals
+    at x; the default of 9 serves the whole region with a level to spare.  Every R_n is <= -1: ln(-x) <= -1 on the domain,
     and -ln(-R) >= 0 for R <= -1.
     """
     if depth < 0:

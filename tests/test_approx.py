@@ -259,8 +259,8 @@ def test_continued_log_depth_nine_five_decimals():
 
 
 def test_continued_log_depth_steps_down_one_level_at_each_bound():
-    assert continued_log_depth(_WM1_FIT_END) == 9
-    for depth, bound in zip(range(8, 1, -1), CONTINUED_LOG_DEPTH_BOUNDS):
+    assert continued_log_depth(_WM1_FIT_END) == 8
+    for depth, bound in zip(range(7, 1, -1), CONTINUED_LOG_DEPTH_BOUNDS):
         assert continued_log_depth(bound) == depth
         assert continued_log_depth(math.nextafter(bound, -math.inf)) == depth + 1
     assert continued_log_depth(-5e-324) == 2
