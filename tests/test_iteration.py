@@ -121,4 +121,18 @@ def test_singularity_guards():
         fritsch_step(1.0, -0.5)  # x/w < 0
     with pytest.raises(DomainError):
         fritsch_step(1.0, 0.0)
+    # Both sides of the 1e-12 guard around w = -1, for both steps.
+    for step in (fritsch_step, halley_step):
+        for w in (-1.0 - 1e-13, -1.0 + 1e-13):
+            with pytest.raises(SingularityError):
+                step(MINUS_INV_E, w)
+        for w in (-1.0 - 2e-12, -1.0 + 2e-12):
+            assert math.isfinite(step(MINUS_INV_E, w)), (step, w)
+    # A NaN estimate passes the guard: fritsch_step rejects it for x > 0
+    # by the sign test and returns NaN for x < 0, as halley_step does.
+    with pytest.raises(DomainError):
+        fritsch_step(1.0, math.nan)
+    assert math.isnan(fritsch_step(-0.2, math.nan))
+    assert math.isnan(halley_step(1.0, math.nan))
+    assert math.isnan(halley_step(-0.2, math.nan))
 
