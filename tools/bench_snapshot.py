@@ -30,7 +30,13 @@ distinct failed operations and the provenance (machine, versions, git
 revision).  Each label also gets the median of every metric over its
 runs, and ``clean``: whether ``src/`` and ``perfbench/`` of the checkout
 matched its git revision (``git status --porcelain`` printed nothing),
-so that a label measured on uncommitted changes says so.  Runs last
+so that a label measured on uncommitted changes says so.  Under
+``comparison`` each metric gets the number of pairs, the pairs each side
+won in the metric's ``better`` direction of BENCHMARK.json (a tie counts
+for neither) and the parent's interquartile spread, so that the rule for
+claiming a gain can be read from the file: the change wins at least nine
+pairs in ten, and its median differs from the parent's by more than that
+spread.  Runs last
 ``run_seconds`` of BENCHMARK.json, as the benchmark's own runs do; the
 32 runs of a snapshot of every workload at one pair per seed, 8 of them
 warm-up runs, take about sixteen minutes.
@@ -49,6 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 SEEDS = (1, 2, 3)
 SECONDS = SPEC["run_seconds"]
+BETTER = {metric["name"]: metric["better"] for metric in SPEC["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -91,6 +98,27 @@ def label(workload: str, clean: bool, runs: list[dict]) -> dict:
     }
 
 
+def comparison(parent: list[dict], change: list[dict]) -> dict:
+    """Per metric, over the pairs ``(parent[i], change[i])``: the pairs
+    each side won (better by the metric's ``better`` field; a tie counts
+    for neither) and the parent's interquartile spread ``q3 - q1``, with
+    quartiles as perfbench takes them (``statistics.quantiles``)."""
+    summary = {}
+    for name in parent[0]["result"]["metrics"]:
+        sign = 1.0 if BETTER[name] == "higher" else -1.0
+        before, after = ([run["result"]["metrics"][name]["value"] for run in runs]
+                         for runs in (parent, change))
+        gains = [sign * (b - a) for a, b in zip(before, after)]
+        q1, _, q3 = statistics.quantiles(before, n=4)
+        summary[name] = {
+            "pairs": len(gains),
+            "change_wins": sum(gain > 0.0 for gain in gains),
+            "parent_wins": sum(gain < 0.0 for gain in gains),
+            "parent_iqr": q3 - q1,
+        }
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     names = [w["name"] for w in SPEC["workloads"]]
@@ -119,11 +147,15 @@ def main(argv=None) -> int:
         snapshot = {"workload": workload}
         for side in ("parent", "change"):
             snapshot[side] = label(workload, clean[side], runs[side])
+        snapshot["comparison"] = comparison(runs["parent"], runs["change"])
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(snapshot, indent=1) + "\n")
         for side in ("parent", "change"):
             print(f"{path.name}: {side} " + " ".join(
                 f"{name}={value:.6g}" for name, value in snapshot[side]["median"].items()))
+        print(f"{path.name}: change wins " + " ".join(
+            f"{name}={c['change_wins']}/{c['pairs']}"
+            for name, c in snapshot["comparison"].items()))
     return 0
 
 
