@@ -197,8 +197,9 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
     is worth 5.57 decimals at the region's end x = -0.051012, depth 2
     from x = -2.8e-41 to zero.  The dispatcher runs it at
     ``continued_log_depth(x)``, the least depth that keeps five decimals
-    at x; the default of 9 serves the whole region with a level to spare.  Every R_n is <= -1: ln(-x) <= -1 on the domain,
-    and -ln(-R) >= 0 for R <= -1.
+    at x; the default of 9 serves the whole region with a level to
+    spare.  Every R_n is <= -1: ln(-x) <= -1 on the domain, and
+    -ln(-R) >= 0 for R <= -1.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")

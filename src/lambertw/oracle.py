@@ -129,7 +129,7 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
         else:
             t, f, d = hi, fhi, dhi
         new = t - f / d if d > 0.0 else _INF
-        if lo < new < hi:  # an accepted step leaves a double on each side
+        if lo < new < hi:
             size = new - t if new > t else t - new
             if size <= 0.5 * older:
                 older, step, t = step, size, new
