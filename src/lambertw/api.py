@@ -4,21 +4,22 @@ A float evaluation is one seed and one Fritsch step.  ``lambert_w``
 checks the branch and x, picks the region whose initial approximation
 (the seed) serves x by comparison with the breakpoints, and applies
 ``fritsch_step``'s arithmetic inline unless the seed is exact (w = 0 at
-x = 0, w = -1 at the branch point).  Exactness is an equality test: the
-series gives exactly -1 at -1/e and in the rounding band below it, and
-every other seed keeps |1 + w| >= 1e-8 (``tests/test_array.py``), far
-outside the 1e-12 input check of the public steps.  ``lambert_w`` still
-calls the public seed family and ``defining_residual``: the benchmark's
-tracer times those layers from float calls and divides by their call
-counts.  ``lambert_w_approximation`` is the one seed kernel: the region
-chain and every seed family in Horner form, with ``dispatch_region``'s
-checks.  It serves the sweeps and ``steps_to_converge``; ``_w``, for the
-physics inverses, is it and one inline Fritsch step.
-``_lambert_w_list`` writes seed and step out in one loop, for arrays;
-floats take ``lambert_w``.  ``tests/test_api.py`` pins ``lambert_w``'s
-regions and errors to ``dispatch_region``'s and each seed to its public
-family, and ``tests/test_array.py`` holds ``_w`` and the list path bit
-for bit equal.
+x = 0, w = -1 at the branch point) or +inf, the test ``_w`` makes.
+Exactness is an equality test: the series gives exactly -1 at -1/e and
+in the rounding band below it, and every other seed keeps
+|1 + w| >= 1e-8 (``tests/test_array.py``), far outside the 1e-12 input
+check of the public steps.  ``lambert_w`` still calls the public seed
+family and ``defining_residual``: the benchmark's tracer times those
+layers from float calls and divides by their call counts.
+``lambert_w_approximation`` is the one seed kernel: the region chain and
+every seed family in Horner form, with ``dispatch_region``'s checks.  It
+serves the sweeps and ``steps_to_converge``; ``_w``, for the physics
+inverses, is it and one inline Fritsch step.  ``_lambert_w_list`` writes
+seed and step out in one loop, for arrays; floats take ``lambert_w``.
+``tests/test_api.py`` pins ``lambert_w``'s regions and errors to
+``dispatch_region``'s and each seed to its public family, and
+``tests/test_array.py`` holds ``_w`` and the list path bit for bit
+equal.
 
 Three call shapes are exposed:
 
@@ -149,7 +150,7 @@ def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     w = lambert_w_approximation(branch, x)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if w == 0.0 or w == -1.0 or x == _INF:
+    if w == 0.0 or w == -1.0 or w == _INF:
         return 0
     step = fritsch_step if scheme == "fritsch" else halley_step
     scale = max(abs(x), 1.0)
@@ -171,7 +172,7 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     # their checks repeat this one, and each call costs more than the arithmetic.
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if math.isnan(x):
+    if _isnan(x):
         raise _domain_error(x)
     # Below -1/e the series family raises dispatch_region's DomainError.
     if branch == 0:
@@ -181,11 +182,8 @@ def lambert_w(branch: int, x: float) -> EvalResult:
             kind, w = "rational-fit-1", rational_fit_eval(W0_FIT_1, x)
         elif x < _W0_FIT2_END:
             kind, w = "rational-fit-2", rational_fit_eval(W0_FIT_2, x)
-        elif x < math.inf:
-            kind, w = "asymptotic", asymptotic_series(0, x)
         else:
-            # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
-            return tuple.__new__(EvalResult, (math.inf, "asymptotic", 0, math.nan))
+            kind, w = "asymptotic", asymptotic_series(0, x)
     elif x < _WM1_SERIES_END:
         kind, w = "branch-point-series", branch_point_series(-1, x, 11)
     elif x < _WM1_FIT_END:
@@ -195,15 +193,16 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     else:
         raise _domain_error(x)
     u = 1.0 + w
-    if u == 0.0 or w == 0.0:  # the exact seeds
+    # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
+    if u == 0.0 or w == 0.0 or w == _INF:
         return tuple.__new__(EvalResult, (w, kind, 0, defining_residual(x, w)))
     # fritsch_step's arithmetic; its checks cannot fire on these seeds
     # (see _lambert_w_list).
     ratio = x / w
     if ratio < _SMALLEST_NORMAL:
-        z = math.log(abs(x)) - math.log(abs(w)) - w
+        z = _log(abs(x)) - _log(abs(w)) - w
     else:
-        z = math.log(ratio) - w
+        z = _log(ratio) - w
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     w = w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
     return tuple.__new__(EvalResult, (w, kind, 1, defining_residual(x, w)))
@@ -229,8 +228,8 @@ _F2D0, _F2D1, _F2D2, _F2D3, _F2D4 = W0_FIT_2.denominator
 _MN0, _MN1, _MN2 = WM1_FIT.numerator
 _MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
 _DEPTH_2_BOUND = CONTINUED_LOG_DEPTH_BOUNDS[-1]
-# math's functions and constants for dispatch_region, lambert_w_approximation
-# and _w, bound once: a global is cheaper than an attribute.
+# math's functions and constants for the float path, bound once: a global is
+# cheaper than an attribute.
 _isnan, _log, _sqrt, _E, _INF = math.isnan, math.log, math.sqrt, math.e, math.inf
 
 

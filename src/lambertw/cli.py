@@ -106,9 +106,7 @@ def _run_sweep(args: list[str]) -> int:
     opts = parser.parse_args(args)
 
     if opts.grid is None and opts.start is None and opts.stop is None:
-        grid = default_panels(opts.branch)[0]
-        if opts.count != grid.count:
-            grid = GridSpec(grid.kind, grid.start, grid.stop, opts.count)
+        grid = default_panels(opts.branch)[0]._replace(count=opts.count)
     elif opts.start is None or opts.stop is None:
         return _fail_usage("sweep needs both --start and --stop (or neither)")
     else:

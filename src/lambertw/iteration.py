@@ -75,16 +75,16 @@ def fritsch_step(x: float, w: float) -> float:
     With z = ln(x/w) - w, q = 2*(1+w)*(1+w+(2/3)*z) and
     eps = (z/(1+w)) * (q-z)/(q-2z), updates w <- w + w*eps, which
     rounds once at w's scale where w*(1+eps) rounds twice (see the module
-    docstring).  Requires x and w of equal sign (true for every in-branch
-    estimate except the removable point x = w = 0, which callers
-    short-circuit).
+    docstring).  Requires x and w of the same strict sign (true for every
+    in-branch estimate except the removable point x = w = 0, which callers
+    short-circuit); zeros, mixed signs and NaN raise DomainError.
     """
     u = 1.0 + w
     if -SINGULARITY_GUARD < u < SINGULARITY_GUARD:
         raise SingularityError(
             f"fritsch step undefined within {SINGULARITY_GUARD} of w = -1, got w = {w!r}"
         )
-    if x == 0.0 or w == 0.0 or (x > 0.0) != (w > 0.0):
+    if not (x > 0.0 < w or x < 0.0 > w):
         raise DomainError(
             f"fritsch step needs x and w of equal sign, got x = {x!r}, w = {w!r}"
         )

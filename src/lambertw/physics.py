@@ -93,7 +93,7 @@ def gaisser_hillas(x: float, x_max: float) -> float:
     """
     if not 0.0 < x_max < math.inf:
         raise DomainError(f"x_max must be positive and finite, got {x_max!r}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"profile depth must be >= 0, got x={x!r}")
     if x == 0.0 or x == math.inf:
         return 0.0

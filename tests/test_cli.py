@@ -88,6 +88,7 @@ def test_lower_branch_positive_x_exits_one(capsys):
         ["2", "0.5"],   # branch must be 0 or -1
         ["0.5", "1"],
         ["sweep", "--stage", "converged"],  # not one of STAGES
+        ["sweep", "--count", "1"],  # the default panel needs 2 points
     ],
 )
 def test_malformed_arguments_exit_two_with_usage(argv, capsys):

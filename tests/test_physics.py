@@ -179,6 +179,8 @@ def test_gh_domain_errors():
     with pytest.raises(DomainError):
         gaisser_hillas(-0.5, 2.0)
     with pytest.raises(DomainError):
+        gaisser_hillas(math.nan, 2.0)
+    with pytest.raises(DomainError):
         gaisser_hillas(1.0, 0.0)
 
 
