@@ -21,17 +21,19 @@ _MOYAL_Y_MAX = MOYAL_PEAK + _MOYAL_PEAK_TOL
 MOYAL_SIDES = ("plus", "minus")
 
 
-def _t_minus_log_t_root(c: float) -> float:
-    """The root t > 1 of t - ln t = c, for c > 708.
+def _log_space_root(a: float, s: float) -> float:
+    """The root r > s of r - s ln(r/s) = a, for a > 708 s.
 
-    That is t = -W_-1(-e^-c), solved in log space for where the W
-    argument -e^-c is subnormal or underflows to -0.0: t <- c + ln t
-    contracts by 1/t < 1/708, so six steps from t = c reach rounding.
+    That is r = -s W_-1(-e^(-a/s)), solved in log space for where the W
+    argument is not a normal double: r <- a + s (ln r - ln s) contracts
+    by s/r < 1/708, so six steps from r = a reach rounding.  The logs
+    are taken apart because r/s overflows for subnormal s.
     """
-    t = c
+    r = a
+    ln_s = math.log(s)
     for _ in range(6):
-        t = c + math.log(t)
-    return t
+        r = a + s * (math.log(r) - ln_s)
+    return r
 
 
 def moyal(x: float) -> float:
@@ -74,7 +76,7 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     # With w e^w = -y^2, x = w - 2 ln y equals -ln(-w), which does not
     # cancel w against 2 ln y.
     if y * y < _SMALLEST_NORMAL:
-        return -math.log(_t_minus_log_t_root(-2.0 * math.log(y)))
+        return -math.log(_log_space_root(-2.0 * math.log(y), 1.0))
     return -math.log(-_w(-1, -y * y))
 
 
@@ -144,15 +146,8 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     # branch point, so both roots collapse to x_max with no rounding.
     arg = y ** (1.0 / x_max) * MINUS_INV_E
     if -arg < _SMALLEST_NORMAL:
-        # u = right/x_max solves u - ln u = c = 1 - ln(y)/x_max.
-        c = 1.0 - math.log(y) / x_max
-        if c < math.inf:
-            right = x_max * _t_minus_log_t_root(c)
-        else:
-            # c overflows for x_max below |ln y|/DBL_MAX.  right solves
-            # right = x_max - ln y + x_max ln(right/x_max), whose last term
-            # is below 1e-305 of right here, so it rounds to x_max - ln y.
-            right = x_max - math.log(y)
+        # right solves right - x_max ln(right/x_max) = x_max - ln y.
+        right = _log_space_root(x_max - math.log(y), x_max)
     else:
         right = -x_max * _w(-1, arg)
     # tuple.__new__ builds the record in C, at about half GhRoots(...)'s cost.

@@ -76,19 +76,25 @@ def test_moyal_inverse_minus_below_sqrt_of_smallest_normal(y, expected):
 
 
 def test_six_log_space_steps_give_the_bits_of_eight():
-    """t <- c + ln t from t = c has reached its double after six steps,
-    over unit steps of c from 708 and log-uniform c up to the largest
-    double; five steps are short of it at some of these c."""
+    """r <- a + s (ln r - ln s) from r = a has reached its double after
+    six steps, for a = s c over unit steps of c from 708 and log-uniform
+    c up to the largest double; five steps are short of it at some of
+    these a.  s = 1 is Moyal's t - ln t = c; the other s are
+    Gaisser-Hillas x_max on both sides of 1 and a subnormal one."""
     cs = [708.0 + k for k in range(2000)]
     cs += [math.exp(t) for t in np.linspace(math.log(708.0), math.log(sys.float_info.max), 20000)]
 
-    def eight_steps(c):
-        t = c
+    def eight_steps(a, s):
+        r = a
         for _ in range(8):
-            t = c + math.log(t)
-        return t
+            r = a + s * (math.log(r) - math.log(s))
+        return r
 
-    assert [physics._t_minus_log_t_root(c) for c in cs] == [eight_steps(c) for c in cs]
+    for s in (1.0, 1e-310, 0.5, 1.05):
+        avals = [a for a in (s * c for c in cs) if a < math.inf]
+        assert [physics._log_space_root(a, s) for a in avals] == [
+            eight_steps(a, s) for a in avals
+        ], s
 
 
 @pytest.mark.parametrize(
@@ -279,12 +285,13 @@ def test_gh_rejects_a_non_finite_x_max(x_max):
         gaisser_hillas(1.0, x_max)
 
 
-@pytest.mark.parametrize("x_max", [1e-310, 1e-320, 5e-324])
+@pytest.mark.parametrize("x_max", [1e-300, 1e-305, 1e-306, 1e-308, 1e-310, 1e-320, 5e-324])
 @pytest.mark.parametrize(
     "y, expected_right",
     # mpmath at 60 digits: the root r of r - x_max ln(r/x_max) = x_max - ln y.
-    # Here 1 - ln(y)/x_max overflows a double.
-    [(0.5, 0.6931471805599453), (1e-300, 690.7755278982137)],
+    # 1 - ln(y)/x_max overflows a double for x_max below |ln y|/DBL_MAX:
+    # below 3.8e-309 at y = 0.5, below 3.8e-306 and 4.1e-306 at the others.
+    [(0.5, 0.6931471805599453), (1e-300, 690.7755278982137), (5e-324, 744.4400719213812)],
 )
 def test_gh_inverse_at_tiny_x_max(y, x_max, expected_right):
     roots = gh_inverse(y, x_max)
