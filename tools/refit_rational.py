@@ -19,7 +19,9 @@ every printed digit and is optimal in the least squares sense.
 
 Samples are w-equally-spaced with x = w*e^w spanning each fit window:
 [-0.3, 0] and [0.3, 2e] for the two branch 0 fits, and the dispatch
-interval [-0.302985, -0.051012] for the branch -1 fit.
+interval [-0.302985, -0.051012] for the branch -1 fit.  The W values at
+the window ends are frozen as the doubles the tables were fitted from,
+so the fit does not move when the package's reference solver does.
 
 Needs scipy, declared as the ``dev`` extra:  pip install -e '.[dev]'
 Run from the repo root:  python tools/refit_rational.py
@@ -27,34 +29,30 @@ Run from the repo root:  python tools/refit_rational.py
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import numpy as np
 from scipy.optimize import lsq_linear
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from lambertw.oracle import reference_w  # noqa: E402
 
 SAMPLES = 4001
 SK_ROUNDS = 50
 
 PRINTED = {
     "W0_FIT_1": {
-        "window": (0, -0.3, 0.0),
+        # W at x = -0.3 and x = 0.
+        "w_ends": (-0.48940222718021487, 0.0),
         "leading_x": True,
         "num": [5.931375, 11.392205, 7.338883, 0.653449],
         "den": [6.931373, 16.823494, 16.430723, 5.115235],
     },
     "W0_FIT_2": {
-        "window": (0, 0.3, 2.0 * np.e),
+        # W at x = 0.3 and x = 2e.
+        "w_ends": (0.2367553107885593, 1.3748225281836233),
         "leading_x": True,
         "num": [2.445053, 1.343664, 0.148440, 0.000804],
         "den": [3.444708, 3.292489, 0.916460, 0.053068],
     },
     "WM1_FIT": {
-        "window": (-1, -0.302985, -0.051012),
+        # W_-1 at x = -0.302985 and x = -0.051012.
+        "w_ends": (-1.7585768584487387, -4.473970692162747),
         "leading_x": False,
         "num": [-7.814176, 253.888101, 657.949317],
         "den": [-60.439587, 99.985670, 682.607399, 962.178439, 1477.934128],
@@ -62,8 +60,8 @@ PRINTED = {
 }
 
 
-def _samples(branch: int, x_lo: float, x_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    w = np.linspace(reference_w(branch, x_lo), reference_w(branch, x_hi), SAMPLES)
+def _samples(w_lo: float, w_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    w = np.linspace(w_lo, w_hi, SAMPLES)
     return w * np.exp(w), w
 
 
@@ -76,8 +74,7 @@ def _truncation_box(printed: list[float]) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_table(name: str) -> tuple[np.ndarray, np.ndarray]:
     spec = PRINTED[name]
-    branch, x_lo, x_hi = spec["window"]
-    x, w = _samples(branch, x_lo, x_hi)
+    x, w = _samples(*spec["w_ends"])
     num_printed, den_printed = spec["num"], spec["den"]
     if spec["leading_x"]:
         cols = [x ** (k + 1) for k in range(1, len(num_printed) + 1)]
