@@ -7,8 +7,9 @@ The central quantity is
 the number of correct decimal places of an approximation relative to the
 reference value.  ``accuracy_sweep`` evaluates a chosen pipeline stage
 (the raw approximation, or one Halley or Fritsch step from it; the last
-is the value ``lambert_w`` returns) over a sampling grid and reports the
-per-point deltas; ``write_report`` writes a report to an open text file
+is the value ``lambert_w`` returns except for x < -1/e + 5e-4, where
+``lambert_w`` returns the series seed unstepped) over a sampling grid
+and reports the per-point deltas; ``write_report`` writes a report to an open text file
 as plain-text data suitable for plotting.
 """
 
@@ -166,7 +167,8 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
             exact = reference(b, x)
             value = seed(b, x)
             # An exact seed (0, or -1 at the branch point) and +inf are
-            # not stepped, as in lambert_w.
+            # not stepped, as in lambert_w; the seeds that lambert_w
+            # leaves unstepped near -1/e are, so the stage measures the step.
             if step is not None and value != 0.0 and value != -1.0 and value != _INF:
                 value = step(x, value)
             delta = delta_accuracy(value, exact)

@@ -3,14 +3,16 @@
 A float evaluation is one seed and one Fritsch step.  ``lambert_w``
 checks the branch and x, picks the region whose initial approximation
 (the seed) serves x by comparison with the breakpoints, and applies
-``fritsch_step``'s arithmetic inline unless the seed is exact (w = 0 at
-x = 0, w = -1 at the branch point) or +inf, the test ``_w`` makes.
-Exactness is an equality test: the series gives exactly -1 at -1/e and
-in the rounding band below it, and every other seed keeps
-|1 + w| >= 1e-8 (``tests/test_array.py``), far outside the 1e-12 input
-check of the public steps.  ``lambert_w`` still calls the public seed
-family and ``defining_residual``: the benchmark's tracer times those
-layers from float calls and divides by their call counts.
+``fritsch_step``'s arithmetic inline, except at x = 0 (w = 0), at +inf
+and for x < -1/e + 5e-4, the test ``_w`` makes.  There the branch point
+series, in the exact c = 1 + e*x, is within 0.55 ulp out to 1e-4 from
+-1/e and 5.4 ulp at 5e-4, while on branch 0 one step from it lands
+4e5 ulp off at 1e-12 and 27 ulp at 2.5e-4 (19 ulp past 5e-4).  That
+range holds the one seed of exactly -1 (at -1/e and in the rounding
+band below it), so every stepped seed keeps |1 + w| > 0.05, far outside
+the 1e-12 input check of the public steps.  ``lambert_w`` still calls
+the public seed family and ``defining_residual``: the benchmark's tracer
+times those layers from float calls and divides by their call counts.
 ``lambert_w_approximation`` is the one seed kernel: the region chain and
 every seed family in Horner form, with ``dispatch_region``'s checks.  It
 serves the sweeps and ``steps_to_converge``; ``_w``, for the physics
@@ -55,7 +57,7 @@ from .approx import (
     continued_log_recursion_wm1,
     rational_fit_eval,
 )
-from .branches import _X_MIN, MINUS_INV_E, Branch, _domain_error, invalid_branch
+from .branches import _MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, Branch, _domain_error, invalid_branch
 from .iteration import (
     _SMALLEST_NORMAL,
     SCHEMES,
@@ -82,6 +84,8 @@ _W0_FIT2_END = 8.706658
 # delta >= 5.36 there.
 _WM1_SERIES_END = -0.298147
 _WM1_FIT_END = -0.051012
+# Below this x the series seed is returned unstepped on both branches.
+_UNSTEPPED_END = MINUS_INV_E + 5e-4
 
 W0_REGIONS: tuple[ApproximationRegion, ...] = (
     ApproximationRegion(Branch.PRINCIPAL, MINUS_INV_E, _W0_SERIES_END, "branch-point-series"),
@@ -107,8 +111,9 @@ class EvalResult(NamedTuple):
 
     value : the branch value W(x)
     region : kind of the initial approximation that seeded the result
-    refinement_steps : Fritsch steps applied: 1, or 0 where the seed is
-        exact (x = 0 and the branch point) and at x = +inf
+    refinement_steps : Fritsch steps applied: 1, or 0 at x = 0, at
+        x = +inf and for x < -1/e + 5e-4, where the series seed is
+        the value
     residual : |value * exp(value) - x| of the returned value
     """
 
@@ -144,7 +149,7 @@ def steps_to_converge(branch: int, x: float, scheme: str) -> int:
     2*eps*|w| term is the rounding noise of the residual itself, which
     passes RESIDUAL_TOL beyond x ~ 1.4e11 on branch 0 (|w| > 22.5).
     Zero only where the seed is exact (x = 0 and the branch point) and
-    at x = +inf, which ``lambert_w`` returns unrefined.
+    at x = +inf.
     Raises ValueError for a scheme not in SCHEMES.
     """
     w = lambert_w_approximation(branch, x)
@@ -192,10 +197,10 @@ def lambert_w(branch: int, x: float) -> EvalResult:
         kind, w = "continued-log", continued_log_recursion_wm1(x, continued_log_depth(x))
     else:
         raise _domain_error(x)
-    u = 1.0 + w
     # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
-    if u == 0.0 or w == 0.0 or w == _INF:
+    if x < _UNSTEPPED_END or w == 0.0 or w == _INF:
         return tuple.__new__(EvalResult, (w, kind, 0, defining_residual(x, w)))
+    u = 1.0 + w
     # fritsch_step's arithmetic; its checks cannot fire on these seeds
     # (see _lambert_w_list).
     ratio = x / w
@@ -250,9 +255,9 @@ def lambert_w_approximation(branch: int, x: float) -> float:
         if x < _W0_SERIES_END:
             if x < _X_MIN:
                 raise _domain_error(x)
-            # x in the rounding band below -1/e needs no clamp: p = 0 gives
-            # exactly -1 there, as at -1/e itself.
-            s = 2.0 * (1.0 + _E * x)
+            # s = 2c with c = 1 + e*x formed exactly.  x at or below -1/e
+            # gives s <= 0 and p = 0: exactly -1.
+            s = 2.0 * (_E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO))
             p = _sqrt(s) if s > 0.0 else 0.0
             return _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
                 _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
@@ -280,7 +285,7 @@ def lambert_w_approximation(branch: int, x: float) -> float:
                 raise _domain_error(x)
             # Branch -1 runs two orders hotter: its series region reaches
             # p = -0.594, where order 9 falls a shade short of five decimals.
-            s = 2.0 * (1.0 + _E * x)
+            s = 2.0 * (_E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO))
             p = -_sqrt(s) if s > 0.0 else 0.0
             return _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
                 _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
@@ -303,14 +308,14 @@ def _w(branch: int, x: float) -> float:
     """``lambert_w(branch, x).value``, bit for bit, with its errors:
     ``lambert_w_approximation`` and one Fritsch step.
 
-    The seed comes back unstepped where it is exact (x = 0 and the branch
-    point) and at x = +inf.  The list kernel stays written out: looping
-    it over this function costs bulk arrays ~9%.
+    The seed comes back unstepped at x = 0, at x = +inf and for
+    x < -1/e + 5e-4.  The list kernel stays written out: looping it
+    over this function costs bulk arrays ~9%.
     """
     w = lambert_w_approximation(branch, x)
-    u = 1.0 + w
-    if u == 0.0 or w == 0.0 or w == _INF:
+    if x < _UNSTEPPED_END or w == 0.0 or w == _INF:
         return w
+    u = 1.0 + w
     ratio = x / w
     if ratio < _SMALLEST_NORMAL:
         z = _log(abs(x)) - _log(abs(w)) - w
@@ -325,10 +330,11 @@ def _lambert_w_list(branch: int, values: list) -> list:
 
     The scalar path's arithmetic written out in one loop: the region by
     comparison with the breakpoints, the seed in Horner form, one Fritsch
-    step after the same exact-seed test.  Every value is bit-identical to
+    step after the same unstepped-seed test.  Every value is bit-identical to
     ``lambert_w(branch, v).value``; the first bad one raises its error.
     """
     log, sqrt, e, inf = math.log, math.sqrt, math.e, math.inf
+    m, m_lo, unstepped_end = MINUS_INV_E, _MINUS_INV_E_LO, _UNSTEPPED_END
     lower = branch == -1
     out = []
     for v in values:
@@ -337,7 +343,7 @@ def _lambert_w_list(branch: int, values: list) -> list:
             if v < _WM1_SERIES_END:
                 if v < _X_MIN:
                     raise _domain_error(v)
-                s = 2.0 * (1.0 + e * v)
+                s = 2.0 * (e * ((v - m) - m_lo))
                 p = -sqrt(s) if s > 0.0 else 0.0
                 w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
                     _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
@@ -359,7 +365,7 @@ def _lambert_w_list(branch: int, values: list) -> list:
         elif v < _W0_SERIES_END:
             if v < _X_MIN:
                 raise _domain_error(v)
-            s = 2.0 * (1.0 + e * v)
+            s = 2.0 * (e * ((v - m) - m_lo))
             p = sqrt(s) if s > 0.0 else 0.0
             w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
                 _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
@@ -385,11 +391,11 @@ def _lambert_w_list(branch: int, values: list) -> list:
             continue
         else:
             raise _domain_error(v)
-        # Step: skip the exact seeds, then fritsch_step.
-        u = 1.0 + w
-        if u == 0.0 or w == 0.0:
+        # Step: skip the unstepped seeds, then fritsch_step.
+        if v < unstepped_end or w == 0.0:
             out.append(w)
             continue
+        u = 1.0 + w
         # fritsch_step's own checks cannot fire here: every seed has x's
         # sign and keeps |1 + w| and |q - 2z| far from 0 (tests/test_array.py).
         ratio = v / w

@@ -19,7 +19,8 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .branches import _X_MIN, MINUS_INV_E, Branch, DomainError, _domain_error, invalid_branch
+from .branches import (_MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, Branch, DomainError,
+                       _domain_error, invalid_branch)
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +57,11 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
     """Series approximation around the branch point (-1/e, -1).
 
     The principal branch takes the positive square root in
-    p = sqrt(2*(1 + e*x)), branch -1 the negative one.  The argument of
-    the root is clamped to zero when rounding drags it a few ulp below;
-    anything further out, and on branch -1 any x >= 0, raises
-    ``dispatch_region``'s DomainError.
+    p = sqrt(2*(1 + e*x)), branch -1 the negative one.  1 + e*x is
+    formed exactly, as e*((x - fl(-1/e)) - lo) with lo the part of -1/e
+    that fl(-1/e) drops, and is clamped to zero in the rounding band
+    below -1/e; anything further out, and on branch -1 any x >= 0,
+    raises ``dispatch_region``'s DomainError.
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
@@ -67,7 +69,7 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
         raise ValueError(f"order must be in [1, {_MAX_SERIES_ORDER}], got {order}")
     if math.isnan(x) or x < _X_MIN or (branch == -1 and x >= 0.0):
         raise _domain_error(x)
-    s = 2.0 * (1.0 + math.e * x)
+    s = 2.0 * (math.e * ((x - MINUS_INV_E) - _MINUS_INV_E_LO))
     if s < 0.0:
         s = 0.0
     p = math.sqrt(s) if branch == 0 else -math.sqrt(s)

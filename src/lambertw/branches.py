@@ -36,6 +36,10 @@ def invalid_branch(branch) -> ValueError:
 
 
 MINUS_INV_E = -math.exp(-1.0)
+# (-1/e) - MINUS_INV_E.  With it c = 1 + e*x is formed as
+# e*((x - MINUS_INV_E) - _MINUS_INV_E_LO), whose difference is exact for x
+# in [-0.73, -0.18] (Sterbenz), instead of cancelling e*x against 1.
+_MINUS_INV_E_LO = 1.2428753672788363e-17
 
 # x this far (or less) below -1/e is still treated as the branch point:
 # it only arises from rounding of expressions that target -1/e exactly.

@@ -29,7 +29,8 @@ relative error of about 1e-7 or less.  The formulations are:
   started at the asymptotic start, refined through ``L1 - ln(w)``;
 * within ``x <= -0.2``, the identity ``(u - 1)*e^u + 1 = 1 + e*x`` in
   the shifted variable ``u = 1 + w``, evaluated through ``expm1`` so the
-  cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens, but
+  cancellation of ``y*exp(y)`` against ``x ~ -1/e`` never happens, with
+  ``1 + e*x`` formed exactly as ``e*((x - fl(-1/e)) - lo)``, but
   solved for w itself on [-1, 1] (branch 0) or [-4, -1] (branch -1), so
   that the bracket closes on adjacent doubles of the returned value;
   started at the branch point series ``-1 + p - p**2/3 + 11*p**3/72 ...``
@@ -48,7 +49,7 @@ import math
 import struct
 import sys
 
-from .branches import _X_MIN, MINUS_INV_E, _domain_error, invalid_branch
+from .branches import _MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, _domain_error, invalid_branch
 
 # Below this x both branches sit close enough to w = -1 that the shifted
 # formulation is required; above it the plain residual is well conditioned.
@@ -257,7 +258,7 @@ def reference_w(branch: int, x: float) -> float:
     if x < MINUS_INV_E:
         return -1.0
     if x <= _SHIFTED_CUTOFF:
-        c = 1.0 + _E * x
+        c = _E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO)
         if c <= 0.0:
             return -1.0
         sign, lo, hi = (1.0, -1.0, 1.0) if branch == 0 else (-1.0, -4.0, -1.0)

@@ -34,7 +34,6 @@ from lambertw import (
     steps_to_converge,
 )
 from lambertw.approx import continued_log_depth
-from lambertw.iteration import SINGULARITY_GUARD
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +447,8 @@ ONE_STEP_GRID = (
 
 def test_lambert_w_is_one_fritsch_step_from_the_seed():
     """The value is one Fritsch step from the seed, bit for bit, or the
-    seed itself where it is exact (x = 0 and the branch point).
+    seed itself at x = 0 and for x < -1/e + 5e-4, where the series seed
+    in the exact 1 + e*x is closer to W than one step would leave it.
 
     Past x ~ 5.6e29 the residual tolerance sits below the rounding floor
     of the residual itself, so a residual-gated loop would take more
@@ -459,9 +459,9 @@ def test_lambert_w_is_one_fritsch_step_from_the_seed():
         seed = lambert_w_approximation(branch, x)
         result = lambert_w(branch, x)
         assert result.region == dispatch_region(branch, x).kind, (branch, x)
-        exact = seed == 0.0 or abs(1.0 + seed) <= SINGULARITY_GUARD
-        assert result.value == (seed if exact else fritsch_step(x, seed)), (branch, x)
-        assert result.refinement_steps == (0 if exact else 1), (branch, x)
+        unstepped = seed == 0.0 or x < MINUS_INV_E + 5e-4
+        assert result.value == (seed if unstepped else fritsch_step(x, seed)), (branch, x)
+        assert result.refinement_steps == (0 if unstepped else 1), (branch, x)
 
 
 # The public seed family of each region, at the series order and

@@ -103,11 +103,12 @@ def test_series_domain_and_order_validation():
 def test_series_is_the_horner_sum_bit_for_bit(branch, order):
     """Every order, on both branches, over the series region and past it
     to x = 0 (included on branch 0, outside branch -1's domain), plus -1/e
-    and the clamped rounding band below it."""
+    and the clamped rounding band below it.  2(1 + e*x) is formed as
+    2e((x - fl(-1/e)) - lo), lo = (-1/e) - fl(-1/e)."""
     xs = _stratified(MINUS_INV_E, 0.0, seed=100 * order - branch)
     xs += [MINUS_INV_E, MINUS_INV_E - math.ulp(MINUS_INV_E)] + ([0.0] if branch == 0 else [])
     for x in xs:
-        s = 2.0 * (1.0 + math.e * x)
+        s = 2.0 * (math.e * ((x - MINUS_INV_E) - 1.2428753672788363e-17))
         p = math.sqrt(s) if s > 0.0 else 0.0
         expected = _horner_reference(BRANCH_POINT_COEFFICIENTS[: order + 1],
                                      p if branch == 0 else -p)
