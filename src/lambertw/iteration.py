@@ -52,8 +52,11 @@ def halley_step(x: float, w: float) -> float:
 
     Uses t = w*e^w - x, s = (w+2)/(2*(w+1)), u = (w+1)*e^w and updates
     w <- w + t/(t*s - u).  Where e^w is subnormal or 0 and x < 0, t and u
-    are divided by e^w, with x*e^-w = -exp(ln(-x) - w).
+    are divided by e^w, with x*e^-w = -exp(ln(-x) - w).  A NaN x or w
+    raises DomainError, as in ``fritsch_step``.
     """
+    if x != x or w != w:
+        raise DomainError(f"halley step got NaN: x = {x!r}, w = {w!r}")
     if -SINGULARITY_GUARD < w + 1.0 < SINGULARITY_GUARD:
         raise SingularityError(
             f"halley step undefined within {SINGULARITY_GUARD} of w = -1, got w = {w!r}"

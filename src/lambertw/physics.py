@@ -37,7 +37,12 @@ def _log_space_root(a: float, s: float) -> float:
 
 
 def moyal(x: float) -> float:
-    """Un-normalized Moyal function exp(-(x + e^-x)/2), range (0, e^-1/2]."""
+    """Un-normalized Moyal function exp(-(x + e^-x)/2), range (0, e^-1/2].
+
+    A NaN x raises DomainError, as in the inverses and ``gaisser_hillas``.
+    """
+    if math.isnan(x):
+        raise DomainError("moyal is undefined at x = NaN")
     if x < -700.0:
         # e^-x overflows a double here while the function value itself
         # underflows; return the limit directly.

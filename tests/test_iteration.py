@@ -129,10 +129,10 @@ def test_singularity_guards():
         for w in (-1.0 - 2e-12, -1.0 + 2e-12):
             assert math.isfinite(step(MINUS_INV_E, w)), (step, w)
     # A NaN estimate passes the guard: fritsch_step's sign test rejects it
-    # at either sign of x, and a NaN x too, while halley_step returns NaN.
+    # at either sign of x, and a NaN x too; halley_step tests for NaN.
     for x, w in ((1.0, math.nan), (-0.2, math.nan), (math.nan, -0.5)):
         with pytest.raises(DomainError):
             fritsch_step(x, w)
-    assert math.isnan(halley_step(1.0, math.nan))
-    assert math.isnan(halley_step(-0.2, math.nan))
+        with pytest.raises(DomainError, match="NaN"):
+            halley_step(x, w)
 

@@ -162,6 +162,8 @@ def test_moyal_inverse_domain_errors():
             moyal_inverse(bad, "plus")
     with pytest.raises(ValueError):
         moyal_inverse(0.2, "both")
+    with pytest.raises(DomainError, match="NaN"):
+        moyal(math.nan)
 
 
 # ----------------------------------------------------------------------
