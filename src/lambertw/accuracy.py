@@ -9,8 +9,8 @@ reference value.  ``accuracy_sweep`` evaluates a chosen pipeline stage
 (the raw approximation, or one Halley or Fritsch step from it; the last
 is the value ``lambert_w`` returns except for x < -1/e + 5e-4, where
 ``lambert_w`` returns the series seed unstepped) over a sampling grid
-and reports the per-point deltas; ``write_report`` writes a report to an open text file
-as plain-text data suitable for plotting.
+and reports the per-point deltas; ``write_report`` writes a report to
+an open text file as plain-text data suitable for plotting.
 """
 
 import math

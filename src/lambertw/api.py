@@ -5,7 +5,7 @@ checks the branch and x, picks the region whose initial approximation
 (the seed) serves x by comparison with the breakpoints, and applies
 ``fritsch_step``'s arithmetic inline, except at x = 0 (w = 0), at +inf
 and for x < -1/e + 5e-4, the test ``_w`` makes.  There the branch point
-series, in the exact c = 1 + e*x, is within 0.55 ulp out to 1e-4 from
+series, in the exact c = 1 + e*x, is within 0.51 ulp out to 1e-4 from
 -1/e and 5.4 ulp at 5e-4, while on branch 0 one step from it lands
 4e5 ulp off at 1e-12 and 27 ulp at 2.5e-4 (19 ulp past 5e-4).  That
 range holds the one seed of exactly -1 (at -1/e and in the rounding
@@ -330,8 +330,8 @@ def _lambert_w_list(branch: int, values: list) -> list:
 
     The scalar path's arithmetic written out in one loop: the region by
     comparison with the breakpoints, the seed in Horner form, one Fritsch
-    step after the same unstepped-seed test.  Every value is bit-identical to
-    ``lambert_w(branch, v).value``; the first bad one raises its error.
+    step after the same unstepped-seed test.  Every value is bit-identical
+    to ``lambert_w(branch, v).value``; the first bad one raises its error.
     """
     log, sqrt, e, inf = math.log, math.sqrt, math.e, math.inf
     m, m_lo, unstepped_end = MINUS_INV_E, _MINUS_INV_E_LO, _UNSTEPPED_END

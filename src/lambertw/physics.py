@@ -3,7 +3,9 @@
 Both the Moyal function and the one-parameter Gaisser-Hillas profile
 can be inverted exactly in terms of the two real Lambert W branches:
 the principal branch selects the solution on one side of the profile
-maximum, the lower branch the other side.
+maximum, the lower branch the other side.  Where the lower branch's
+argument is not a normal double, both inverses take that root from one
+log-space equation, r - s ln(r/s) = a, which never forms the argument.
 """
 
 import math
