@@ -9,9 +9,9 @@ in a denser check (4000 cells per region, 40 000 points in branch 0
 rational-fit-1), whichever is higher.
 
 The branch-point-series region is checked by offset from -1/e instead,
-at 50 digits: within 1 ulp out to 1e-4, where the series seed is the
-value, and within its own bound per branch beyond, where one Fritsch
-step's rounding, amplified by 1/|1 + W|, dominates.
+at 50 digits: within 1 ulp out to 1e-4, and within its own bound per
+branch beyond, where the seed's truncation grows and, past 5e-4, one
+Fritsch step's rounding, amplified by 1/|1 + W|, takes over.
 """
 
 import math
