@@ -166,10 +166,10 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
         try:
             exact = reference(b, x)
             value = seed(b, x)
-            # An exact seed (0, or -1 at the branch point) and +inf are
-            # not stepped, as in lambert_w; the seeds that lambert_w
-            # leaves unstepped near -1/e are, so the stage measures the step.
-            if step is not None and value != 0.0 and value != -1.0 and value != _INF:
+            # An exact seed (-1 at the branch point) and +inf are not
+            # stepped, as in lambert_w; the seeds that lambert_w leaves
+            # unstepped near -1/e are, so the stage measures the step.
+            if step is not None and value != -1.0 and value != _INF:
                 value = step(x, value)
             delta = delta_accuracy(value, exact)
         except (ValueError, ArithmeticError) as exc:

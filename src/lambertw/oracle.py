@@ -24,8 +24,8 @@ relative error of about 1e-7 or less.  The formulations are:
   ``L = log1p(x)``, refined through ``ln(x/w)``, and on branch -1 at
   the asymptotic start ``L1 - L2 + L2/L1 + L2*(L2 - 2)/(2*L1**2)``,
   refined through ``ln(x/w) = L1 - ln|w|``;
-* on branch 0 at x > e, the same residual divided by x,
-  ``expm1(y + log(y/x))``, so huge x cannot overflow ``y*exp(y)``,
+* on branch 0 at x > e, the log of ``y*exp(y)/x``, ``y + log(y/x)``,
+  which has the residual's sign, so huge x cannot overflow ``y*exp(y)``,
   started at the asymptotic start, refined through ``L1 - ln(w)``;
 * within ``x <= -0.2``, the identity ``(u - 1)*e^u + 1 = 1 + e*x`` in
   the shifted variable ``u = 1 + w``, evaluated through ``expm1`` so the
@@ -99,20 +99,12 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
     read: when the Newton step would start from it, which an unread end,
     counted as |f| = inf, never wins, or when the one-ulp bracket closes
     on it.  It is sign-checked then, and a wrong sign raises ValueError.
-    A ``start`` outside (lo, hi) has both ends evaluated first.
+    A ``start`` outside (lo, hi), or on one of its ends, is never
+    evaluated: the first point is then the midpoint.
     """
     lo0, hi0 = lo, hi
     flo, dlo = -_INF, 0.0  # an end not read yet; two names build no tuple
     fhi, dhi = _INF, 0.0
-    if not lo < start < hi:
-        flo, dlo = fd(lo)
-        fhi, dhi = fd(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo > 0.0 or fhi < 0.0:
-            raise ValueError(f"root not bracketed by [{lo}, {hi}]")
     t = start
     older = step = hi - lo
     while True:
@@ -202,13 +194,12 @@ def _reference_w0(x: float) -> float:
         w = log1p_x * (1.0 - _log(1.0 + log1p_x) / (2.0 + log1p_x))
         w = w / (1.0 + w) * (1.0 + _log(x / w))
         return _solve(plain, -1.0, 1.0, w / (1.0 + w) * (1.0 + _log(x / w)))
-    # For x > e solve in y >= 1 on the residual divided by x, written
-    # through expm1 so huge x cannot overflow y*exp(y).
+    # For x > e solve in y >= 1 on ln(y*exp(y)/x) = y + ln(y/x): it has
+    # the sign of y*exp(y) - x, which huge x would overflow.
     log_x = _log(x)
 
     def scaled(y):
-        g = _expm1(y + _log(y / x))
-        return g, (g + 1.0) * (1.0 + 1.0 / y)
+        return y + _log(y / x), 1.0 + 1.0 / y
 
     w = _asymptotic_start(log_x)
     w = w / (1.0 + w) * (1.0 + log_x - _log(w))
@@ -255,8 +246,6 @@ def reference_w(branch: int, x: float) -> float:
         raise invalid_branch(branch)
     if _isnan(x) or x < _X_MIN:
         raise _domain_error(x)
-    if x < MINUS_INV_E:
-        return -1.0
     if x <= _SHIFTED_CUTOFF:
         c = _E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO)
         if c <= 0.0:
