@@ -293,21 +293,27 @@ def test_solver_rejects_a_bracket_without_a_sign_change():
 def test_solver_rejects_a_wrong_sign_first_read_at_the_close(fd):
     """Every point inside the bracket has the sign of one end, so the
     other end is first evaluated when the one-ulp bracket closes on it,
-    and its sign is checked there; the message names the given bracket."""
-    reads = []
+    and its sign is checked there; the message names the given bracket.
+    The first read is the start inside (0, 1), and an interior point,
+    the midpoint, for a start on an end or outside."""
+    for start in (0.5, 0.0, 2.0):
+        reads = []
 
-    def recorded(t):
-        reads.append(t)
-        return fd(t)
+        def recorded(t):
+            reads.append(t)
+            return fd(t)
 
-    with pytest.raises(ValueError, match=re.escape("not bracketed by [0.0, 1.0]")):
-        oracle._solve(recorded, 0.0, 1.0, 0.5)
-    assert reads[0] == 0.5 and reads[-1] in (0.0, 1.0) and reads.count(reads[-1]) == 1
+        with pytest.raises(ValueError, match=re.escape("not bracketed by [0.0, 1.0]")):
+            oracle._solve(recorded, 0.0, 1.0, start)
+        first = start if 0.0 < start < 1.0 else oracle._midpoint(0.0, 1.0)
+        assert reads[0] == first and 0.0 < first < 1.0, start
+        assert reads[-1] in (0.0, 1.0) and reads.count(reads[-1]) == 1, start
 
 
 def test_a_start_outside_the_bracket_gives_the_same_root():
-    """A start outside (lo, hi) has both ends evaluated first; the solve
-    then closes on the same one-ulp bracket."""
+    """A start outside (lo, hi) is never evaluated: the first point is the
+    midpoint of the bracket, and the solve closes on the same one-ulp
+    bracket."""
     solves = _recorded_solves(WELL_CONDITIONED[::4])
     for fd, lo, hi, start, root in solves:
         for outside in (lo - 1.0, hi + 1.0, math.inf):
