@@ -74,6 +74,14 @@ def _parse_branch_x(args: list[str]) -> tuple[Branch, float]:
     raise ValueError(f"expected 1 or 2 arguments, got {len(values)}")
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _print_value(value: float) -> None:
     print(f"{value:.17g}")
 
@@ -103,7 +111,15 @@ def _run_sweep(args: list[str]) -> int:
     parser.add_argument("--count", type=int, default=1000)
     parser.add_argument("--output", default=None,
                         help="write records to this file instead of stdout")
-    opts = parser.parse_args(args)
+    # argparse takes a value such as -1e-6 for an option, so a number
+    # after --start or --stop is joined to it: --start=-1e-6.
+    joined = []
+    for token in args:
+        if joined and joined[-1] in ("--start", "--stop") and _is_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    opts = parser.parse_args(joined)
 
     if opts.grid is None and opts.start is None and opts.stop is None:
         grid = default_panels(opts.branch)[0]._replace(count=opts.count)

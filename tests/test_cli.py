@@ -140,6 +140,19 @@ def test_sweep_writes_records_to_stdout(capsys):
     assert "min_delta" in err  # summary goes to stderr, not stdout
 
 
+def test_sweep_takes_negative_bounds_in_exponent_notation(capsys):
+    code, out, err = run(
+        ["sweep", "--branch", "-1", "--stage", "one-fritsch",
+         "--grid", "log", "--start", "-1e-6", "--stop", "-1e-12", "--count", "3"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("# branch=-1 stage=one-fritsch")
+    xs = [float(line.split(" ")[0]) for line in lines[1:]]
+    assert len(xs) == 3 and xs[0] == -1e-6 and xs[-1] == -1e-12
+
+
 def test_sweep_defaults_to_canonical_panel(capsys):
     code, out, err = run(["sweep", "--count", "50"], capsys)
     assert code == 0
