@@ -151,6 +151,8 @@ def test_every_seed_is_exact_or_has_the_sign_of_x_away_from_minus_one(branch):
         else:
             assert w != 0.0 and w != -1.0 and (w > 0.0) == (x > 0.0), (x, w)
             assert abs(1.0 + w) >= 1e-8, (x, w)
+            if x >= MINUS_INV_E + 5e-4:  # the seeds that lambert_w steps
+                assert abs(1.0 + w) > 0.05, (x, w)
 
 
 @pytest.mark.parametrize("branch", [0, -1])

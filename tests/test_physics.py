@@ -293,18 +293,13 @@ def test_gh_rejects_a_non_finite_x_max(x_max):
     # mpmath at 60 digits: the root r of r - x_max ln(r/x_max) = x_max - ln y.
     # 1 - ln(y)/x_max overflows a double for x_max below |ln y|/DBL_MAX:
     # below 3.8e-309 at y = 0.5, below 3.8e-306 and 4.1e-306 at the others.
+    # At (1e-300, 1e-306) 1/x_max is finite and ln(y)/x_max is not.
     [(0.5, 0.6931471805599453), (1e-300, 690.7755278982137), (5e-324, 744.4400719213812)],
 )
 def test_gh_inverse_at_tiny_x_max(y, x_max, expected_right):
     roots = gh_inverse(y, x_max)
     assert abs(roots.right - expected_right) <= 2 * math.ulp(expected_right)
     assert roots.left == 0.0
-
-
-def test_gh_inverse_where_only_ln_y_over_x_max_overflows():
-    # 1/x_max is finite, ln(y)/x_max is not; mpmath as above.
-    expected = 690.7755278982137
-    assert abs(gh_inverse(1e-300, 1e-306).right - expected) <= 2 * math.ulp(expected)
 
 
 @pytest.mark.parametrize(
