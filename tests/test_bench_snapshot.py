@@ -40,3 +40,15 @@ def test_comparison_counts_wins_by_direction_and_the_parent_spread(snapshot):
     assert summary["values_per_s"] == {
         "pairs": 4, "change_wins": 2, "parent_wins": 1, "parent_iqr": 0.0,
     }
+
+
+def test_identical_checksums_counts_equal_pairs_per_checksum(snapshot):
+    parent = [{"checksum": "a", "traced_checksum": "a"},
+              {"checksum": "b", "traced_checksum": "b"},
+              {"checksum": "c", "traced_checksum": "c"}]
+    change = [{"checksum": "a", "traced_checksum": "a"},
+              {"checksum": "x", "traced_checksum": "b"},
+              {"checksum": "c", "traced_checksum": "y"}]
+    assert snapshot.identical_checksums(parent, change) == {
+        "pairs": 3, "checksum": 2, "traced_checksum": 2,
+    }

@@ -36,10 +36,13 @@ won in the metric's ``better`` direction of BENCHMARK.json (a tie counts
 for neither) and the parent's interquartile spread, so that the rule for
 claiming a gain can be read from the file: the change wins at least nine
 pairs in ten, and its median differs from the parent's by more than that
-spread.  Runs last
-``run_seconds`` of BENCHMARK.json, as the benchmark's own runs do; the
-32 runs of a snapshot of every workload at one pair per seed, 8 of them
-warm-up runs, take about sixteen minutes.
+spread.  Under ``identical_checksums``, kept apart from ``comparison``
+because every key there is read as a metric, go the number of pairs and
+how many of them printed the same ``checksum`` and the same
+``traced_checksum`` on both sides: a change that keeps every value shows
+all pairs equal.  Runs last ``run_seconds`` of BENCHMARK.json, as the
+benchmark's own runs do; the 32 runs of a snapshot of every workload at
+one pair per seed, 8 of them warm-up runs, take about sixteen minutes.
 """
 
 from __future__ import annotations
@@ -119,6 +122,16 @@ def comparison(parent: list[dict], change: list[dict]) -> dict:
     return summary
 
 
+def identical_checksums(parent: list[dict], change: list[dict]) -> dict:
+    """Over the pairs ``(parent[i], change[i])``: how many printed the
+    same ``checksum`` and how many the same ``traced_checksum``."""
+    pairs = list(zip(parent, change))
+    return {"pairs": len(pairs)} | {
+        key: sum(before[key] == after[key] for before, after in pairs)
+        for key in ("checksum", "traced_checksum")
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     names = [w["name"] for w in SPEC["workloads"]]
@@ -148,6 +161,7 @@ def main(argv=None) -> int:
         for side in ("parent", "change"):
             snapshot[side] = label(workload, clean[side], runs[side])
         snapshot["comparison"] = comparison(runs["parent"], runs["change"])
+        snapshot["identical_checksums"] = identical_checksums(runs["parent"], runs["change"])
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(snapshot, indent=1) + "\n")
         for side in ("parent", "change"):
@@ -156,6 +170,9 @@ def main(argv=None) -> int:
         print(f"{path.name}: change wins " + " ".join(
             f"{name}={c['change_wins']}/{c['pairs']}"
             for name, c in snapshot["comparison"].items()))
+        same = snapshot["identical_checksums"]
+        print(f"{path.name}: identical checksum={same['checksum']}/{same['pairs']} "
+              f"traced_checksum={same['traced_checksum']}/{same['pairs']}")
     return 0
 
 
