@@ -14,15 +14,18 @@ improved estimate:
   below half an ulp of 1 and the product rounds again; that error moves
   with the seed, and shorter seeds then give worse final values.
 
-``lambertw.api`` applies exactly one Fritsch step per evaluation;
-only ``steps_to_converge`` there repeats steps, to count them.
+``lambertw.api`` applies at most one Fritsch step per evaluation: none
+at x = 0, at +inf and for x < -1/e + 5e-4, where the branch point series
+seed is the value.  Only ``steps_to_converge`` there repeats steps, to
+count them.
 
 Neither step is defined at w = -1 (the derivative of w*e^w vanishes).
 ``SINGULARITY_GUARD`` is the input check of the two public steps: an
-estimate within 1e-12 of -1 raises SingularityError.  No seed of the
-evaluation path falls inside it except -1 itself, which the branch point
-series returns exactly at -1/e and which callers skip by equality; every
-other seed keeps |1 + w| >= 1e-8.
+estimate within 1e-12 of -1 raises SingularityError.  ``api`` skips -1,
+the series seed at -1/e and in the rounding band below it, by that
+unstepped range, and every seed it steps keeps |1 + w| > 0.05.  The
+accuracy sweeps step the unstepped seeds too, skipping -1 by equality;
+every other seed keeps |1 + w| >= 1e-8.
 """
 
 import math
