@@ -10,7 +10,8 @@ install (with ``src`` on ``PYTHONPATH`` in a source checkout).
 
 One numeric argument is the point x (principal branch); two numeric
 arguments are the branch (0 or -1) followed by x.  A leading minus sign
-on a lone argument is read as a negative x, never as a flag.
+on a lone argument is read as a negative x, never as a flag; in the
+subcommands, too, a negative number such as -1e-5 is always a value.
 
 Subcommands extend the utility without disturbing the bare contract:
 
@@ -82,6 +83,27 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _parse_args(parser, args: list[str]):
+    """``parser.parse_args(args)`` with every number read as a value.
+
+    argparse takes a token such as -1e-5 for an option: only forms like
+    -1 and -0.5 look like negative numbers to it.  So a negative number
+    after an option that takes a value is joined to it
+    (``--start=-1e-6``), and any other gets a leading space, which
+    ``float`` skips, and is read as a positional.
+    """
+    tokens = []
+    for token in args:
+        if token.startswith("-") and _is_number(token):
+            option = tokens[-1] if tokens else ""
+            if option.startswith("--") and "=" not in option and option not in ("--", "--help"):
+                tokens[-1] += "=" + token
+                continue
+            token = " " + token
+        tokens.append(token)
+    return parser.parse_args(tokens)
+
+
 def _print_value(value: float) -> None:
     print(f"{value:.17g}")
 
@@ -111,15 +133,7 @@ def _run_sweep(args: list[str]) -> int:
     parser.add_argument("--count", type=int, default=1000)
     parser.add_argument("--output", default=None,
                         help="write records to this file instead of stdout")
-    # argparse takes a value such as -1e-6 for an option, so a number
-    # after --start or --stop is joined to it: --start=-1e-6.
-    joined = []
-    for token in args:
-        if joined and joined[-1] in ("--start", "--stop") and _is_number(token):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    opts = parser.parse_args(joined)
+    opts = _parse_args(parser, args)
 
     if opts.grid is None and opts.start is None and opts.stop is None:
         grid = default_panels(opts.branch)[0]._replace(count=opts.count)
@@ -149,7 +163,7 @@ def _run_moyal_inverse(args: list[str]) -> int:
     )
     parser.add_argument("--side", choices=MOYAL_SIDES, default="plus")
     parser.add_argument("y", type=float)
-    opts = parser.parse_args(args)
+    opts = _parse_args(parser, args)
     _print_value(moyal_inverse(opts.y, opts.side))
     return 0
 
@@ -164,7 +178,7 @@ def _run_gh_inverse(args: list[str]) -> int:
     )
     parser.add_argument("y", type=float)
     parser.add_argument("x_max", type=float)
-    opts = parser.parse_args(args)
+    opts = _parse_args(parser, args)
     roots = gh_inverse(opts.y, opts.x_max)
     print(f"{roots.left:.17g} {roots.right:.17g}")
     return 0

@@ -14,16 +14,17 @@ the given bracket are evaluated, and sign-checked, only where the solve
 reads them, which most solves never do.  Each formulation supplies its
 own derivative, from the same exponential or logarithm as its residual,
 and a start point, which only decides how many evaluations the bracket
-takes to close.  Outside the shifted and log-space forms, the closed-form
-starts get two steps of Iacono and Boyd's (2017) iteration
-``w <- w/(1 + w)*(1 + ln(x/w))``, one log each, which bring them to a
+takes to close.  Outside the log-space form, the closed-form starts get
+steps of Iacono and Boyd's (2017) iteration
+``w <- w/(1 + w)*(1 + ln(x/w))``, one log each: two bring them to a
 relative error of about 1e-7 or less.  The formulations are:
 
 * away from the branch point, plain ``g(y) = y*exp(y) - x``, started on
   branch 0 at Winitzki's ``L*(1 - ln(1 + L)/(2 + L))`` with
-  ``L = log1p(x)``, refined through ``ln(x/w)``, and on branch -1 at
-  the asymptotic start ``L1 - L2 + L2/L1 + L2*(L2 - 2)/(2*L1**2)``,
-  refined through ``ln(x/w) = L1 - ln|w|``;
+  ``L = log1p(x)``, refined by three steps through ``ln(x/w)``, and on
+  branch -1 at the asymptotic start
+  ``L1 - L2 + L2/L1 + L2*(L2 - 2)/(2*L1**2)``, refined through
+  ``ln(x/w) = L1 - ln|w|``;
 * on branch 0 at x > e, the log of ``y*exp(y)/x``, ``y + log(y/x)``,
   which has the residual's sign, so huge x cannot overflow ``y*exp(y)``,
   started at the asymptotic start, refined through ``L1 - ln(w)``;
@@ -34,7 +35,10 @@ relative error of about 1e-7 or less.  The formulations are:
   solved for w itself on [-1, 1] (branch 0) or [-4, -1] (branch -1), so
   that the bracket closes on adjacent doubles of the returned value;
   started at the branch point series ``-1 + p - p**2/3 + 11*p**3/72 ...``
-  to order 9 in ``p = +-sqrt(2*(1 + e*x))`` (Corless et al. 1996);
+  to order 9 in ``p = +-sqrt(2*(1 + e*x))`` (Corless et al. 1996),
+  refined by two steps with ``1 + ln(x/w) = log1p(-c) - log1p(-u)``,
+  ``c = 1 + e*x``, a form that does not cancel near -1/e and keeps the
+  start within a few ulp of the root there;
 * on branch -1 at subnormal x, the logarithm of the identity,
   ``y + log(-y) = log(-x)``, because ``y*exp(y)`` underflows there,
   started at the asymptotic start, unrefined.
@@ -189,9 +193,10 @@ def _reference_w0(x: float) -> float:
             return y * ey - x, (1.0 + y) * ey
 
         # Winitzki's L*(1 - ln(1 + L)/(2 + L)), L = ln(1 + x), within 2% of
-        # W, and two steps w <- w/(1 + w)*(1 + ln(x/w)) (Iacono and Boyd 2017).
+        # W, and three steps w <- w/(1 + w)*(1 + ln(x/w)) (Iacono and Boyd 2017).
         log1p_x = _log1p(x)
         w = log1p_x * (1.0 - _log(1.0 + log1p_x) / (2.0 + log1p_x))
+        w = w / (1.0 + w) * (1.0 + _log(x / w))
         w = w / (1.0 + w) * (1.0 + _log(x / w))
         return _solve(plain, -1.0, 1.0, w / (1.0 + w) * (1.0 + _log(x / w)))
     # For x > e solve in y >= 1 on ln(y*exp(y)/x) = y + ln(y/x): it has
@@ -251,7 +256,14 @@ def reference_w(branch: int, x: float) -> float:
         if c <= 0.0:
             return -1.0
         sign, lo, hi = (1.0, -1.0, 1.0) if branch == 0 else (-1.0, -4.0, -1.0)
-        return _solve(_shifted(c, sign), lo, hi, _branch_point_start(c, sign))
+        # Two Iacono-Boyd steps with 1 + ln(x/w) = ln(1 - c) - ln(1 - u),
+        # u = 1 + w: the plain form would cancel near -1/e.
+        log1p_c = _log1p(-c)
+        w = _branch_point_start(c, sign)
+        u = 1.0 + w
+        w = w / u * (log1p_c - _log1p(-u))
+        u = 1.0 + w
+        return _solve(_shifted(c, sign), lo, hi, w / u * (log1p_c - _log1p(-u)))
     if branch == 0:
         return _reference_w0(x)
     if x >= 0.0:

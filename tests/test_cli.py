@@ -218,3 +218,19 @@ def test_gh_inverse_domain_error(capsys):
     code, out, err = run(["gh-inverse", "1.5", "2"], capsys)
     assert code == 1
     assert "(0, 1]" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moyal-inverse", "-1e-5"], "y=-1e-05"),
+        (["moyal-inverse", "--side", "minus", "-1e-5"], "y=-1e-05"),
+        (["gh-inverse", "0.5", "-1e-5"], "got -1e-05"),
+        (["gh-inverse", "-1e-5", "2"], "got y=-1e-05"),
+    ],
+)
+def test_negative_positionals_in_exponent_notation_reach_the_domain_check(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("lambert-w: domain error: ") and message in err

@@ -33,10 +33,9 @@ matched its git revision (``git status --porcelain`` printed nothing),
 so that a label measured on uncommitted changes says so.  Under
 ``comparison`` each metric gets the number of pairs, the pairs each side
 won in the metric's ``better`` direction of BENCHMARK.json (a tie counts
-for neither) and the parent's interquartile spread, so that the rule for
-claiming a gain can be read from the file: the change wins at least nine
-pairs in ten, and its median differs from the parent's by more than that
-spread.  Under ``identical_checksums``, kept apart from ``comparison``
+for neither), the parent's interquartile spread and ``gain_shown``, the
+rule for claiming a gain: the change wins at least nine pairs in ten,
+and its median is better than the parent's by more than that spread.  Under ``identical_checksums``, kept apart from ``comparison``
 because every key there is read as a metric, go the number of pairs and
 how many of them printed the same ``checksum`` and the same
 ``traced_checksum`` on both sides: a change that keeps every value shows
@@ -104,8 +103,10 @@ def label(workload: str, clean: bool, runs: list[dict]) -> dict:
 def comparison(parent: list[dict], change: list[dict]) -> dict:
     """Per metric, over the pairs ``(parent[i], change[i])``: the pairs
     each side won (better by the metric's ``better`` field; a tie counts
-    for neither) and the parent's interquartile spread ``q3 - q1``, with
-    quartiles as perfbench takes them (``statistics.quantiles``)."""
+    for neither), the parent's interquartile spread ``q3 - q1``, with
+    quartiles as perfbench takes them (``statistics.quantiles``), and
+    ``gain_shown``: whether the change won at least nine pairs in ten and
+    its median is better than the parent's by more than that spread."""
     summary = {}
     for name in parent[0]["result"]["metrics"]:
         sign = 1.0 if BETTER[name] == "higher" else -1.0
@@ -113,11 +114,14 @@ def comparison(parent: list[dict], change: list[dict]) -> dict:
                          for runs in (parent, change))
         gains = [sign * (b - a) for a, b in zip(before, after)]
         q1, _, q3 = statistics.quantiles(before, n=4)
+        change_wins = sum(gain > 0.0 for gain in gains)
+        median_gain = sign * (statistics.median(after) - statistics.median(before))
         summary[name] = {
             "pairs": len(gains),
-            "change_wins": sum(gain > 0.0 for gain in gains),
+            "change_wins": change_wins,
             "parent_wins": sum(gain < 0.0 for gain in gains),
             "parent_iqr": q3 - q1,
+            "gain_shown": 10 * change_wins >= 9 * len(gains) and median_gain > q3 - q1,
         }
     return summary
 
@@ -168,7 +172,7 @@ def main(argv=None) -> int:
             print(f"{path.name}: {side} " + " ".join(
                 f"{name}={value:.6g}" for name, value in snapshot[side]["median"].items()))
         print(f"{path.name}: change wins " + " ".join(
-            f"{name}={c['change_wins']}/{c['pairs']}"
+            f"{name}={c['change_wins']}/{c['pairs']}{' (gain shown)' if c['gain_shown'] else ''}"
             for name, c in snapshot["comparison"].items()))
         same = snapshot["identical_checksums"]
         print(f"{path.name}: identical checksum={same['checksum']}/{same['pairs']} "
