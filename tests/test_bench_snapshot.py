@@ -43,7 +43,7 @@ def test_comparison_counts_wins_by_direction_and_the_parent_spread(snapshot):
     }
 
 
-def test_gain_shown_needs_nine_wins_in_ten_and_a_median_gap_beyond_the_spread(snapshot):
+def test_gain_shown_needs_ten_pairs_nine_wins_in_ten_and_a_gap_beyond_the_spread(snapshot):
     parent = [100.0 + i % 5 for i in range(10)]  # quartiles 100.75 and 103.25
     shown = {name: snapshot.comparison(_runs({"latency_ns.p50": parent}),
                                        _runs({"latency_ns.p50": change}))
@@ -66,6 +66,11 @@ def test_gain_shown_needs_nine_wins_in_ten_and_a_median_gap_beyond_the_spread(sn
     summary = snapshot.comparison(_runs({"values_per_s": parent}),
                                   _runs({"values_per_s": [p + 3.5 for p in parent]}))
     assert summary["values_per_s"]["gain_shown"] is True
+    # Three pairs, each won by a wide margin, are too few to show a gain.
+    summary = snapshot.comparison(_runs({"values_per_s": parent[:3]}),
+                                  _runs({"values_per_s": [p + 9.0 for p in parent[:3]]}))
+    assert summary["values_per_s"]["change_wins"] == 3
+    assert summary["values_per_s"]["gain_shown"] is False
 
 
 def test_identical_checksums_counts_equal_pairs_per_checksum(snapshot):

@@ -34,12 +34,13 @@ so that a label measured on uncommitted changes says so.  Under
 ``comparison`` each metric gets the number of pairs, the pairs each side
 won in the metric's ``better`` direction of BENCHMARK.json (a tie counts
 for neither), the parent's interquartile spread and ``gain_shown``, the
-rule for claiming a gain: the change wins at least nine pairs in ten,
-and its median is better than the parent's by more than that spread.  Under ``identical_checksums``, kept apart from ``comparison``
-because every key there is read as a metric, go the number of pairs and
-how many of them printed the same ``checksum`` and the same
-``traced_checksum`` on both sides: a change that keeps every value shows
-all pairs equal.  Runs last ``run_seconds`` of BENCHMARK.json, as the
+rule for claiming a gain: over at least ten pairs, the change wins at
+least nine pairs in ten, and its median is better than the parent's by
+more than that spread.  Under ``identical_checksums``, kept apart from
+``comparison`` because every key there is read as a metric, go the
+number of pairs and how many of them printed the same ``checksum`` and
+the same ``traced_checksum`` on both sides: a change that keeps every
+value shows all pairs equal.  Runs last ``run_seconds`` of BENCHMARK.json, as the
 benchmark's own runs do; the 32 runs of a snapshot of every workload at
 one pair per seed, 8 of them warm-up runs, take about sixteen minutes.
 """
@@ -105,8 +106,11 @@ def comparison(parent: list[dict], change: list[dict]) -> dict:
     each side won (better by the metric's ``better`` field; a tie counts
     for neither), the parent's interquartile spread ``q3 - q1``, with
     quartiles as perfbench takes them (``statistics.quantiles``), and
-    ``gain_shown``: whether the change won at least nine pairs in ten and
-    its median is better than the parent's by more than that spread."""
+    ``gain_shown``: whether, over at least ten pairs, the change won at
+    least nine pairs in ten and its median is better than the parent's
+    by more than that spread.  Fewer pairs show no gain: three pairs of
+    a workload that runs none of the changed code can all fall to the
+    change."""
     summary = {}
     for name in parent[0]["result"]["metrics"]:
         sign = 1.0 if BETTER[name] == "higher" else -1.0
@@ -121,7 +125,8 @@ def comparison(parent: list[dict], change: list[dict]) -> dict:
             "change_wins": change_wins,
             "parent_wins": sum(gain < 0.0 for gain in gains),
             "parent_iqr": q3 - q1,
-            "gain_shown": 10 * change_wins >= 9 * len(gains) and median_gain > q3 - q1,
+            "gain_shown": (len(gains) >= 10 and 10 * change_wins >= 9 * len(gains)
+                           and median_gain > q3 - q1),
         }
     return summary
 
