@@ -22,12 +22,15 @@ Subcommands extend the utility without disturbing the bare contract:
     lambert-w gh-inverse y x_max   Gaisser-Hillas profile inverse
 
 Exit codes: 0 success, 1 domain error (message on stderr names the
-violated bound), 2 malformed arguments or an unwritable --output file.
+violated bound), 2 malformed arguments or an unwritable --output file,
+141 (128 + SIGPIPE) when the reader of stdout closes it early, as
+``| head -1`` does, with nothing on stderr.
 """
 
 # argparse is imported by the three subcommands that build a parser:
 # the bare and ``eval`` forms never need it, so they do not pay to load it.
 import contextlib
+import os
 import sys
 
 from .accuracy import STAGES, GridSpec, accuracy_sweep, default_panels, write_report
@@ -148,6 +151,8 @@ def _run_sweep(args: list[str]) -> int:
               else open(opts.output, "w", encoding="ascii")) as out:
             report = accuracy_sweep(opts.branch, opts.stage, grid)
             write_report(report, out)
+    except BrokenPipeError:  # a closed stdout, which main handles
+        raise
     except OSError as exc:  # e.g. an --output path in a missing directory
         return _fail_usage(str(exc))
     print(f"min_delta = {report.min_delta!r} over {report.grid.describe()}", file=sys.stderr)
@@ -217,7 +222,15 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_cli(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run_cli(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # here, so a closed pipe raises inside the try
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit prints nothing, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

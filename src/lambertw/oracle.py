@@ -82,10 +82,11 @@ def _midpoint(lo: float, hi: float) -> float:
     return -t if k < 0 else t
 
 
-def _solve(fd, lo: float, hi: float, start: float) -> float:
+def _solve(fd, a: float, lo: float, hi: float, start: float) -> float:
     """Root of increasing ``f`` on [lo, hi], refined to a one-ulp bracket.
 
-    ``fd(t)`` returns ``(f(t), f'(t))``.  Every evaluation shrinks the
+    ``fd(t, a)`` returns ``(f(t), f'(t))`` for the residual's parameter
+    ``a`` (x, c or ln(-x)).  Every evaluation shrinks the
     sign-checked bracket.  The first point is ``start`` if it lies inside
     the bracket; each later one is the Newton step from the bracket end
     with the smaller ``|f|``, or the midpoint in the order of doubles when
@@ -113,7 +114,7 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
     older = step = hi - lo
     while True:
         if lo < t < hi:
-            f, d = fd(t)
+            f, d = fd(t, a)
             if f < 0.0:
                 lo, flo, dlo = t, f, d
             elif f > 0.0:
@@ -133,9 +134,9 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
                 continue
         if _nextafter(lo, hi) == hi:
             if flo == -_INF:
-                flo = fd(lo)[0]
+                flo = fd(lo, a)[0]
             if fhi == _INF:
-                fhi = fd(hi)[0]
+                fhi = fd(hi, a)[0]
             if flo > 0.0 or fhi < 0.0:
                 raise ValueError(f"root not bracketed by [{lo0}, {hi0}]")
             return lo if -flo <= fhi else hi
@@ -143,24 +144,39 @@ def _solve(fd, lo: float, hi: float, start: float) -> float:
         older, step, t = step, new - t if new > t else t - new, new
 
 
-# The residual closures here are left unannotated: every reference_w call
-# defines one, and their annotations would be evaluated on each call.
-def _shifted(c: float, sign: float):
-    """``sign`` times (u-1)*e^u + 1 - c, u = 1 + w, and its derivative u*e^u.
+# (u-1)*e^u + 1 - c, u = 1 + w, and its derivative u*e^u, negated on
+# branch -1, as functions of w itself: the solve closes on adjacent
+# doubles of w, not of u.  u is exact for w in [-4, -1/2] (Sterbenz below
+# |w| = 2), branch -1 and branch 0 up to -1/2, so w stands in for u - 1;
+# expm1 folds in the +1 without cancellation at small u.
+def _shifted_w0(w: float, c: float) -> tuple[float, float]:
+    u = 1.0 + w
+    em1 = _expm1(u)
+    return w * em1 + u - c, u * (em1 + 1.0)
 
-    The residual is a function of w itself, so the solve closes on
-    adjacent doubles of w, not of u.  The sum u = 1 + w is exact for every
-    w in [-4, -1/2] (Sterbenz below |w| = 2), which covers branch -1 and
-    the branch 0 values up to -1/2; w stands in for u - 1.  The +1 is
-    folded in via expm1 to avoid cancellation for small u.
-    """
 
-    def fd(w):
-        u = 1.0 + w
-        em1 = _expm1(u)
-        return sign * (w * em1 + u - c), sign * u * (em1 + 1.0)
+def _shifted_wm1(w: float, c: float) -> tuple[float, float]:
+    u = 1.0 + w
+    em1 = _expm1(u)
+    return -(w * em1 + u - c), -u * (em1 + 1.0)
 
-    return fd
+
+def _plain_w0(y: float, x: float) -> tuple[float, float]:
+    ey = _exp(y)
+    return y * ey - x, (1.0 + y) * ey
+
+
+def _plain_wm1(y: float, x: float) -> tuple[float, float]:
+    ey = _exp(y)
+    return x - y * ey, -(1.0 + y) * ey
+
+
+def _scaled(y: float, x: float) -> tuple[float, float]:
+    return y + _log(y / x), 1.0 + 1.0 / y
+
+
+def _log_space(y: float, log_x: float) -> tuple[float, float]:
+    return y + _log(-y) - log_x, 1.0 + 1.0 / y
 
 
 def _branch_point_start(c: float, sign: float) -> float:
@@ -187,46 +203,28 @@ def _reference_w0(x: float) -> float:
     if x == 0.0 or x == _INF:  # W0(x) = x, signed zeros included
         return x
     if x <= _E:
-
-        def plain(y):
-            ey = _exp(y)
-            return y * ey - x, (1.0 + y) * ey
-
         # Winitzki's L*(1 - ln(1 + L)/(2 + L)), L = ln(1 + x), within 2% of
         # W, and three steps w <- w/(1 + w)*(1 + ln(x/w)) (Iacono and Boyd 2017).
         log1p_x = _log1p(x)
         w = log1p_x * (1.0 - _log(1.0 + log1p_x) / (2.0 + log1p_x))
         w = w / (1.0 + w) * (1.0 + _log(x / w))
         w = w / (1.0 + w) * (1.0 + _log(x / w))
-        return _solve(plain, -1.0, 1.0, w / (1.0 + w) * (1.0 + _log(x / w)))
+        return _solve(_plain_w0, x, -1.0, 1.0, w / (1.0 + w) * (1.0 + _log(x / w)))
     # For x > e solve in y >= 1 on ln(y*exp(y)/x) = y + ln(y/x): it has
     # the sign of y*exp(y) - x, which huge x would overflow.
     log_x = _log(x)
-
-    def scaled(y):
-        return y + _log(y / x), 1.0 + 1.0 / y
-
     w = _asymptotic_start(log_x)
     w = w / (1.0 + w) * (1.0 + log_x - _log(w))
-    return _solve(scaled, 1.0, log_x + 1.0, w / (1.0 + w) * (1.0 + log_x - _log(w)))
+    return _solve(_scaled, x, 1.0, log_x + 1.0, w / (1.0 + w) * (1.0 + log_x - _log(w)))
 
 
 def _reference_wm1(x: float) -> float:
     log_x = _log(-x)
     w = _asymptotic_start(log_x)
     if -x < _SMALLEST_NORMAL:
-
-        def log_space(y):
-            return y + _log(-y) - log_x, 1.0 + 1.0 / y
-
-        return _solve(log_space, log_x - 40.0, -1.0, w)
-
-    def plain(y):
-        ey = _exp(y)
-        return x - y * ey, -(1.0 + y) * ey
-
+        return _solve(_log_space, log_x, log_x - 40.0, -1.0, w)
     w = w / (1.0 + w) * (1.0 + log_x - _log(-w))
-    return _solve(plain, log_x - 40.0, -1.0, w / (1.0 + w) * (1.0 + log_x - _log(-w)))
+    return _solve(_plain_wm1, x, log_x - 40.0, -1.0, w / (1.0 + w) * (1.0 + log_x - _log(-w)))
 
 
 def reference_w(branch: int, x: float) -> float:
@@ -255,7 +253,8 @@ def reference_w(branch: int, x: float) -> float:
         c = _E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO)
         if c <= 0.0:
             return -1.0
-        sign, lo, hi = (1.0, -1.0, 1.0) if branch == 0 else (-1.0, -4.0, -1.0)
+        fd, sign, lo, hi = ((_shifted_w0, 1.0, -1.0, 1.0) if branch == 0
+                            else (_shifted_wm1, -1.0, -4.0, -1.0))
         # Two Iacono-Boyd steps with 1 + ln(x/w) = ln(1 - c) - ln(1 - u),
         # u = 1 + w: the plain form would cancel near -1/e.
         log1p_c = _log1p(-c)
@@ -263,7 +262,7 @@ def reference_w(branch: int, x: float) -> float:
         u = 1.0 + w
         w = w / u * (log1p_c - _log1p(-u))
         u = 1.0 + w
-        return _solve(_shifted(c, sign), lo, hi, w / u * (log1p_c - _log1p(-u)))
+        return _solve(fd, c, lo, hi, w / u * (log1p_c - _log1p(-u)))
     if branch == 0:
         return _reference_w0(x)
     if x >= 0.0:

@@ -1,9 +1,13 @@
 """Tests for the lambert-w command-line utility."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lambertw
 from lambertw import cli, reference_w
 from lambertw.cli import run_cli
 
@@ -189,6 +193,24 @@ def test_sweep_checks_the_output_path_before_sweeping(tmp_path, capsys, monkeypa
     code, out, err = run(["sweep", "--count", "20000", "--output", str(target)], capsys)
     assert code == 2
     assert err.startswith("lambert-w: error: ")
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_stderr():
+    """``lambert-w sweep | head -1``: the report is far larger than a pipe
+    buffer, so the write after the reader closes raises BrokenPipeError,
+    which is neither a bad --output path nor worth a message."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(lambertw.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lambertw", "sweep", "--count", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.stdout.readline().startswith("# branch=0")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
 
 
 def test_moyal_inverse_subcommand(capsys):

@@ -176,14 +176,14 @@ def test_within_one_and_a_half_ulp_of_mpmath_off_the_shifted_zone(zone):
 
 
 def _recorded_solves(points):
-    """``(fd, lo, hi, start, root)`` of every solve that ``reference_w``
+    """``(fd, a, lo, hi, start, root)`` of every solve that ``reference_w``
     runs on ``points``."""
     solves = []
     solve = oracle._solve
 
-    def record(fd, lo, hi, start):
-        root = solve(fd, lo, hi, start)
-        solves.append((fd, lo, hi, start, root))
+    def record(fd, a, lo, hi, start):
+        root = solve(fd, a, lo, hi, start)
+        solves.append((fd, a, lo, hi, start, root))
         return root
 
     oracle._solve = record
@@ -214,24 +214,25 @@ def test_start_point_sets_only_the_speed():
     solves = _recorded_solves(WELL_CONDITIONED)
     assert len(solves) == len(WELL_CONDITIONED)
     isolated = [
-        (fd, lo, hi, start, root)
-        for fd, lo, hi, start, root in solves
-        if fd(math.nextafter(root, -math.inf))[0] != 0.0 and fd(math.nextafter(root, math.inf))[0] != 0.0
+        (fd, a, lo, hi, start, root)
+        for fd, a, lo, hi, start, root in solves
+        if fd(math.nextafter(root, -math.inf), a)[0] != 0.0
+        and fd(math.nextafter(root, math.inf), a)[0] != 0.0
     ]
     assert len(isolated) >= 0.95 * len(solves)
-    for fd, lo, hi, start, root in isolated:
+    for fd, a, lo, hi, start, root in isolated:
         for other in (lo, hi, lo + 0.001 * (hi - lo), hi - 0.001 * (hi - lo), 0.5 * (lo + hi)):
-            assert oracle._solve(fd, lo, hi, other) == root, (lo, hi, start, other)
+            assert oracle._solve(fd, a, lo, hi, other) == root, (lo, hi, start, other)
 
 
 def test_root_is_the_better_end_of_a_one_ulp_sign_change():
     """Every solve, noisy zones included, ends on adjacent doubles whose
     residuals differ in sign and returns the one with the smaller |f|."""
-    for fd, lo, hi, start, root in _recorded_solves(MPMATH_POINTS):
-        f = fd(root)[0]
+    for fd, a, lo, hi, start, root in _recorded_solves(MPMATH_POINTS):
+        f = fd(root, a)[0]
         if f == 0.0:
             continue
-        other = fd(math.nextafter(root, hi if f < 0.0 else lo))[0]
+        other = fd(math.nextafter(root, hi if f < 0.0 else lo), a)[0]
         assert (f < 0.0) != (other < 0.0) and abs(f) <= abs(other), (lo, hi, root)
 
 
@@ -239,14 +240,14 @@ def _evaluation_counts(points):
     """Residual evaluations of every solve that ``reference_w`` runs on
     ``points``, each solve replayed from its start."""
     counts = []
-    for fd, lo, hi, start, root in _recorded_solves(points):
+    for fd, a, lo, hi, start, root in _recorded_solves(points):
         calls = [0]
 
-        def counted(t, fd=fd):
+        def counted(t, a, fd=fd):
             calls[0] += 1
-            return fd(t)
+            return fd(t, a)
 
-        assert oracle._solve(counted, lo, hi, start) == root
+        assert oracle._solve(counted, a, lo, hi, start) == root
         counts.append(calls[0])
     return counts
 
@@ -270,6 +271,16 @@ def test_at_most_10_evaluations_per_solve():
     assert sum(counts) / len(counts) <= 2.2
 
 
+def test_residuals_are_module_level_functions():
+    """Every residual ``reference_w`` solves is a function of the oracle
+    module taking its parameter as an argument, not a closure built per
+    call, which costs about 6% of a sweep."""
+    residuals = {fd for fd, *_ in _recorded_solves(_count_points())}
+    assert len(residuals) == 6
+    for fd in residuals:
+        assert fd.__closure__ is None and getattr(oracle, fd.__name__) is fd, fd
+
+
 def test_shifted_zone_solves_start_near_the_root():
     """In the shifted zone x <= -0.2 the ninth-order branch point series,
     refined by two Iacono-Boyd steps in log1p form, and a bracket in w
@@ -291,15 +302,15 @@ def test_shifted_zone_start_is_within_4_ulp_next_to_the_branch_point(branch):
     points = [(branch, MINUS_INV_E + offset) for offset in np.geomspace(1e-16, 1e-3, 200)]
     solves = _recorded_solves(points)
     assert len(solves) == len(points)
-    worst = max(abs(start - root) / math.ulp(root) for fd, lo, hi, start, root in solves)
+    worst = max(abs(start - root) / math.ulp(root) for fd, a, lo, hi, start, root in solves)
     assert worst <= 4.0, f"worst start {worst} ulp from the root"
 
 
 def test_solver_rejects_a_bracket_without_a_sign_change():
     with pytest.raises(ValueError, match="not bracketed"):
-        oracle._solve(lambda t: (t - 5.0, 1.0), 0.0, 1.0, 0.5)
+        oracle._solve(lambda t, a: (t - a, 1.0), 5.0, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="not bracketed"):
-        oracle._solve(lambda t: (t + 5.0, 1.0), 0.0, 1.0, 0.5)
+        oracle._solve(lambda t, a: (t + a, 1.0), 5.0, 0.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("fd", [lambda t: (t - 1.5, 1.0), lambda t: (t + 0.5, 1.0)])
@@ -312,12 +323,12 @@ def test_solver_rejects_a_wrong_sign_first_read_at_the_close(fd):
     for start in (0.5, 0.0, 2.0):
         reads = []
 
-        def recorded(t):
+        def recorded(t, a):
             reads.append(t)
             return fd(t)
 
         with pytest.raises(ValueError, match=re.escape("not bracketed by [0.0, 1.0]")):
-            oracle._solve(recorded, 0.0, 1.0, start)
+            oracle._solve(recorded, 0.0, 0.0, 1.0, start)
         first = start if 0.0 < start < 1.0 else oracle._midpoint(0.0, 1.0)
         assert reads[0] == first and 0.0 < first < 1.0, start
         assert reads[-1] in (0.0, 1.0) and reads.count(reads[-1]) == 1, start
@@ -328,9 +339,9 @@ def test_a_start_outside_the_bracket_gives_the_same_root():
     midpoint of the bracket, and the solve closes on the same one-ulp
     bracket."""
     solves = _recorded_solves(WELL_CONDITIONED[::4])
-    for fd, lo, hi, start, root in solves:
+    for fd, a, lo, hi, start, root in solves:
         for outside in (lo - 1.0, hi + 1.0, math.inf):
-            assert oracle._solve(fd, lo, hi, outside) == root, (lo, hi, start, outside)
+            assert oracle._solve(fd, a, lo, hi, outside) == root, (lo, hi, start, outside)
 
 
 def test_extreme_arguments():
