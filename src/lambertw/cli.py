@@ -22,9 +22,9 @@ Subcommands extend the utility without disturbing the bare contract:
     lambert-w gh-inverse y x_max   Gaisser-Hillas profile inverse
 
 Exit codes: 0 success, 1 domain error (message on stderr names the
-violated bound), 2 malformed arguments or an unwritable --output file,
-141 (128 + SIGPIPE) when the reader of stdout closes it early, as
-``| head -1`` does, with nothing on stderr.
+violated bound), 2 malformed arguments, an unwritable --output file or
+a failed write to stdout, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early, as ``| head -1`` does, with nothing on stderr.
 """
 
 # argparse is imported by the three subcommands that build a parser:
@@ -145,16 +145,15 @@ def _run_sweep(args: list[str]) -> int:
     else:
         grid = GridSpec(opts.grid or "linear", opts.start, opts.stop, opts.count)
 
-    # Opened before the sweep, so a path that cannot be written fails at once.
+    # Opened before the sweep, so a path that cannot be written fails at
+    # once; a failed write, to the file or to stdout, is main's to report.
     try:
-        with (contextlib.nullcontext(sys.stdout) if opts.output is None
-              else open(opts.output, "w", encoding="ascii")) as out:
-            report = accuracy_sweep(opts.branch, opts.stage, grid)
-            write_report(report, out)
-    except BrokenPipeError:  # a closed stdout, which main handles
-        raise
+        out = None if opts.output is None else open(opts.output, "w", encoding="ascii")
     except OSError as exc:  # e.g. an --output path in a missing directory
         return _fail_usage(str(exc))
+    with contextlib.nullcontext(sys.stdout) if out is None else out as stream:
+        report = accuracy_sweep(opts.branch, opts.stage, grid)
+        write_report(report, stream)
     print(f"min_delta = {report.min_delta!r} over {report.grid.describe()}", file=sys.stderr)
     return 0
 
@@ -224,12 +223,16 @@ def run_cli(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         code = run_cli(sys.argv[1:] if argv is None else argv)
-        sys.stdout.flush()  # here, so a closed pipe raises inside the try
-    except BrokenPipeError:
-        # The reader is gone: point stdout at devnull so that the flush at
-        # interpreter exit prints nothing, and exit as SIGPIPE would.
+        sys.stdout.flush()  # here, so that a failed write raises inside the try
+    except OSError as exc:
+        # stdout cannot take the output: point it at devnull so that the
+        # flush at interpreter exit fails no more.  A reader that closed
+        # the pipe early is no error, so that exit is quiet, as by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"lambert-w: error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

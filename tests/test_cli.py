@@ -195,22 +195,37 @@ def test_sweep_checks_the_output_path_before_sweeping(tmp_path, capsys, monkeypa
     assert err.startswith("lambert-w: error: ")
 
 
+def _cli_process(argv, stdout):
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(lambertw.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "lambertw", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": package_root})
+
+
 def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_stderr():
     """``lambert-w sweep | head -1``: the report is far larger than a pipe
     buffer, so the write after the reader closes raises BrokenPipeError,
     which is neither a bad --output path nor worth a message."""
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(lambertw.__file__)))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "lambertw", "sweep", "--count", "20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": package_root},
-    )
+    proc = _cli_process(["sweep", "--count", "20000"], subprocess.PIPE)
     assert proc.stdout.readline().startswith("# branch=0")
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["1"], ["sweep", "--count", "20000"]])
+def test_a_failed_write_to_stdout_exits_two_with_one_message(argv):
+    """A full device is an error, unlike a closed pipe: one line names
+    it, without a traceback or the usage text."""
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(argv, full)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+    assert err == "lambert-w: error: [Errno 28] No space left on device\n"
 
 
 def test_moyal_inverse_subcommand(capsys):
