@@ -1,7 +1,9 @@
 """Initial approximations for the real branches of Lambert W.
 
 Four families, each accurate to at least five decimal places on the
-interval where the dispatcher (see :mod:`lambertw.api`) selects it:
+interval where the dispatcher (see :mod:`lambertw.api`) selects it,
+save branch 0's asymptotic expansion, which keeps only three beyond
+x ~ 7 (4.28 at its start, x = 8.706658, and 3.68 at x = 10):
 
 * a power series around the branch point (-1/e, -1), usable on both
   branches through the sign of ``p = +-sqrt(2*(1 + e*x))``;

@@ -21,14 +21,15 @@ Subcommands extend the utility without disturbing the bare contract:
     lambert-w moyal-inverse y      Moyal profile inverse
     lambert-w gh-inverse y x_max   Gaisser-Hillas profile inverse
 
+Options take ``--name value`` or ``--name=value`` and are spelled out in
+full; ``-h`` or ``--help`` anywhere prints the usage.
+
 Exit codes: 0 success, 1 domain error (message on stderr names the
 violated bound), 2 malformed arguments, an unwritable --output file or
 a failed write to stdout, 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as ``| head -1`` does, with nothing on stderr.
 """
 
-# argparse is imported by the three subcommands that build a parser:
-# the bare and ``eval`` forms never need it, so they do not pay to load it.
 import contextlib
 import os
 import sys
@@ -56,135 +57,105 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"expected a number, got {token!r}") from None
+
+
+def _branch(token: str) -> Branch:
+    value = _number(token)
+    if value not in (0.0, -1.0):
+        raise ValueError(f"branch must be 0 or -1, got {token!r}")
+    return Branch(int(value))
+
+
+def _choice(*names: str):
+    def read(token: str) -> str:
+        if token not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {token!r}")
+        return token
+    return read
+
+
 def _parse_branch_x(args: list[str]) -> tuple[Branch, float]:
     """Interpret positional ``[branch] x`` arguments.
 
     A single argument is always x, even when negative; two arguments are
     branch then x.  Raises ValueError for anything else.
     """
-    values = []
-    for token in args:
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise ValueError(f"expected a number, got {token!r}") from None
-    if len(values) == 1:
-        return Branch.PRINCIPAL, values[0]
-    if len(values) == 2:
-        branch_value, x = values
-        if branch_value not in (0.0, -1.0):
-            raise ValueError(f"branch must be 0 or -1, got {args[0]!r}")
-        return Branch(int(branch_value)), x
-    raise ValueError(f"expected 1 or 2 arguments, got {len(values)}")
+    if len(args) == 1:
+        return Branch.PRINCIPAL, _number(args[0])
+    if len(args) == 2:
+        return _branch(args[0]), _number(args[1])
+    raise ValueError(f"expected 1 or 2 arguments, got {len(args)}")
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _parse_args(parser, args: list[str]):
-    """``parser.parse_args(args)`` with every number read as a value.
-
-    argparse takes a token such as -1e-5 for an option: only forms like
-    -1 and -0.5 look like negative numbers to it.  So a negative number
-    after an option that takes a value is joined to it
-    (``--start=-1e-6``), and any other gets a leading space, which
-    ``float`` skips, and is read as a positional.
+def _parse_options(args: list[str], readers: dict, count: int) -> tuple[dict, list[float]]:
+    """Read ``--name value`` or ``--name=value`` options, each by its reader
+    in ``readers`` (keyed ``"--name"``; a bad value raises ValueError), and
+    exactly ``count`` numbers: any token not starting ``--`` is a number,
+    so -1e-5 is a value.  Returns the options keyed ``name``, and the numbers.
     """
-    tokens = []
-    for token in args:
-        if token.startswith("-") and _is_number(token):
-            option = tokens[-1] if tokens else ""
-            if option.startswith("--") and "=" not in option and option not in ("--", "--help"):
-                tokens[-1] += "=" + token
-                continue
-            token = " " + token
-        tokens.append(token)
-    return parser.parse_args(tokens)
+    options, numbers = {}, []
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("--"):
+            numbers.append(_number(token))
+            continue
+        name, equals, value = token.partition("=")
+        if name not in readers:
+            raise ValueError(f"unknown option {name!r}")
+        if not equals:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{name} needs a value")
+        try:
+            options[name[2:]] = readers[name](value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    if len(numbers) != count:
+        raise ValueError(f"expected {count} numeric argument(s), got {len(numbers)}")
+    return options, numbers
+
+
+_SWEEP_OPTIONS = {
+    "--branch": _branch,
+    "--stage": _choice(*STAGES),
+    "--grid": _choice("linear", "log"),  # defaults to the branch's first canonical panel
+    "--start": _number,
+    "--stop": _number,
+    "--count": int,
+    "--output": str,  # records go to this file instead of stdout
+}
 
 
 def _print_value(value: float) -> None:
     print(f"{value:.17g}")
 
 
-def _run_eval(args: list[str], approximation_only: bool) -> int:
-    branch, x = _parse_branch_x(args)
-    if approximation_only:
-        _print_value(lambert_w_approximation(branch, x))
-    else:
-        _print_value(lambert_w(branch, x).value)
-    return 0
-
-
 def _run_sweep(args: list[str]) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="lambert-w sweep",
-        description="Accuracy sweep against the reference solver.",
-    )
-    parser.add_argument("--branch", type=int, choices=(0, -1), default=0)
-    parser.add_argument("--stage", choices=STAGES, default="approximation")
-    parser.add_argument("--grid", choices=("linear", "log"), default=None,
-                        help="grid kind; defaults to the branch's first canonical panel")
-    parser.add_argument("--start", type=float, default=None)
-    parser.add_argument("--stop", type=float, default=None)
-    parser.add_argument("--count", type=int, default=1000)
-    parser.add_argument("--output", default=None,
-                        help="write records to this file instead of stdout")
-    opts = _parse_args(parser, args)
-
-    if opts.grid is None and opts.start is None and opts.stop is None:
-        grid = default_panels(opts.branch)[0]._replace(count=opts.count)
-    elif opts.start is None or opts.stop is None:
+    opts, _ = _parse_options(args, _SWEEP_OPTIONS, 0)
+    branch, count = opts.get("branch", Branch.PRINCIPAL), opts.get("count", 1000)
+    start, stop = opts.get("start"), opts.get("stop")
+    if "grid" not in opts and start is None and stop is None:
+        grid = default_panels(branch)[0]._replace(count=count)
+    elif start is None or stop is None:
         return _fail_usage("sweep needs both --start and --stop (or neither)")
     else:
-        grid = GridSpec(opts.grid or "linear", opts.start, opts.stop, opts.count)
+        grid = GridSpec(opts.get("grid", "linear"), start, stop, count)
 
     # Opened before the sweep, so a path that cannot be written fails at
     # once; a failed write, to the file or to stdout, is main's to report.
     try:
-        out = None if opts.output is None else open(opts.output, "w", encoding="ascii")
+        out = None if "output" not in opts else open(opts["output"], "w", encoding="ascii")
     except OSError as exc:  # e.g. an --output path in a missing directory
         return _fail_usage(str(exc))
     with contextlib.nullcontext(sys.stdout) if out is None else out as stream:
-        report = accuracy_sweep(opts.branch, opts.stage, grid)
+        report = accuracy_sweep(branch, opts.get("stage", "approximation"), grid)
         write_report(report, stream)
     print(f"min_delta = {report.min_delta!r} over {report.grid.describe()}", file=sys.stderr)
-    return 0
-
-
-def _run_moyal_inverse(args: list[str]) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="lambert-w moyal-inverse",
-        description="Invert the Moyal function exp(-(x + e^-x)/2).",
-    )
-    parser.add_argument("--side", choices=MOYAL_SIDES, default="plus")
-    parser.add_argument("y", type=float)
-    opts = _parse_args(parser, args)
-    _print_value(moyal_inverse(opts.y, opts.side))
-    return 0
-
-
-def _run_gh_inverse(args: list[str]) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="lambert-w gh-inverse",
-        description="Invert the Gaisser-Hillas profile (x/x_max)^x_max e^(x_max-x); "
-                    "prints the left and right roots.",
-    )
-    parser.add_argument("y", type=float)
-    parser.add_argument("x_max", type=float)
-    opts = _parse_args(parser, args)
-    roots = gh_inverse(opts.y, opts.x_max)
-    print(f"{roots.left:.17g} {roots.right:.17g}")
     return 0
 
 
@@ -192,32 +163,30 @@ def run_cli(argv: list[str]) -> int:
     """Run one CLI request; returns the process exit code."""
     if not argv:
         return _fail_usage("missing arguments")
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE, end="")
+        return 0
     head, rest = argv[0], argv[1:]
     try:
-        if head == "eval":
-            return _run_eval(rest, approximation_only=False)
-        if head == "approx":
-            return _run_eval(rest, approximation_only=True)
         if head == "sweep":
             return _run_sweep(rest)
-        if head == "moyal-inverse":
-            return _run_moyal_inverse(rest)
-        if head == "gh-inverse":
-            return _run_gh_inverse(rest)
-        if head in ("-h", "--help"):
-            print(_USAGE, end="")
-            return 0
-        # Bare positional form: every argument must be numeric.
-        return _run_eval(argv, approximation_only=False)
+        if head == "approx":
+            _print_value(lambert_w_approximation(*_parse_branch_x(rest)))
+        elif head == "moyal-inverse":
+            opts, (y,) = _parse_options(rest, {"--side": _choice(*MOYAL_SIDES)}, 1)
+            _print_value(moyal_inverse(y, opts.get("side", "plus")))
+        elif head == "gh-inverse":
+            _, (y, x_max) = _parse_options(rest, {}, 2)
+            roots = gh_inverse(y, x_max)
+            print(f"{roots.left:.17g} {roots.right:.17g}")
+        else:  # eval, or the bare positional form: every argument must be numeric
+            _print_value(lambert_w(*_parse_branch_x(rest if head == "eval" else argv)).value)
     except DomainError as exc:
         print(f"lambert-w: domain error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         return _fail_usage(str(exc))
-    except SystemExit as exc:
-        # argparse reports its own errors and exits; fold that into the
-        # exit-code contract so callers of run_cli always get an int.
-        return int(exc.code or 0)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

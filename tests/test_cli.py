@@ -93,12 +93,21 @@ def test_lower_branch_positive_x_exits_one(capsys):
         ["0.5", "1"],
         ["sweep", "--stage", "converged"],  # not one of STAGES
         ["sweep", "--count", "1"],  # the default panel needs 2 points
+        ["sweep", "--bogus", "1"],
+        ["sweep", "--coun", "3"],  # options are not abbreviated
+        ["sweep", "--count"],
+        ["sweep", "--branch", "1"],
+        ["moyal-inverse", "--side", "left", "0.2"],
+        ["moyal-inverse", "0.2", "0.3"],
+        ["gh-inverse", "0.5"],
+        ["gh-inverse", "a", "2"],
     ],
 )
 def test_malformed_arguments_exit_two_with_usage(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
+    assert err.startswith("lambert-w: error: ")
     assert "usage" in err.lower()
 
 
@@ -106,6 +115,11 @@ def test_help_exits_zero(capsys):
     code, out, err = run(["--help"], capsys)
     assert code == 0
     assert "usage" in out.lower()
+
+
+@pytest.mark.parametrize("head", ["eval", "approx", "sweep", "moyal-inverse", "gh-inverse"])
+def test_h_after_each_subcommand_prints_the_usage(head, capsys):
+    assert run([head, "-h"], capsys) == (0, cli._USAGE, "")
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +169,17 @@ def test_sweep_takes_negative_bounds_in_exponent_notation(capsys):
     assert lines[0].startswith("# branch=-1 stage=one-fritsch")
     xs = [float(line.split(" ")[0]) for line in lines[1:]]
     assert len(xs) == 3 and xs[0] == -1e-6 and xs[-1] == -1e-12
+
+
+def test_options_take_name_equals_value_negative_numbers_included(capsys):
+    joined = run(["sweep", "--branch=-1", "--grid=log", "--start=-1e-6", "--stop=-1e-12",
+                  "--count=3", "--stage=one-fritsch"], capsys)
+    spaced = run(["sweep", "--branch", "-1", "--grid", "log", "--start", "-1e-6",
+                  "--stop", "-1e-12", "--count", "3", "--stage", "one-fritsch"], capsys)
+    assert joined == spaced and joined[0] == 0
+    assert joined[1].startswith("# branch=-1 stage=one-fritsch grid=log")
+    assert run(["moyal-inverse", "--side=minus", "0.2"], capsys) == \
+        run(["moyal-inverse", "--side", "minus", "0.2"], capsys)
 
 
 def test_sweep_defaults_to_canonical_panel(capsys):

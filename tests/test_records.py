@@ -108,8 +108,11 @@ def test_import_loads_no_heavy_stdlib_module():
     assert not loaded & _HEAVY, sorted(loaded & _HEAVY)
 
 
-def test_bare_cli_call_loads_no_argparse():
-    loaded = _newly_loaded("from lambertw.cli import run_cli\nrun_cli(['0.5'])")
+@pytest.mark.parametrize("argv", [["0.5"], ["sweep", "--count", "3"], ["moyal-inverse", "0.2"],
+                                  ["gh-inverse", "0.5", "2"], ["--help"]],
+                         ids=["bare", "sweep", "moyal-inverse", "gh-inverse", "help"])
+def test_no_cli_form_loads_argparse(argv):
+    loaded = _newly_loaded(f"from lambertw.cli import run_cli\nrun_cli({argv!r})")
     assert "lambertw.cli" in loaded
     assert not loaded & (_HEAVY | {"argparse"}), sorted(loaded & (_HEAVY | {"argparse"}))
 
