@@ -14,6 +14,7 @@ an open text file as plain-text data suitable for plotting.
 """
 
 import math
+from operator import index as _index
 from typing import NamedTuple, TextIO
 
 from .api import dispatch_region, lambert_w_approximation
@@ -28,6 +29,8 @@ DELTA_CAP = 17.0
 
 # Pipeline stages that a sweep can measure.
 STAGES = ("approximation", "one-halley", "one-fritsch")
+
+_UNDEFINED_AT_ZERO = "delta accuracy is undefined when the exact value is 0"
 
 # math's names, bound once: a global is cheaper than an attribute.
 _log10, _copysign, _INF = math.log10, math.copysign, math.inf
@@ -46,7 +49,7 @@ def delta_accuracy(approx: float, exact: float) -> float:
         magnitude and is undefined there.
     """
     if exact == 0.0:
-        raise ValueError("delta accuracy is undefined when the exact value is 0")
+        raise ValueError(_UNDEFINED_AT_ZERO)
     if approx == exact:
         return DELTA_CAP
     return _log10(abs(exact)) - _log10(abs(approx - exact))
@@ -73,6 +76,10 @@ class GridSpec(_GridSpecFields):
     def __new__(cls, kind: str, start: float, stop: float, count: int) -> "GridSpec":
         if kind not in ("linear", "log"):
             raise ValueError(f"grid kind must be 'linear' or 'log', got {kind!r}")
+        try:
+            count = _index(count)
+        except TypeError:
+            raise ValueError(f"grid point count must be an integer, got {count!r}") from None
         if count < 2:
             raise ValueError(f"grid needs at least 2 points, got {count}")
         if kind == "log" and not (start > 0.0 < stop or start < 0.0 > stop):
@@ -88,14 +95,23 @@ class GridSpec(_GridSpecFields):
     def points(self) -> list[float]:
         """``count`` points from ``start`` to ``stop``, both exact: ``a + i*step``
         as in ``numpy.linspace``, with ``a, step`` taken in ``log10|x|`` for log
-        grids, so that no ratio of the endpoints can overflow."""
+        grids, so that no ratio of the endpoints can overflow.  A log grid's
+        inner points are ``copysign(10.0**(a + i*step), start)``."""
         kind, start, stop, count = self
-        a, b = (_log10(abs(start)), _log10(abs(stop))) if kind == "log" else (start, stop)
-        step = (b - a) / (count - 1)
-        inner = [a + i * step for i in range(1, count - 1)]
+        # One list, appended to in place: a comprehension is a function call
+        # of its own before Python 3.12, dearer than the loop on a short grid.
+        points = [start]
         if kind == "log":
-            inner = [_copysign(10.0**e, start) for e in inner]
-        return [start, *inner, stop]
+            a = _log10(abs(start))
+            step = (_log10(abs(stop)) - a) / (count - 1)
+            for i in range(1, count - 1):
+                points.append(_copysign(10.0 ** (a + i * step), start))
+        else:
+            step = (stop - start) / (count - 1)
+            for i in range(1, count - 1):
+                points.append(start + i * step)
+        points.append(stop)
+        return points
 
     def describe(self) -> str:
         return f"{self.kind}[{self.start:.17g}, {self.stop:.17g}, {self.count}]"
@@ -139,6 +155,15 @@ def default_panels(branch: int) -> tuple[GridSpec, ...]:
 def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
     """Measure ``stage`` against the reference solver over ``grid``.
 
+    A sweep calls ``Branch`` once, and at each point ``reference_w``,
+    ``lambert_w_approximation``, the stage's step unless the seed is -1
+    or +inf, and ``dispatch_region`` for the region column; delta is
+    :func:`delta_accuracy`'s expression, formed in the loop.  Those calls
+    stay so that the benchmark's per-layer split, which wraps them, sees
+    every layer a sweep runs.  They take the branch as the plain int
+    ``int(Branch(branch))``: an ``IntEnum`` misses CPython's exact-int
+    compare, and each point makes up to nine branch compares.
+
     Parameters
     ----------
     branch : int
@@ -159,22 +184,27 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
         halley_step if stage == "one-halley" else fritsch_step)
     # Read from the module's globals, where a tracer may swap them, per sweep.
     reference, seed, region = reference_w, lambert_w_approximation, dispatch_region
+    k = int(b)
     samples = []
     for x in grid.points():
         if x == 0.0:
             raise ValueError("accuracy grids must exclude x = 0 (delta undefined)")
         try:
-            exact = reference(b, x)
-            value = seed(b, x)
+            exact = reference(k, x)
+            value = seed(k, x)
             # An exact seed (-1 at the branch point) and +inf are not
             # stepped, as in lambert_w; the seeds that lambert_w leaves
             # unstepped near -1/e are, so the stage measures the step.
             if step is not None and value != -1.0 and value != _INF:
                 value = step(x, value)
-            delta = delta_accuracy(value, exact)
+            # delta_accuracy(value, exact) without the call.
+            if exact == 0.0:
+                raise ValueError(_UNDEFINED_AT_ZERO)
+            delta = DELTA_CAP if value == exact else (
+                _log10(abs(exact)) - _log10(abs(value - exact)))
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"at x={x!r}: {exc}") from exc
-        samples.append((x, delta, region(b, x).kind))
+        samples.append((x, delta, region(k, x).kind))
     return tuple.__new__(AccuracyReport, (b, stage, grid, tuple(samples)))
 
 

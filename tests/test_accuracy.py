@@ -98,6 +98,32 @@ def test_grid_points_match_numpy(grid):
     assert all(abs(p - r) <= math.ulp(r) for p, r in zip(points, reference))
 
 
+def _log_formula(grid):
+    """The log grid of ``GridSpec.points``' docstring, point by point."""
+    a = math.log10(abs(grid.start))
+    step = (math.log10(abs(grid.stop)) - a) / (grid.count - 1)
+    inner = [math.copysign(10.0 ** (a + i * step), grid.start) for i in range(1, grid.count - 1)]
+    return [grid.start, *inner, grid.stop]
+
+
+def _sweep_sub_grids(points=4):
+    """Consecutive ``points``-point sub-grids tiling every default panel,
+    as the sweep-panels benchmark workload cuts them."""
+    grids = []
+    for panel in (*default_panels(0), *default_panels(-1)):
+        xs = panel.points()
+        grids += [GridSpec(panel.kind, xs[j], xs[j + points - 1], points)
+                  for j in range(0, len(xs) - points + 1, points)]
+    return grids
+
+
+def test_log_grid_points_are_the_documented_formula_bit_for_bit():
+    grids = [g for g in _NUMPY_CHECKED_GRIDS + _sweep_sub_grids() if g.kind == "log"]
+    assert len(grids) == 3 + 2 * 250
+    for grid in grids:
+        assert grid.points() == _log_formula(grid), grid
+
+
 @pytest.mark.parametrize(
     "kind, start, stop, count",
     [
@@ -107,11 +133,19 @@ def test_grid_points_match_numpy(grid):
         ("log", 0.0, 1.0, 10),
         ("log", math.nan, 1.0, 5),
         ("log", -1e-200, 1e-150, 5),
+        ("linear", 0.1, 0.2, 4.0),
+        ("linear", 0.1, 0.2, 2.5),
     ],
 )
 def test_grid_validation(kind, start, stop, count):
     with pytest.raises(ValueError):
         GridSpec(kind, start, stop, count)
+
+
+def test_grid_count_takes_any_integer_type():
+    grid = GridSpec("linear", 0.1, 0.2, np.int64(4))
+    assert type(grid.count) is int
+    assert grid.points() == GridSpec("linear", 0.1, 0.2, 4).points()
 
 
 def test_default_panels_cover_figures():
@@ -217,6 +251,12 @@ def test_sweep_rejects_grid_containing_zero():
     grid = GridSpec("linear", -0.1, 0.1, 3)  # middle point is 0.0
     with pytest.raises(ValueError):
         accuracy_sweep(0, "approximation", grid)
+
+
+def test_sweep_rejects_an_exact_zero_as_delta_accuracy_does(monkeypatch):
+    monkeypatch.setattr(lambertw.accuracy, "reference_w", lambda branch, x: 0.0)
+    with pytest.raises(ValueError, match="at x=0.1: delta accuracy is undefined"):
+        accuracy_sweep(0, "one-fritsch", GridSpec("linear", 0.1, 0.2, 2))
 
 
 def test_sweep_attaches_offending_x_to_errors():
