@@ -10,9 +10,9 @@ series, in the exact c = 1 + e*x, is within 0.51 ulp out to 1e-4 from
 4e5 ulp off at 1e-12 and 27 ulp at 2.5e-4 (19 ulp past 5e-4).  That
 range holds the one seed of exactly -1 (at -1/e and in the rounding
 band below it), so every stepped seed keeps |1 + w| > 0.05, far outside
-the 1e-12 input check of the public steps.  ``lambert_w`` still calls
-the public seed family and ``defining_residual``: the benchmark's tracer
-times those layers from float calls and divides by their call counts.
+the 1e-12 input check of the public steps.  ``lambert_w`` calls the
+public seed family, written out in Horner form as the kernels are, and
+``defining_residual``; the benchmark's tracer times both as layers.
 ``lambert_w_approximation`` is the one seed kernel: the region chain and
 every seed family in Horner form, with ``dispatch_region``'s checks.  It
 serves the sweeps and ``steps_to_converge``; ``_w``, for the physics
@@ -173,8 +173,8 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     ``dispatch_region`` does.  x = +inf on branch 0 returns +inf with a
     NaN residual, the one place the defining identity cannot be formed.
     """
-    # dispatch_region, lambert_w_approximation and fritsch_step written out:
-    # their checks repeat this one, and each call costs more than the arithmetic.
+    # dispatch_region and fritsch_step written out, as their checks repeat this
+    # one; the seed families stay calls, which the benchmark times as layers.
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
     if _isnan(x):

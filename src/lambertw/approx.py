@@ -14,7 +14,10 @@ x ~ 7 (4.28 at its start, x = 8.706658, and 3.68 at x = 10):
   depth ``continued_log_depth(x)`` that x needs: two levels below
   |x| = 2.8e-41, eight only next to the fit's region.
 
-All polynomials are evaluated in Horner form, lowest coefficient last.
+All polynomials are evaluated in Horner form, lowest coefficient last,
+written out: the series from a table padded with zeros to order 11, so
+that one expression serves every order, and the fits in the two shapes
+the library ships (5/5 and 3/6 coefficients); other fits take a loop.
 """
 
 import math
@@ -51,8 +54,11 @@ BRANCH_POINT_COEFFICIENTS: tuple[float, ...] = (
 )
 
 _MAX_SERIES_ORDER = len(BRANCH_POINT_COEFFICIENTS) - 1
-# b_order..b_0 per truncation order, in the order Horner's rule takes them.
-_SERIES_DESCENDING = tuple(BRANCH_POINT_COEFFICIENTS[k::-1] for k in range(_MAX_SERIES_ORDER + 1))
+# b_0..b_order per truncation order, then zeros to b_11: each adds exactly +-0.
+_SERIES_PADDED = tuple(BRANCH_POINT_COEFFICIENTS[:k + 1] + (0.0,) * (_MAX_SERIES_ORDER - k)
+                       for k in range(_MAX_SERIES_ORDER + 1))
+# math's functions and constants, bound once: a global is cheaper than an attribute.
+_isnan, _log, _sqrt, _E, _INF = math.isnan, math.log, math.sqrt, math.e, math.inf
 
 
 def branch_point_series(branch: int, x: float, order: int = 9) -> float:
@@ -63,22 +69,24 @@ def branch_point_series(branch: int, x: float, order: int = 9) -> float:
     formed exactly, as e*((x - fl(-1/e)) - lo) with lo the part of -1/e
     that fl(-1/e) drops, and is clamped to zero in the rounding band
     below -1/e; anything further out, and on branch -1 any x >= 0,
-    raises ``dispatch_region``'s DomainError.
+    raises ``dispatch_region``'s DomainError, as does a branch-0 x from
+    ~3.3e307 to +inf, where 2*(1 + e*x) overflows and p has no value.
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
     if not 1 <= order <= _MAX_SERIES_ORDER:
         raise ValueError(f"order must be in [1, {_MAX_SERIES_ORDER}], got {order}")
-    if math.isnan(x) or x < _X_MIN or (branch == -1 and x >= 0.0):
+    if _isnan(x) or x < _X_MIN or (branch == -1 and x >= 0.0):
         raise _domain_error(x)
-    s = 2.0 * (math.e * ((x - MINUS_INV_E) - _MINUS_INV_E_LO))
-    if s < 0.0:
+    s = 2.0 * (_E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO))
+    if not 0.0 <= s < _INF:
+        if s == _INF:
+            raise DomainError(f"branch point series needs 2(1 + e*x) finite, got x = {x!r}")
         s = 0.0
-    p = math.sqrt(s) if branch == 0 else -math.sqrt(s)
-    acc = 0.0
-    for c in _SERIES_DESCENDING[order]:
-        acc = acc * p + c
-    return acc
+    p = _sqrt(s) if branch == 0 else -_sqrt(s)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = _SERIES_PADDED[order]
+    return b0 + p * (b1 + p * (b2 + p * (b3 + p * (b4 + p * (b5 + p * (
+        b6 + p * (b7 + p * (b8 + p * (b9 + p * (b10 + p * b11))))))))))
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +109,19 @@ def asymptotic_series(branch: int, x: float) -> float:
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if math.isnan(x):
+    if _isnan(x):
         raise _domain_error(x)
     if branch == 0:
         if x <= 1.0:
             raise DomainError(f"asymptotic form on branch 0 needs x > 1, got x = {x!r}")
-        if x == math.inf:
+        if x == _INF:
             return x
-        a = math.log(x)
+        a = _log(x)
     else:
         if not MINUS_INV_E < x < 0.0:
             raise DomainError(f"asymptotic form on branch -1 needs -1/e < x < 0, got x = {x!r}")
-        a = math.log(-x)
-    b = math.log(-a) if a < 0.0 else math.log(a)
+        a = _log(-x)
+    b = _log(-a) if a < 0.0 else _log(a)
     ia = 1.0 / a
     tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
     tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
@@ -141,13 +149,26 @@ class RationalFit(NamedTuple):
 
 
 def rational_fit_eval(fit: RationalFit, x: float) -> float:
-    """Evaluate a RationalFit by Horner's rule on both polynomials."""
-    num = den = 0.0
-    for c in reversed(fit.numerator):
-        num = num * x + c
-    for c in reversed(fit.denominator):
-        den = den * x + c
-    return x * (num / den) if fit.leading_factor_x else num / den
+    """Evaluate a RationalFit by Horner's rule on both polynomials: written
+    out for the shipped shapes (5/5 and 3/6 coefficients), looped for others."""
+    numerator, denominator, leading_factor_x = fit
+    if len(numerator) == 5 and len(denominator) == 5:
+        n0, n1, n2, n3, n4 = numerator
+        d0, d1, d2, d3, d4 = denominator
+        q = ((n0 + x * (n1 + x * (n2 + x * (n3 + x * n4))))
+             / (d0 + x * (d1 + x * (d2 + x * (d3 + x * d4)))))
+    elif len(numerator) == 3 and len(denominator) == 6:
+        n0, n1, n2 = numerator
+        d0, d1, d2, d3, d4, d5 = denominator
+        q = (n0 + x * (n1 + x * n2)) / (d0 + x * (d1 + x * (d2 + x * (d3 + x * (d4 + x * d5)))))
+    else:
+        num = den = 0.0
+        for c in reversed(numerator):
+            num = num * x + c
+        for c in reversed(denominator):
+            den = den * x + c
+        q = num / den
+    return x * q if leading_factor_x else q
 
 
 # Full-precision tables from tools/refit_rational.py: box-constrained
@@ -207,14 +228,13 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if math.isnan(x) or not MINUS_INV_E < x < 0.0:
+    if _isnan(x) or not MINUS_INV_E < x < 0.0:
         raise DomainError(
             f"continued log recursion needs -1/e < x < 0, got x = {x!r}"
         )
-    log = math.log
-    r = lx = log(-x)
+    r = lx = _log(-x)
     for _ in range(depth):
-        r = lx - log(-r)
+        r = lx - _log(-r)
     return r
 
 

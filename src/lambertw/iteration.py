@@ -39,15 +39,15 @@ SINGULARITY_GUARD = 1e-12
 
 SCHEMES = ("halley", "fritsch")
 
-# Bound once for the steps: a global is cheaper than an attribute.
-_exp, _log, _SMALLEST_NORMAL = math.exp, math.log, sys.float_info.min
+# Bound once for the steps and the residual: a global is cheaper than an attribute.
+_exp, _expm1, _log, _E, _SMALLEST_NORMAL = math.exp, math.expm1, math.log, math.e, sys.float_info.min
 
 
 def defining_residual(x: float, w: float) -> float:
     """|w*exp(w) - x|, safe against overflow of the product for large w."""
-    if w > 1.0 and x > math.e:
-        return abs(x * math.expm1(w + math.log(w / x)))
-    return abs(w * math.exp(w) - x)
+    if w > 1.0 and x > _E:
+        return abs(x * _expm1(w + _log(w / x)))
+    return abs(w * _exp(w) - x)
 
 
 def halley_step(x: float, w: float) -> float:

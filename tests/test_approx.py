@@ -11,6 +11,7 @@ import pytest
 from lambertw import (
     DomainError,
     MINUS_INV_E,
+    RationalFit,
     W0_FIT_1,
     W0_FIT_2,
     WM1_FIT,
@@ -103,16 +104,38 @@ def test_series_domain_and_order_validation():
 def test_series_is_the_horner_sum_bit_for_bit(branch, order):
     """Every order, on both branches, over the series region and past it
     to x = 0 (included on branch 0, outside branch -1's domain), plus -1/e
-    and the clamped rounding band below it.  2(1 + e*x) is formed as
+    and the clamped rounding band below it.  On branch 0 also large x up to
+    3e307, where p stays finite but its high powers overflow: the zeros that
+    pad the lower orders must still add nothing.  2(1 + e*x) is formed as
     2e((x - fl(-1/e)) - lo), lo = (-1/e) - fl(-1/e)."""
     xs = _stratified(MINUS_INV_E, 0.0, seed=100 * order - branch)
-    xs += [MINUS_INV_E, MINUS_INV_E - math.ulp(MINUS_INV_E)] + ([0.0] if branch == 0 else [])
+    xs += [MINUS_INV_E, MINUS_INV_E - math.ulp(MINUS_INV_E)]
+    xs += [0.0, 1e10, 1e300, 3e307] if branch == 0 else []
     for x in xs:
         s = 2.0 * (math.e * ((x - MINUS_INV_E) - 1.2428753672788363e-17))
         p = math.sqrt(s) if s > 0.0 else 0.0
         expected = _horner_reference(BRANCH_POINT_COEFFICIENTS[: order + 1],
                                      p if branch == 0 else -p)
         assert branch_point_series(branch, x, order) == expected, (branch, order, x)
+
+
+@pytest.mark.parametrize("x", [1e308, math.inf])
+def test_series_raises_where_p_overflows(x):
+    """2(1 + e*x) overflows on branch 0 from x ~ 3.3e307: every order raises
+    DomainError there, where a Horner sum in p = inf has no value."""
+    for order in range(1, len(BRANCH_POINT_COEFFICIENTS)):
+        with pytest.raises(DomainError, match=r"^branch point series needs 2\(1 \+ e\*x\) finite"):
+            branch_point_series(0, x, order)
+
+
+def test_series_keeps_its_values_just_below_the_overflow():
+    """At x = 3e307 p = 1.28e154 is finite: orders 1 and 2 are finite and
+    every higher order overflows to an infinity of the sign of its last term."""
+    inf = math.inf
+    assert [branch_point_series(0, 3e307, order) for order in range(1, 12)] == [
+        1.2770940047919053e+154, -5.436563656918091e+307, inf, -inf, inf, -inf, inf, -inf,
+        inf, -inf, inf,
+    ]
 
 
 def test_series_clamps_tiny_negative_radicand():
@@ -205,6 +228,23 @@ def test_rational_fit_is_the_horner_quotient_bit_for_bit(fit, region):
     for x in xs:
         value = _horner_reference(fit.numerator, x) / _horner_reference(fit.denominator, x)
         expected = x * value if fit.leading_factor_x else value
+        assert rational_fit_eval(fit, x) == expected, x
+
+
+@pytest.mark.parametrize("leading_factor_x", [False, True])
+@pytest.mark.parametrize("numerator, denominator", [
+    ((0.5,), (1.0,)),
+    ((1.0, 2.0), (1.0, 0.5)),  # the fit tests/test_records.py builds
+    ((1.0, -2.0, 0.25, 3.0, -0.125, 1.5, 0.75), (1.0, 0.5, -0.3, 0.0625)),
+], ids=["1/1", "2/2", "7/4"])
+def test_rational_fit_of_another_shape_is_the_horner_quotient_bit_for_bit(
+        numerator, denominator, leading_factor_x):
+    """A user-built fit of a shape the library does not ship takes the loop."""
+    fit = RationalFit(numerator, denominator, leading_factor_x)
+    xs = _stratified(-10.0, 10.0, seed=len(numerator)) + [0.0, -0.5, 1e-300, 1e100]
+    for x in xs:
+        value = _horner_reference(numerator, x) / _horner_reference(denominator, x)
+        expected = x * value if leading_factor_x else value
         assert rational_fit_eval(fit, x) == expected, x
 
 

@@ -83,3 +83,30 @@ def test_identical_checksums_counts_equal_pairs_per_checksum(snapshot):
     assert snapshot.identical_checksums(parent, change) == {
         "pairs": 3, "checksum": 2, "traced_checksum": 2,
     }
+
+
+def test_counts_are_the_same_for_every_seed_and_every_run(snapshot):
+    """The seed only orders a workload's operations, and nothing the library
+    keeps between calls moves a count: seeds 1 and 2 and a second run of
+    seed 1 count alike (about a second each, in fresh interpreters)."""
+    root = PATH.parent.parent
+    first, other_seed, again = (snapshot.op_counts(root, "scalar-mix", seed) for seed in (1, 2, 1))
+    assert first == again
+    assert other_seed.pop("seed") == 2 and first.pop("seed") == 1
+    assert other_seed == first
+    assert first["ops"] == 14000 and first["opcodes_per_op"] > 100.0
+    assert first["c_calls_per_op"]["math.log"] > 1.0
+    assert "sys.setprofile" not in first["c_calls_per_op"]
+
+
+def test_count_changes_subtract_within_one_python_minor_version(snapshot):
+    parent = {"opcodes_per_op": 250.0, "c_calls_per_op": {"math.log": 2.0, "math.exp": 0.75},
+              "python": [3, 11, 7, "final", 0]}
+    change = {"opcodes_per_op": 225.5, "c_calls_per_op": {"math.log": 2.0, "builtins.len": 1.0},
+              "python": [3, 11, 9, "final", 0]}
+    assert snapshot.count_changes(parent, change) == {
+        "comparable": True, "opcodes_per_op": -24.5,
+        "c_calls_per_op": {"builtins.len": 1.0, "math.exp": -0.75, "math.log": 0.0},
+    }
+    change["python"] = [3, 12, 1, "final", 0]
+    assert snapshot.count_changes(parent, change) == {"comparable": False}

@@ -43,15 +43,33 @@ the same ``traced_checksum`` on both sides: a change that keeps every
 value shows all pairs equal.  Runs last ``run_seconds`` of BENCHMARK.json, as the
 benchmark's own runs do; the 32 runs of a snapshot of every workload at
 one pair per seed, 8 of them warm-up runs, take about sixteen minutes.
+
+Each label also gets ``counts``, figures that do not depend on the
+machine's speed: the mean number of bytecodes executed per operation
+and the C functions called per operation, by name (``math.log``,
+``math.exp``, ...), with the ``sys.version_info`` of the interpreter
+that counted them.  They are taken in a subprocess in each checkout,
+which runs its own ``perfbench/workloads.py`` operations for seed 1
+once untraced, so that lazy imports stay out of the counts, and then
+once under ``sys.settrace`` (opcode events) and ``sys.setprofile``
+(``c_call`` events), with the garbage collector off.  The seed only
+orders the operations, so the counts are the same for every seed and
+every run.  ``counts_comparison``, kept apart from ``comparison`` as
+``identical_checksums`` is, gives the change of each count, change minus
+parent, where both were taken on the same Python minor version; an
+opcode is not a unit of time, so counts sit beside the timed metrics
+and replace no bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +99,79 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     }
 
 
+def count_ops(workload: str, seed: int) -> dict:
+    """Bytecodes and C calls per op of ``workload`` for the checkout in the
+    current directory; run in a subprocess by ``op_counts``."""
+    sys.path[:0] = ["src", "perfbench"]
+    import workloads  # the checkout's own, which imports its src/lambertw
+
+    ops = workloads.operations(workload, seed)
+    opcodes = 0
+    c_calls: Counter = Counter()
+
+    def trace(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        elif event == "call":
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return trace
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is not sys.setprofile:  # not the call that ends it
+            module = getattr(arg, "__module__", None)
+            c_calls[f"{module}.{arg.__qualname__}" if module else arg.__qualname__] += 1
+
+    gc.disable()
+    for traced in (False, True):
+        if traced:
+            sys.settrace(trace)
+            sys.setprofile(profile)
+        # This frame was entered untraced, so only the ops' own frames count.
+        for fn, args, _kind in ops:
+            try:
+                fn(*args)
+            except Exception:  # a failed op is counted as far as it ran
+                pass
+        sys.setprofile(None)
+        sys.settrace(None)
+    return {
+        "seed": seed,
+        "ops": len(ops),
+        "opcodes_per_op": opcodes / len(ops),
+        "c_calls_per_op": {name: c_calls[name] / len(ops) for name in sorted(c_calls)},
+        "python": list(sys.version_info),
+    }
+
+
+def op_counts(checkout: Path, workload: str, seed: int = SEEDS[0]) -> dict:
+    """``count_ops`` in a fresh interpreter in ``checkout``."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
+            f"import json, bench_snapshot; "
+            f"print(json.dumps(bench_snapshot.count_ops({workload!r}, {seed})))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=checkout,
+                          capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        sys.exit(f"bench_snapshot: counting {workload} in {checkout} exited "
+                 f"{done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def count_changes(parent: dict, change: dict) -> dict:
+    """Each count of ``change`` minus that of ``parent``; ``comparable`` is
+    false, and no change is given, across Python minor versions."""
+    if parent["python"][:2] != change["python"][:2]:
+        return {"comparable": False}
+    names = sorted(parent["c_calls_per_op"].keys() | change["c_calls_per_op"].keys())
+    return {
+        "comparable": True,
+        "opcodes_per_op": change["opcodes_per_op"] - parent["opcodes_per_op"],
+        "c_calls_per_op": {name: change["c_calls_per_op"].get(name, 0.0)
+                           - parent["c_calls_per_op"].get(name, 0.0) for name in names},
+    }
+
+
 def clean_tree(checkout: Path) -> bool:
     """True when ``git status`` finds no change under src/ or perfbench/."""
     done = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
@@ -88,8 +179,8 @@ def clean_tree(checkout: Path) -> bool:
     return done.stdout == ""
 
 
-def label(workload: str, clean: bool, runs: list[dict]) -> dict:
-    """The snapshot entry of one checkout: its runs and their medians."""
+def label(workload: str, clean: bool, runs: list[dict], counts: dict) -> dict:
+    """The snapshot entry of one checkout: its runs, their medians and its counts."""
     metrics = runs[0]["result"]["metrics"]
     return {
         "command": f"python3 perfbench/run.py --workload {workload} --seed N "
@@ -97,6 +188,7 @@ def label(workload: str, clean: bool, runs: list[dict]) -> dict:
         "clean": clean,
         "median": {name: statistics.median(r["result"]["metrics"][name]["value"] for r in runs)
                    for name in metrics},
+        "counts": counts,
         "runs": runs,
     }
 
@@ -166,11 +258,13 @@ def main(argv=None) -> int:
                 for side in order:
                     runs[side].append(run_once(checkouts[side], workload, seed))
                 pair += 1
+        counts = {side: op_counts(checkouts[side], workload) for side in checkouts}
         snapshot = {"workload": workload}
         for side in ("parent", "change"):
-            snapshot[side] = label(workload, clean[side], runs[side])
+            snapshot[side] = label(workload, clean[side], runs[side], counts[side])
         snapshot["comparison"] = comparison(runs["parent"], runs["change"])
         snapshot["identical_checksums"] = identical_checksums(runs["parent"], runs["change"])
+        snapshot["counts_comparison"] = count_changes(counts["parent"], counts["change"])
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(snapshot, indent=1) + "\n")
         for side in ("parent", "change"):
@@ -182,6 +276,8 @@ def main(argv=None) -> int:
         same = snapshot["identical_checksums"]
         print(f"{path.name}: identical checksum={same['checksum']}/{same['pairs']} "
               f"traced_checksum={same['traced_checksum']}/{same['pairs']}")
+        print(f"{path.name}: opcodes per op " + " ".join(
+            f"{side}={counts[side]['opcodes_per_op']:.2f}" for side in ("parent", "change")))
     return 0
 
 
