@@ -150,7 +150,9 @@ class RationalFit(NamedTuple):
 
 def rational_fit_eval(fit: RationalFit, x: float) -> float:
     """Evaluate a RationalFit by Horner's rule on both polynomials: written
-    out for the shipped shapes (5/5 and 3/6 coefficients), looped for others."""
+    out for the shipped shapes (5/5 and 3/6 coefficients), looped for others.
+    Raises DomainError where the value is not finite (NaN or infinite x, or
+    an overflowing polynomial far outside the fitted interval)."""
     numerator, denominator, leading_factor_x = fit
     if len(numerator) == 5 and len(denominator) == 5:
         n0, n1, n2, n3, n4 = numerator
@@ -168,7 +170,10 @@ def rational_fit_eval(fit: RationalFit, x: float) -> float:
         for c in reversed(denominator):
             den = den * x + c
         q = num / den
-    return x * q if leading_factor_x else q
+    w = x * q if leading_factor_x else q
+    if not -_INF < w < _INF:
+        raise DomainError(f"rational fit has no finite value at x = {x!r}")
+    return w
 
 
 # Full-precision tables from tools/refit_rational.py: box-constrained

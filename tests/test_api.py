@@ -33,7 +33,7 @@ from lambertw import (
     reference_w,
     steps_to_converge,
 )
-from lambertw.approx import continued_log_depth
+from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS, continued_log_depth
 
 
 # ----------------------------------------------------------------------
@@ -416,9 +416,9 @@ def test_no_steps_at_exactly_representable_roots():
 
 def _region_grid(region, n=200):
     """n points over one dispatch region, the unbounded ones log-spaced."""
-    if region.kind == "asymptotic":
+    if region.upper == math.inf:
         return np.geomspace(region.lower, 1.7e308, n)
-    if region.kind == "continued-log":
+    if region.upper == 0.0:
         return -np.geomspace(-region.lower, 5e-324, n)
     return np.linspace(region.lower, region.upper, n, endpoint=False)
 
@@ -481,10 +481,12 @@ def test_seed_is_the_public_family_of_its_region_bit_for_bit():
     """lambert_w_approximation writes the seed families out in Horner form;
     each seed equals the family of dispatch_region's region to the bit.
     One Fritsch step usually erases a one-ulp change in a seed, so the
-    step test above would not see one."""
+    step test above would not see one; nor a level more or less of the
+    continued log, which the depth bounds and their neighbours pin."""
     points = ONE_STEP_GRID + [
         (region.branch, x) for region in W0_REGIONS[:-1] + WM1_REGIONS[:-1]
         for x in _ulps_around(region.upper, 3)]
+    points += [(-1, x) for bound in CONTINUED_LOG_DEPTH_BOUNDS for x in _ulps_around(bound, 2)]
     points += [(0, math.inf), (-1, -5e-324), (-1, -1e-300)]
     for branch, x in points:
         x = float(x)

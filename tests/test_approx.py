@@ -236,7 +236,25 @@ def test_rational_fit_of_another_shape_is_the_horner_quotient_bit_for_bit(
     for x in xs:
         value = _horner_reference(numerator, x) / _horner_reference(denominator, x)
         expected = x * value if leading_factor_x else value
-        assert rational_fit_eval(fit, x) == expected, x
+        if math.isfinite(expected):
+            assert rational_fit_eval(fit, x) == expected, x
+        else:  # 7/4 at 1e100, where x**6 overflows
+            with pytest.raises(DomainError, match="^rational fit has no finite value"):
+                rational_fit_eval(fit, x)
+
+
+@pytest.mark.parametrize("fit, x", [
+    *[(fit, x) for fit in (W0_FIT_1, W0_FIT_2, WM1_FIT) for x in (math.nan, math.inf, -math.inf)],
+    *[(fit, x) for fit in (W0_FIT_1, W0_FIT_2) for x in (1e100, -1e100, 1e300)],
+    (RationalFit((1.0, 2.0), (1.0, 0.5), True), math.nan),
+])
+def test_rational_fit_raises_where_its_value_is_not_finite(fit, x):
+    """NaN and infinite x, and x far enough out that x**4 overflows both
+    polynomials of a 5/5 fit (inf/inf), have no value: DomainError, not NaN.
+    WM1_FIT still returns +-0.0 at +-1e100, a finite wrong value outside its
+    interval, as every fit does there; the fit does not know its interval."""
+    with pytest.raises(DomainError, match="^rational fit has no finite value"):
+        rational_fit_eval(fit, x)
 
 
 def test_fit_denominators_nonzero_on_dispatch_regions():

@@ -40,9 +40,9 @@ def _region_points(region, seed: int, n: int = POINTS_PER_REGION) -> np.ndarray:
     rng = np.random.default_rng(seed)
     even, drawn = np.linspace(0.0, 1.0, n // 2, endpoint=False), rng.random(n - n // 2)
     t = np.concatenate([even, drawn])
-    if region.kind == "asymptotic":
+    if region.upper == math.inf:
         xs = np.exp(np.log(region.lower) + t * (np.log(1.7e308) - np.log(region.lower)))
-    elif region.kind == "continued-log":
+    elif region.upper == 0.0:
         xs = -np.exp(np.log(-region.lower) + t * (np.log(5e-324) - np.log(-region.lower)))
     else:
         xs = region.lower + t * (region.upper - region.lower)

@@ -39,9 +39,9 @@ def _cells(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _stratified(region, n: int) -> list[float]:
-    if region.kind == "asymptotic":
+    if region.upper == math.inf:
         lo, hi = region.lower, 1.7e308
-    elif region.kind == "continued-log":
+    elif region.upper == 0.0:
         lo, hi = region.lower, -5e-324
     else:
         return _cells(region.lower, region.upper, n)
