@@ -32,8 +32,9 @@ STAGES = ("approximation", "one-halley", "one-fritsch")
 
 _UNDEFINED_AT_ZERO = "delta accuracy is undefined when the exact value is 0"
 
-# math's names, bound once: a global is cheaper than an attribute.
+# math's names and tuple.__new__, bound once: a global is cheaper than an attribute.
 _log10, _copysign, _INF = math.log10, math.copysign, math.inf
+_new = tuple.__new__
 
 
 def delta_accuracy(approx: float, exact: float) -> float:
@@ -205,7 +206,7 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"at x={x!r}: {exc}") from exc
         samples.append((x, delta, region(k, x).kind))
-    return tuple.__new__(AccuracyReport, (b, stage, grid, tuple(samples)))
+    return _new(AccuracyReport, (b, stage, grid, tuple(samples)))
 
 
 def write_report(report: AccuracyReport, destination: TextIO) -> None:

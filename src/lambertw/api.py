@@ -198,9 +198,9 @@ def lambert_w(branch: int, x: float) -> EvalResult:
         kind, w = "continued-log", continued_log_recursion_wm1(x, continued_log_depth(x))
     else:
         raise _domain_error(x)
-    # tuple.__new__ builds the result in C, at a tenth of EvalResult(...)'s cost.
+    # _new (tuple.__new__) builds the result in C, at a tenth of EvalResult(...)'s cost.
     if x < _UNSTEPPED_END or w == 0.0 or w == _INF:
-        return tuple.__new__(EvalResult, (w, kind, 0, defining_residual(x, w)))
+        return _new(EvalResult, (w, kind, 0, defining_residual(x, w)))
     u = 1.0 + w
     # fritsch_step's arithmetic; its checks cannot fire on these seeds
     # (see _lambert_w_list).
@@ -211,7 +211,7 @@ def lambert_w(branch: int, x: float) -> EvalResult:
         z = _log(ratio) - w
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     w = w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
-    return tuple.__new__(EvalResult, (w, kind, 1, defining_residual(x, w)))
+    return _new(EvalResult, (w, kind, 1, defining_residual(x, w)))
 
 
 def _lambert_w_array(branch: int, x):
@@ -235,9 +235,10 @@ _MN0, _MN1, _MN2 = WM1_FIT.numerator
 _MD0, _MD1, _MD2, _MD3, _MD4, _MD5 = WM1_FIT.denominator
 # continued_log_depth(x) is 2 and a level for each bound above x: walk them from 0 out.
 _DEPTH_BOUNDS_OUT = CONTINUED_LOG_DEPTH_BOUNDS[::-1]
-# math's functions and constants for the float path, bound once: a global is
-# cheaper than an attribute.
+# math's functions and constants for the float path, and tuple.__new__, bound
+# once: a global is cheaper than an attribute.
 _isnan, _log, _sqrt, _E, _INF = math.isnan, math.log, math.sqrt, math.e, math.inf
+_new = tuple.__new__
 
 
 def lambert_w_approximation(branch: int, x: float) -> float:
@@ -411,7 +412,8 @@ def lambert_w0(x: float) -> float:
     """
     if type(x) is not float and hasattr(x, "dtype"):
         return _lambert_w_array(0, x)
-    return lambert_w(0, x).value
+    # [0] is the record's value, read without the named tuple's descriptor.
+    return lambert_w(0, x)[0]
 
 
 def lambert_wm1(x: float) -> float:
@@ -421,4 +423,4 @@ def lambert_wm1(x: float) -> float:
     """
     if type(x) is not float and hasattr(x, "dtype"):
         return _lambert_w_array(-1, x)
-    return lambert_w(-1, x).value
+    return lambert_w(-1, x)[0]

@@ -117,18 +117,18 @@ def asymptotic_series(branch: int, x: float) -> float:
         if x == _INF:
             return x
         a = _log(x)
+        b = _log(a)
     else:
         if not MINUS_INV_E < x < 0.0:
             raise DomainError(f"asymptotic form on branch -1 needs -1/e < x < 0, got x = {x!r}")
         a = _log(-x)
-    b = _log(-a) if a < 0.0 else _log(a)
+        b = _log(-a)
     ia = 1.0 / a
     tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
     tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
     tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
     tail = (-2.0 + b) / 2.0 + ia * tail
-    tail = 1.0 + ia * tail
-    return a - b + b * ia * tail
+    return a - b + b * ia * (1.0 + ia * tail)
 
 
 # ---------------------------------------------------------------------------
@@ -151,25 +151,30 @@ class RationalFit(NamedTuple):
 def rational_fit_eval(fit: RationalFit, x: float) -> float:
     """Evaluate a RationalFit by Horner's rule on both polynomials: written
     out for the shipped shapes (5/5 and 3/6 coefficients), looped for others.
-    Raises DomainError where the value is not finite (NaN or infinite x, or
-    an overflowing polynomial far outside the fitted interval)."""
+    Raises DomainError where the value is not finite (NaN or infinite x, a
+    zero denominator, or an overflowing polynomial far outside the fitted
+    interval)."""
     numerator, denominator, leading_factor_x = fit
-    if len(numerator) == 5 and len(denominator) == 5:
-        n0, n1, n2, n3, n4 = numerator
-        d0, d1, d2, d3, d4 = denominator
-        q = ((n0 + x * (n1 + x * (n2 + x * (n3 + x * n4))))
-             / (d0 + x * (d1 + x * (d2 + x * (d3 + x * d4)))))
-    elif len(numerator) == 3 and len(denominator) == 6:
-        n0, n1, n2 = numerator
-        d0, d1, d2, d3, d4, d5 = denominator
-        q = (n0 + x * (n1 + x * n2)) / (d0 + x * (d1 + x * (d2 + x * (d3 + x * (d4 + x * d5)))))
-    else:
-        num = den = 0.0
-        for c in reversed(numerator):
-            num = num * x + c
-        for c in reversed(denominator):
-            den = den * x + c
-        q = num / den
+    try:
+        if len(numerator) == 5 and len(denominator) == 5:
+            n0, n1, n2, n3, n4 = numerator
+            d0, d1, d2, d3, d4 = denominator
+            q = ((n0 + x * (n1 + x * (n2 + x * (n3 + x * n4))))
+                 / (d0 + x * (d1 + x * (d2 + x * (d3 + x * d4)))))
+        elif len(numerator) == 3 and len(denominator) == 6:
+            n0, n1, n2 = numerator
+            d0, d1, d2, d3, d4, d5 = denominator
+            q = (n0 + x * (n1 + x * n2)) / (d0 + x * (d1 + x * (d2 + x * (d3 + x * (d4 + x * d5)))))
+        else:
+            num = den = 0.0
+            for c in reversed(numerator):
+                num = num * x + c
+            for c in reversed(denominator):
+                den = den * x + c
+            q = num / den
+    except ZeroDivisionError:
+        # A zero denominator: the fit has a pole at x.
+        raise DomainError(f"rational fit has no finite value at x = {x!r}") from None
     w = x * q if leading_factor_x else q
     if not -_INF < w < _INF:
         raise DomainError(f"rational fit has no finite value at x = {x!r}")

@@ -34,6 +34,7 @@ from lambertw import (
     steps_to_converge,
 )
 from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS, continued_log_depth
+from test_array import _breakpoints, _depth_bounds
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +99,44 @@ def test_approximation_golden():
 def test_static_branch_wrappers_agree():
     assert lambert_w0(2.0) == lambert_w(0, 2.0).value
     assert lambert_wm1(-0.2) == lambert_w(-1, -0.2).value
+
+
+_ULP_AT_BRANCH_POINT = math.ulp(MINUS_INV_E)
+# x below the 4-ulp rounding band under -1/e, where both branches raise.
+_BELOW_BAND = MINUS_INV_E - 5 * _ULP_AT_BRANCH_POINT
+# -1/e and the 4-ulp band below it, which the series seeds map to -1.
+_BRANCH_POINT_BAND = [MINUS_INV_E - k * _ULP_AT_BRANCH_POINT for k in range(5)]
+_WRAPPER_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, math.inf]
+_WRAPPER_CASES = [
+    *[(0, x) for x in _breakpoints(W0_REGIONS) + _BRANCH_POINT_BAND + _WRAPPER_EDGES],
+    *[(-1, x) for x in _breakpoints(WM1_REGIONS) + _depth_bounds() + _BRANCH_POINT_BAND
+      + _WRAPPER_EDGES],
+    *[(branch, x) for branch in (0, -1) for x in (math.nan, -math.inf, _BELOW_BAND)],
+]
+
+
+def _outcome(fn, *args):
+    """The float.hex of fn(*args), which keeps the sign of zero, or the
+    type and message of the exception it raises."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("branch, x", _WRAPPER_CASES)
+def test_static_branch_wrappers_are_the_record_value(branch, x):
+    """lambert_w0 and lambert_wm1 return lambert_w(branch, x).value bit for
+    bit, signed zeros included, and raise its error with its message: at
+    every breakpoint and its neighbours, the band at -1/e, the edges of the
+    double range and, on branch -1, every x >= 0."""
+    wrapper = lambert_w0 if branch == 0 else lambert_wm1
+    expected = _outcome(lambda: lambert_w(branch, x).value)
+    assert _outcome(wrapper, x) == expected
+    if math.isnan(x) or x < MINUS_INV_E - 4 * _ULP_AT_BRANCH_POINT or (branch == -1 and x >= 0.0):
+        assert expected[0] is DomainError
+    else:
+        assert isinstance(expected, str)
 
 
 def test_approximation_at_infinity():

@@ -164,6 +164,25 @@ def test_asymptotic_lower_branch_near_zero():
     assert value == pytest.approx(ref, abs=1e-3)
 
 
+@pytest.mark.parametrize("branch, x, bits", [
+    (-1, -0.3, "-0x1.cd33884d2c580p+0"),
+    (-1, -0.05, "-0x1.1ff0bfde8a005p+2"),
+    (-1, -1e-5, "-0x1.c53c3d1bef263p+3"),
+    (-1, -1e-100, "-0x1.d7713bbc748dcp+7"),
+    (-1, -1e-300, "-0x1.5ca950bbd0767p+9"),
+    (-1, -5e-324, "-0x1.7787e12ed944cp+9"),
+    (0, 8.706658, "0x1.a880668d33443p+0"),
+    (0, 1e10, "0x1.40757ec753e4ep+4"),
+    (0, 1e300, "0x1.561fa4884a0e5p+9"),
+    (0, 1.7e308, "0x1.5f95eb1377837p+9"),
+    (0, math.inf, "inf"),
+])
+def test_asymptotic_values_are_pinned_bit_for_bit(branch, x, bits):
+    """The family's bits on both branches.  Branch -1's serves no dispatch
+    region, so no bit-identity test of the kernels holds it."""
+    assert asymptotic_series(branch, x).hex() == bits
+
+
 def test_asymptotic_domain_errors():
     with pytest.raises(DomainError):
         asymptotic_series(0, 1.0)  # ln ln 1 undefined
@@ -247,10 +266,16 @@ def test_rational_fit_of_another_shape_is_the_horner_quotient_bit_for_bit(
     *[(fit, x) for fit in (W0_FIT_1, W0_FIT_2, WM1_FIT) for x in (math.nan, math.inf, -math.inf)],
     *[(fit, x) for fit in (W0_FIT_1, W0_FIT_2) for x in (1e100, -1e100, 1e300)],
     (RationalFit((1.0, 2.0), (1.0, 0.5), True), math.nan),
+    # Zero denominators, in the loop and in both written-out shapes.
+    (RationalFit((1.0,), (1.0, 1.0)), -1.0),
+    (RationalFit((1.0,) * 5, (1.0, 1.0, 0.0, 0.0, 0.0)), -1.0),
+    (RationalFit((1.0,) * 5, (1.0, 1.0, 0.0, 0.0, 0.0), True), -1.0),
+    (RationalFit((1.0,) * 3, (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)), -1.0),
 ])
 def test_rational_fit_raises_where_its_value_is_not_finite(fit, x):
-    """NaN and infinite x, and x far enough out that x**4 overflows both
-    polynomials of a 5/5 fit (inf/inf), have no value: DomainError, not NaN.
+    """NaN and infinite x, x far enough out that x**4 overflows both
+    polynomials of a 5/5 fit (inf/inf), and a pole of the fit (a zero
+    denominator) have no value: DomainError, not NaN or ZeroDivisionError.
     WM1_FIT still returns +-0.0 at +-1e100, a finite wrong value outside its
     interval, as every fit does there; the fit does not know its interval."""
     with pytest.raises(DomainError, match="^rational fit has no finite value"):
