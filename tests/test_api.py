@@ -129,7 +129,7 @@ def test_static_branch_wrappers_are_the_record_value(branch, x):
     """lambert_w0 and lambert_wm1 return lambert_w(branch, x).value bit for
     bit, signed zeros included, and raise its error with its message: at
     every breakpoint and its neighbours, the band at -1/e, the edges of the
-    double range and, on branch -1, every x >= 0."""
+    double range and, on branch -1, x >= 0."""
     wrapper = lambert_w0 if branch == 0 else lambert_wm1
     expected = _outcome(lambda: lambert_w(branch, x).value)
     assert _outcome(wrapper, x) == expected
