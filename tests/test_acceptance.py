@@ -54,7 +54,7 @@ from lambertw import (
     reference_w,
     steps_to_converge,
 )
-from test_branch_coefficients import derive_branch_coefficients
+from support import EXACT_TABLE, derive_branch_coefficients
 
 ONE_STEP_OFFSET = 1e-5   # linear-panel start offset for single-step floors
 HALLEY_WINDOW = (6.5, 190.0)
@@ -154,14 +154,9 @@ def test_criterion_4_one_halley_floor_lower_branch():
 
 def test_criterion_5_branch_point_coefficients_exact():
     """Series reversion reproduces the exact rational b_0..b_7 table."""
-    expected = [
-        Fraction(-1), Fraction(1), Fraction(-1, 3), Fraction(11, 72),
-        Fraction(-43, 540), Fraction(769, 17280), Fraction(-221, 8505),
-        Fraction(680863, 43545600),
-    ]
     derived = derive_branch_coefficients(7)
     print(f"criterion 5: derive_branch_coefficients(7) -> {derived}")
-    assert derived == expected
+    assert derived == EXACT_TABLE
     assert all(isinstance(b, Fraction) for b in derived)
 
 

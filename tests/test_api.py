@@ -33,8 +33,16 @@ from lambertw import (
     reference_w,
     steps_to_converge,
 )
-from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS, continued_log_depth
-from test_array import _breakpoints, _depth_bounds
+from lambertw.approx import continued_log_depth
+from support import (
+    BELOW_BAND,
+    branch_point_band,
+    breakpoints,
+    depth_bounds,
+    raised,
+    region_span,
+    ulps_around,
+)
 
 
 # ----------------------------------------------------------------------
@@ -101,17 +109,14 @@ def test_static_branch_wrappers_agree():
     assert lambert_wm1(-0.2) == lambert_w(-1, -0.2).value
 
 
-_ULP_AT_BRANCH_POINT = math.ulp(MINUS_INV_E)
-# x below the 4-ulp rounding band under -1/e, where both branches raise.
-_BELOW_BAND = MINUS_INV_E - 5 * _ULP_AT_BRANCH_POINT
 # -1/e and the 4-ulp band below it, which the series seeds map to -1.
-_BRANCH_POINT_BAND = [MINUS_INV_E - k * _ULP_AT_BRANCH_POINT for k in range(5)]
+_BRANCH_POINT_BAND = branch_point_band(range(0, -5, -1))
 _WRAPPER_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, math.inf]
 _WRAPPER_CASES = [
-    *[(0, x) for x in _breakpoints(W0_REGIONS) + _BRANCH_POINT_BAND + _WRAPPER_EDGES],
-    *[(-1, x) for x in _breakpoints(WM1_REGIONS) + _depth_bounds() + _BRANCH_POINT_BAND
+    *[(0, x) for x in breakpoints(W0_REGIONS) + _BRANCH_POINT_BAND + _WRAPPER_EDGES],
+    *[(-1, x) for x in breakpoints(WM1_REGIONS) + depth_bounds() + _BRANCH_POINT_BAND
       + _WRAPPER_EDGES],
-    *[(branch, x) for branch in (0, -1) for x in (math.nan, -math.inf, _BELOW_BAND)],
+    *[(branch, x) for branch in (0, -1) for x in (math.nan, -math.inf, BELOW_BAND)],
 ]
 
 
@@ -133,7 +138,7 @@ def test_static_branch_wrappers_are_the_record_value(branch, x):
     wrapper = lambert_w0 if branch == 0 else lambert_wm1
     expected = _outcome(lambda: lambert_w(branch, x).value)
     assert _outcome(wrapper, x) == expected
-    if math.isnan(x) or x < MINUS_INV_E - 4 * _ULP_AT_BRANCH_POINT or (branch == -1 and x >= 0.0):
+    if math.isnan(x) or x <= BELOW_BAND or (branch == -1 and x >= 0.0):
         assert expected[0] is DomainError
     else:
         assert isinstance(expected, str)
@@ -218,16 +223,9 @@ def test_domain_errors(branch, x):
     with pytest.raises(DomainError):
         lambert_w_approximation(branch, x)
     # One statement of the domain: every entry raises dispatch_region's error.
-    expected = _raised(dispatch_region, branch, x)
+    expected = raised(dispatch_region, branch, x)
     for fn in (lambert_w, reference_w, branch_point_series):
-        assert _raised(fn, branch, x) == expected, fn.__name__
-
-
-def _raised(fn, *args):
-    """Type and message of the exception that ``fn(*args)`` raises."""
-    with pytest.raises(Exception) as info:
-        fn(*args)
-    return type(info.value), str(info.value)
+        assert raised(fn, branch, x) == expected, fn.__name__
 
 
 # Every function that takes a branch, with an x inside both branch
@@ -260,7 +258,7 @@ def test_invalid_branch_raises_the_enum_error(name, branch):
         fn(branch, xs[0])
     # The branch is checked first, also where x is bad.
     for x in (xs[0], math.nan):
-        assert _raised(fn, branch, x) == _raised(dispatch_region, branch, x)
+        assert raised(fn, branch, x) == raised(dispatch_region, branch, x)
 
 
 @pytest.mark.parametrize("branch", [0, -1])
@@ -276,14 +274,11 @@ def test_nan_raises_a_domain_error_naming_nan(name, branch):
                                   "branch_point_series", "reference_w"])
 def test_four_ulp_band_below_branch_point(name, branch):
     fn, _ = BRANCH_TAKERS[name]
-    x = MINUS_INV_E
-    for _ in range(4):
-        x = math.nextafter(x, -math.inf)
-    result = fn(branch, x)
+    result = fn(branch, branch_point_band([-4])[0])
     if name != "dispatch_region":
         assert (result.value if name == "lambert_w" else result) == -1.0
     with pytest.raises(DomainError, match="-1/e"):
-        fn(branch, math.nextafter(x, -math.inf))
+        fn(branch, BELOW_BAND)
 
 
 def _size_1_array_is_a_float() -> bool:
@@ -368,7 +363,7 @@ def test_domain_error_names_the_bound():
 
 
 def test_within_four_ulp_below_branch_point_is_clamped():
-    x = MINUS_INV_E - 2 * math.ulp(math.exp(-1))
+    x = branch_point_band([-2])[0]
     for branch in (0, -1):
         assert lambert_w(branch, x).value == -1.0
 
@@ -455,20 +450,8 @@ def test_no_steps_at_exactly_representable_roots():
 
 def _region_grid(region, n=200):
     """n points over one dispatch region, the unbounded ones log-spaced."""
-    if region.upper == math.inf:
-        return np.geomspace(region.lower, 1.7e308, n)
-    if region.upper == 0.0:
-        return -np.geomspace(-region.lower, 5e-324, n)
-    return np.linspace(region.lower, region.upper, n, endpoint=False)
-
-
-def _ulps_around(x, n):
-    """x and the n doubles on either side of it."""
-    below, above = [x], [x]
-    for _ in range(n):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[:0:-1] + above
+    lo, hi, log_spaced = region_span(region)
+    return np.geomspace(lo, hi, n) if log_spaced else np.linspace(lo, hi, n, endpoint=False)
 
 
 # Each region's grid starts at its lower end, so the branch point is in;
@@ -478,8 +461,8 @@ ONE_STEP_GRID = (
     [(0, x) for x in np.geomspace(1e20, 1e300, 400)]
     + [(region.branch, x) for region in W0_REGIONS + WM1_REGIONS for x in _region_grid(region)]
     + [(region.branch, x) for region in W0_REGIONS[:-1] + WM1_REGIONS[:-1]
-       for x in _ulps_around(region.upper, 1)]
-    + [(branch, x) for branch in (0, -1) for x in _ulps_around(MINUS_INV_E, 4)]
+       for x in ulps_around(region.upper, 1)]
+    + [(branch, x) for branch in (0, -1) for x in ulps_around(MINUS_INV_E, 4)]
     + [(0, 0.0)]
 )
 
@@ -524,8 +507,8 @@ def test_seed_is_the_public_family_of_its_region_bit_for_bit():
     continued log, which the depth bounds and their neighbours pin."""
     points = ONE_STEP_GRID + [
         (region.branch, x) for region in W0_REGIONS[:-1] + WM1_REGIONS[:-1]
-        for x in _ulps_around(region.upper, 3)]
-    points += [(-1, x) for bound in CONTINUED_LOG_DEPTH_BOUNDS for x in _ulps_around(bound, 2)]
+        for x in ulps_around(region.upper, 3)]
+    points += [(-1, x) for x in depth_bounds()]
     points += [(0, math.inf), (-1, -5e-324), (-1, -1e-300)]
     for branch, x in points:
         x = float(x)

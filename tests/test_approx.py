@@ -28,6 +28,7 @@ from lambertw.approx import (
     CONTINUED_LOG_DEPTH_BOUNDS,
     continued_log_depth,
 )
+from support import branch_point_band, depth_bounds
 
 # Stratified points per bit-identity case: one drawn in each of as many
 # equal cells.
@@ -109,7 +110,7 @@ def test_series_is_the_horner_sum_bit_for_bit(branch, order):
     pad the lower orders must still add nothing.  2(1 + e*x) is formed as
     2e((x - fl(-1/e)) - lo), lo = (-1/e) - fl(-1/e)."""
     xs = _stratified(MINUS_INV_E, 0.0, seed=100 * order - branch)
-    xs += [MINUS_INV_E, MINUS_INV_E - math.ulp(MINUS_INV_E)]
+    xs += branch_point_band([0, -1])
     xs += [0.0, 1e10, 1e300, 3e307] if branch == 0 else []
     for x in xs:
         s = 2.0 * (math.e * ((x - MINUS_INV_E) - 1.2428753672788363e-17))
@@ -131,7 +132,7 @@ def test_series_raises_where_p_overflows(x):
 
 def test_series_clamps_tiny_negative_radicand():
     # 1 ulp below -1/e must not raise: 2(1+ex) rounds slightly negative.
-    x = MINUS_INV_E - math.ulp(MINUS_INV_E)
+    x = branch_point_band([-1])[0]
     assert branch_point_series(0, x, order=9) == -1.0
 
 
@@ -346,10 +347,7 @@ def _continued_log_seed_points() -> list[float]:
     depth bound and the doubles next to it."""
     lo, hi = math.log(-_WM1_FIT_END), math.log(5e-324)
     spread = [-math.exp(lo + (hi - lo) * (i + 0.5) / 2000) for i in range(2000)]
-    return spread + [_WM1_FIT_END, -5e-324] + [
-        y for bound in CONTINUED_LOG_DEPTH_BOUNDS
-        for y in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, 0.0))
-    ]
+    return spread + [_WM1_FIT_END, -5e-324] + depth_bounds(1)
 
 
 def test_continued_log_seed_keeps_five_decimals_at_its_depth():

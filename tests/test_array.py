@@ -27,8 +27,8 @@ from lambertw import (
     lambert_wm1,
 )
 from lambertw.api import _lambert_w_list, _w
-from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS
 from lambertw.branches import _X_MIN
+from support import BELOW_BAND, branch_point_band, breakpoints, depth_bounds, raised, region_span
 
 POINTS_PER_REGION = 500
 FUNCTIONS = {0: lambert_w0, -1: lambert_wm1}
@@ -40,29 +40,13 @@ def _region_points(region, seed: int, n: int = POINTS_PER_REGION) -> np.ndarray:
     rng = np.random.default_rng(seed)
     even, drawn = np.linspace(0.0, 1.0, n // 2, endpoint=False), rng.random(n - n // 2)
     t = np.concatenate([even, drawn])
-    if region.upper == math.inf:
-        xs = np.exp(np.log(region.lower) + t * (np.log(1.7e308) - np.log(region.lower)))
-    elif region.upper == 0.0:
-        xs = -np.exp(np.log(-region.lower) + t * (np.log(5e-324) - np.log(-region.lower)))
+    lo, hi, log_spaced = region_span(region)
+    if log_spaced:
+        near, far = np.log(abs(lo)), np.log(abs(hi))
+        xs = math.copysign(1.0, lo) * np.exp(near + t * (far - near))
     else:
-        xs = region.lower + t * (region.upper - region.lower)
+        xs = lo + t * (hi - lo)
     return np.clip(xs, min(region.lower, region.upper), max(region.lower, region.upper))
-
-
-def _breakpoints(regions) -> list[float]:
-    """Every inner breakpoint and its two neighbouring doubles."""
-    return [y for r in regions[1:]
-            for y in (math.nextafter(r.lower, -math.inf), r.lower, math.nextafter(r.lower, math.inf))]
-
-
-def _depth_bounds() -> list[float]:
-    """Every continued-log depth bound and the doubles within 2 ulp of it."""
-    return [b + k * math.ulp(b) for b in CONTINUED_LOG_DEPTH_BOUNDS for k in range(-2, 3)]
-
-
-def _band() -> list[float]:
-    ulp = math.ulp(MINUS_INV_E)
-    return [MINUS_INV_E + k * ulp for k in range(-4, 17)]
 
 
 EDGES = {
@@ -75,12 +59,10 @@ EDGES = {
 def _inputs(branch: int) -> np.ndarray:
     regions = W0_REGIONS if branch == 0 else WM1_REGIONS
     parts = [_region_points(r, seed) for seed, r in enumerate(regions)]
-    depth_bounds = _depth_bounds() if branch == -1 else []
-    parts.append(np.array(_breakpoints(regions) + _band() + depth_bounds + EDGES[branch]))
+    bounds = depth_bounds() if branch == -1 else []
+    parts.append(np.array(breakpoints(regions) + branch_point_band(range(-4, 17)) + bounds
+                          + EDGES[branch]))
     return np.concatenate(parts)
-
-
-BELOW = MINUS_INV_E - 5 * math.ulp(math.exp(-1.0))
 
 
 def _bits(values) -> np.ndarray:
@@ -113,17 +95,12 @@ def test_one_float_kernel_equals_the_list_and_float_paths_bit_for_bit(branch):
     np.testing.assert_array_equal(kernel, _bits([lambert_w(branch, x).value for x in xs]))
 
 
-def _error(fn, *args) -> tuple[type, str]:
-    with pytest.raises(Exception) as info:
-        fn(*args)
-    return type(info.value), str(info.value)
-
-
 @pytest.mark.parametrize("branch, bad", [
-    (0, math.nan), (-1, math.nan), (0, -math.inf), (-1, -math.inf), (0, BELOW), (-1, BELOW),
-    (-1, 0.0), (-1, -0.0), (-1, 5e-324), (-1, 0.5), (-1, math.inf), (1, 0.5), (-2, -0.2)])
+    (0, math.nan), (-1, math.nan), (0, -math.inf), (-1, -math.inf), (0, BELOW_BAND),
+    (-1, BELOW_BAND), (-1, 0.0), (-1, -0.0), (-1, 5e-324), (-1, 0.5), (-1, math.inf), (1, 0.5),
+    (-2, -0.2)])
 def test_one_float_kernel_raises_the_float_path_error(branch, bad):
-    assert _error(_w, branch, bad) == _error(lambert_w, branch, bad)
+    assert raised(_w, branch, bad) == raised(lambert_w, branch, bad)
 
 
 # The kernel's Fritsch step checks neither the signs of x and w nor its
@@ -172,8 +149,7 @@ def test_fritsch_denominator_from_every_stepped_seed_is_nonzero(branch):
 
 @pytest.mark.parametrize("depth", range(10))
 def test_continued_log_iterates_stay_at_or_below_minus_one(depth):
-    ulp = math.ulp(MINUS_INV_E)
-    near = [MINUS_INV_E + k * ulp for k in range(1, 17)]
+    near = branch_point_band(range(1, 17))
     spread = (-np.geomspace(-MINUS_INV_E, 5e-324, 2000)[1:-1]).tolist()
     for x in [*near, *spread, -1e-320, -5e-324]:
         assert continued_log_recursion_wm1(x, depth) <= -1.0, x
@@ -232,8 +208,8 @@ def _scalar_message(fn, x: float) -> str:
     return str(info.value)
 
 
-@pytest.mark.parametrize("branch, bad", [(0, math.nan), (-1, math.nan), (0, BELOW),
-                                         (-1, BELOW), (0, -math.inf), (-1, 0.0), (-1, 0.5),
+@pytest.mark.parametrize("branch, bad", [(0, math.nan), (-1, math.nan), (0, BELOW_BAND),
+                                         (-1, BELOW_BAND), (0, -math.inf), (-1, 0.0), (-1, 0.5),
                                          (-1, math.inf)])
 def test_bad_element_raises_the_scalar_error(branch, bad):
     fn = FUNCTIONS[branch]

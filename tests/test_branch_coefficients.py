@@ -1,7 +1,7 @@
 """Tests for the exact coefficients of the branch-point expansion.
 
 The expansion W = sum_i b_i p^i with p = +-sqrt(2(1 + e x)) has exactly
-known rational coefficients.  ``derive_branch_coefficients`` below
+known rational coefficients.  ``support.derive_branch_coefficients``
 recomputes them by the recurrence of Corless et al. (1996) in exact
 Fraction arithmetic; its output anchors the frozen float table used at
 evaluation time.
@@ -13,44 +13,8 @@ from fractions import Fraction
 import pytest
 
 from lambertw import BRANCH_POINT_COEFFICIENTS
+from support import EXACT_TABLE, derive_branch_coefficients
 
-
-def derive_branch_coefficients(n: int) -> list[Fraction]:
-    """Exact coefficients b_0..b_n of the branch point series.
-
-    Both branches may be written w = sum_i b_i p^i with
-    p = +-sqrt(2*(1 + e*x)).  The b_i follow from the recurrence of
-    Corless et al. (1996, section 4), with b_0 = -1, b_1 = 1, a_0 = 2,
-    a_1 = -1:
-
-        b_k = (k-1)/(k+1) * (b_{k-2}/2 + a_{k-2}/4) - a_k/2 - b_{k-1}/(k+1),
-        a_k = sum_{j=2}^{k-1} b_j * b_{k+1-j}.
-
-    n is at most 12: beyond that the series is of no practical use in
-    double precision.
-    """
-    if not 0 <= n <= 12:
-        raise ValueError(f"n must be in [0, 12], got {n}")
-    b = [Fraction(-1), Fraction(1)]
-    a = [Fraction(2), Fraction(-1)]
-    for k in range(2, n + 1):
-        a.append(sum((b[j] * b[k + 1 - j] for j in range(2, k)), Fraction(0)))
-        b.append(Fraction(k - 1, k + 1) * (b[k - 2] / 2 + a[k - 2] / 4)
-                 - a[k] / 2 - b[k - 1] / (k + 1))
-    return b[: n + 1]
-
-
-# Exact rational values of b0..b7.
-EXACT_TABLE = [
-    Fraction(-1),
-    Fraction(1),
-    Fraction(-1, 3),
-    Fraction(11, 72),
-    Fraction(-43, 540),
-    Fraction(769, 17280),
-    Fraction(-221, 8505),
-    Fraction(680863, 43545600),
-]
 
 # b8..b12, as reverting the forward series order by order gives them.
 EXACT_HIGHER_ORDERS = [

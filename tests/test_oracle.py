@@ -18,6 +18,7 @@ import pytest
 from lambertw import Branch, DomainError, default_panels, reference_w
 from lambertw import oracle
 from lambertw.branches import MINUS_INV_E
+from support import branch_point_band
 
 EPS = math.ulp(1.0)
 
@@ -82,20 +83,12 @@ def test_self_consistency(branch, xs):
         assert residual <= bound, f"x={x!r}: residual {residual!r} > bound {bound!r}"
 
 
-def _band(start, count):
-    """``count`` consecutive doubles upward from ``start``."""
-    xs = [start]
-    for _ in range(count - 1):
-        xs.append(math.nextafter(xs[-1], math.inf))
-    return xs
-
-
 # Both branches over the whole double range: the 17 doubles from -1/e up,
 # linear panels, and log grids from the smallest subnormal to near the
 # largest double.
 MPMATH_POINTS = [
-    *((0, x) for x in _band(MINUS_INV_E, 17)),
-    *((-1, x) for x in _band(MINUS_INV_E, 17)),
+    *((0, x) for x in branch_point_band(range(17))),
+    *((-1, x) for x in branch_point_band(range(17))),
     *((0, x) for x in np.linspace(MINUS_INV_E, 0.3, 60)),
     *((-1, x) for x in np.linspace(MINUS_INV_E, -1e-6, 60)),
     *((0, x) for x in np.geomspace(5e-324, 1.7e308, 150)),

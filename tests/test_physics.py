@@ -20,6 +20,7 @@ from lambertw import (
     reference_w,
 )
 from lambertw import physics
+from support import ulps_around
 
 
 def _profile_values(top: float, near_top: list[float], n: int = 400) -> list[float]:
@@ -129,20 +130,11 @@ def test_moyal_inverse_side_ordering():
         assert moyal_inverse(y, "minus") < 0.0 < moyal_inverse(y, "plus")
 
 
-def _around(v: float, k: int = 8) -> list[float]:
-    """v and the k doubles on either side of it."""
-    below, above = [v], [v]
-    for _ in range(k):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[:0:-1] + above
-
-
 def test_moyal_inverse_is_the_w_formula_bit_for_bit():
     # The inverses take W from their own kernel; this pins them to the
     # public float path.  Up to 4 ulp above the peak is accepted and
     # clamped; beyond, y is outside the domain.
-    for y in _profile_values(MOYAL_PEAK, _around(MOYAL_PEAK)):
+    for y in _profile_values(MOYAL_PEAK, ulps_around(MOYAL_PEAK, 8)):
         if y > MOYAL_PEAK + 4.0 * math.ulp(MOYAL_PEAK):
             for side in ("plus", "minus"):
                 with pytest.raises(DomainError):
@@ -267,7 +259,7 @@ def test_gh_inverse_domain_errors():
 
 def test_gh_inverse_is_the_w_formula_bit_for_bit():
     for x_max in (1.0, 1.7, 4.2, 23.0, 100.0):
-        for y in _profile_values(1.0, _around(1.0)):
+        for y in _profile_values(1.0, ulps_around(1.0, 8)):
             if y > 1.0:
                 with pytest.raises(DomainError):
                     gh_inverse(y, x_max)
@@ -318,10 +310,18 @@ def test_gh_where_x_over_x_max_overflows(x, x_max, expected):
     assert abs(gaisser_hillas(x, x_max) - expected) <= 2 * math.ulp(expected)
 
 
-def _gh_exact(x: float, x_max: float) -> float:
-    """The profile at the doubles x, x_max by mpmath at 40 digits."""
-    with mpmath.workdps(40):
-        return float((mpmath.mpf(x) / x_max) ** x_max * mpmath.exp(mpmath.mpf(x_max) - x))
+def _gh_exact(x: float, x_max: float) -> tuple[float, float, float]:
+    """The profile at the doubles x, x_max by mpmath at 120 digits, its
+    exponent E = x_max ln(x/x_max) + x_max - x, and
+    cond = |x - x_max| + x_max |ln(x/x_max)| + 1: the relative error that
+    rounding x and x_max alone carries into the profile, in units of eps.
+    Near the largest double E is 32 digits below its terms."""
+    with mpmath.workdps(120):
+        x, x_max = mpmath.mpf(x), mpmath.mpf(x_max)
+        log_ratio = mpmath.log(x / x_max)
+        exponent = x_max * log_ratio + x_max - x
+        return (float(mpmath.exp(exponent)), float(exponent),
+                float(abs(x - x_max) + x_max * abs(log_ratio) + 1))
 
 
 def _gh_tolerance(x: float, x_max: float, value: float) -> float:
@@ -332,9 +332,9 @@ def _gh_tolerance(x: float, x_max: float, value: float) -> float:
 
 @pytest.mark.parametrize(
     "x, x_max, expected",
-    # mpmath at 40 digits.  Here (x/x_max)^x_max or e^(x_max - x)
-    # overflows a double; the last three values underflow, and in the
-    # last x/x_max does too.
+    # mpmath, the same double at 40 digits and at 120.  Here
+    # (x/x_max)^x_max or e^(x_max - x) overflows a double; the last three
+    # values underflow, and in the last x/x_max does too.
     [
         (2060.0, 1030.0, 5.4648616732744703e-138),
         (1e5, 1000.0, 0.0),
@@ -343,7 +343,7 @@ def _gh_tolerance(x: float, x_max: float, value: float) -> float:
     ],
 )
 def test_gh_where_a_factor_of_the_direct_form_overflows(x, x_max, expected):
-    assert _gh_exact(x, x_max) == expected
+    assert _gh_exact(x, x_max)[0] == expected
     assert abs(gaisser_hillas(x, x_max) - expected) <= _gh_tolerance(x, x_max, expected)
 
 
@@ -356,26 +356,16 @@ def test_gh_forward_check_of_the_roots_at_large_x_max():
     y, x_max = 1e-300, 1e5
     for root in gh_inverse(y, x_max):
         value = gaisser_hillas(root, x_max)
-        assert abs(value - _gh_exact(root, x_max)) <= _gh_tolerance(root, x_max, value)
+        assert abs(value - _gh_exact(root, x_max)[0]) <= _gh_tolerance(root, x_max, value)
         # The root's last bit and the rounding of root/x_max, amplified by
         # x_max, move the value by about 1e-11 of y.
         assert value == pytest.approx(y, rel=1e-9)
 
 
-def _gh_exact_with_exponent(x: float, x_max: float) -> tuple[float, float]:
-    """The profile at the doubles x, x_max and its exponent
-    x_max ln(x/x_max) + x_max - x, by mpmath at 120 digits: near the
-    largest double the exponent is 32 digits below its terms."""
-    with mpmath.workdps(120):
-        x, x_max = mpmath.mpf(x), mpmath.mpf(x_max)
-        exponent = x_max * mpmath.log(x / x_max) + x_max - x
-        return float(mpmath.exp(exponent)), float(exponent)
-
-
 def _assert_gh_within_exponent_rounding(x: float, x_max: float) -> None:
     # A few rounding errors of the exponent E, which exp turns into a
     # relative error of the value: 4 eps (|E| + 1).
-    expected, exponent = _gh_exact_with_exponent(x, x_max)
+    expected, exponent, _ = _gh_exact(x, x_max)
     value = gaisser_hillas(x, x_max)
     if expected == 0.0:
         assert value == 0.0, (x, x_max, value)
@@ -467,21 +457,10 @@ def test_gh_near_the_peak_at_large_x_max(x, x_max, expected):
     assert abs(value - expected) <= 4 * math.ulp(expected)
 
 
-def _gh_exact_with_cond(x: float, x_max: float) -> tuple[float, float]:
-    """The profile at the doubles x, x_max by mpmath at 120 digits, and
-    cond = |x - x_max| + x_max |ln(x/x_max)| + 1: the relative error
-    that rounding x and x_max alone carries into it, in units of eps."""
-    with mpmath.workdps(120):
-        x, x_max = mpmath.mpf(x), mpmath.mpf(x_max)
-        log_ratio = mpmath.log(x / x_max)
-        value = mpmath.exp(x_max * log_ratio + x_max - x)
-        return float(value), float(abs(x - x_max) + x_max * abs(log_ratio) + 1)
-
-
 def _assert_gh_within_input_rounding(x: float, x_max: float) -> None:
     # 2 eps cond relative, and the spacing of the subnormals below the
     # smallest normal, where the result itself is rounded that coarsely.
-    expected, cond = _gh_exact_with_cond(x, x_max)
+    expected, _, cond = _gh_exact(x, x_max)
     value = gaisser_hillas(x, x_max)
     floor = math.ulp(0.0) if expected < sys.float_info.min else 0.0
     error = abs(value - expected) - floor
@@ -537,5 +516,5 @@ def test_gh_forward_check_of_the_roots_where_the_direct_form_underflows():
     y, x_max = 1e-300, 500.0
     for root in gh_inverse(y, x_max):
         _assert_gh_within_input_rounding(root, x_max)
-        cond = _gh_exact_with_cond(root, x_max)[1]
+        cond = _gh_exact(root, x_max)[2]
         assert abs(gaisser_hillas(root, x_max) - y) <= 4.0 * sys.float_info.epsilon * cond * y

@@ -20,6 +20,7 @@ import mpmath
 import pytest
 
 from lambertw import MINUS_INV_E, W0_REGIONS, WM1_REGIONS, lambert_w
+from support import region_span
 
 POINTS_PER_REGION = 2000
 
@@ -39,12 +40,9 @@ def _cells(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _stratified(region, n: int) -> list[float]:
-    if region.upper == math.inf:
-        lo, hi = region.lower, 1.7e308
-    elif region.upper == 0.0:
-        lo, hi = region.lower, -5e-324
-    else:
-        return _cells(region.lower, region.upper, n)
+    lo, hi, log_spaced = region_span(region)
+    if not log_spaced:
+        return _cells(lo, hi, n)
     sign = math.copysign(1.0, lo)
     small, large = sorted((abs(lo), abs(hi)))
     return [sign * min(max(math.exp(t), small), large)
