@@ -237,7 +237,8 @@ def reference_w(branch: int, x: float) -> float:
     x : float
         Point to evaluate at.  Branch 0 accepts [-1/e, inf], branch -1
         accepts [-1/e, 0); anything within 4 ulp below -1/e maps to the
-        branch point value -1.
+        branch point value -1.  Any other real number, such as an int, a
+        ``Fraction`` or a numpy scalar, is evaluated at ``float(x)``.
 
     Returns
     -------
@@ -247,7 +248,13 @@ def reference_w(branch: int, x: float) -> float:
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if _isnan(x) or x < _X_MIN:
+    if _isnan(x):  # before the conversion, so that a str raises TypeError
+        raise _domain_error(x)
+    if type(x) is not float:
+        # The solve is written for binary64: a longdouble c would leave a
+        # bracket narrower than one double's ulp, which never closes.
+        x = float(x)
+    if x < _X_MIN:
         raise _domain_error(x)
     if x <= _SHIFTED_CUTOFF:
         c = _E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO)

@@ -14,6 +14,11 @@ import pytest
 from lambertw import MINUS_INV_E
 from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS
 
+# The delta below which a step's result counts as deficient rather than
+# rounded (acceptance criterion 3): converged values 1-2 ulp from the
+# oracle read as delta 15.3-16.
+CONTAINMENT_DELTA = 14.5
+
 
 def region_span(region) -> tuple[float, float, bool]:
     """The ends of one dispatch region's test grid, and whether the grid
@@ -45,17 +50,24 @@ def depth_bounds(n: int = 2) -> list[float]:
     return [y for b in CONTINUED_LOG_DEPTH_BOUNDS for y in ulps_around(b, n)]
 
 
-BRANCH_POINT_ULP = math.ulp(MINUS_INV_E)
-
-
 def branch_point_band(ks) -> list[float]:
     """-1/e + k ulp for each k in ``ks``: one ulp is the same on both
     sides of -1/e, so consecutive k are consecutive doubles."""
-    return [MINUS_INV_E + k * BRANCH_POINT_ULP for k in ks]
+    ulp = math.ulp(MINUS_INV_E)
+    return [MINUS_INV_E + k * ulp for k in ks]
 
 
 # Under the 4-ulp rounding band below -1/e, where both branches raise.
 BELOW_BAND = branch_point_band([-5])[0]
+
+
+def outcome(fn, *args):
+    """The float.hex of fn(*args), which keeps the sign of zero, or the
+    type and message of the exception it raises."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def raised(fn, *args) -> tuple[type, str]:

@@ -54,11 +54,10 @@ from lambertw import (
     reference_w,
     steps_to_converge,
 )
-from support import EXACT_TABLE, derive_branch_coefficients
+from support import CONTAINMENT_DELTA, EXACT_TABLE, derive_branch_coefficients
 
 ONE_STEP_OFFSET = 1e-5   # linear-panel start offset for single-step floors
 HALLEY_WINDOW = (6.5, 190.0)
-CONTAINMENT_DELTA = 14.5  # quantization-adjusted deficiency threshold
 
 
 def sweep_samples(branch, stage, grids):

@@ -39,6 +39,7 @@ from support import (
     branch_point_band,
     breakpoints,
     depth_bounds,
+    outcome,
     raised,
     region_span,
     ulps_around,
@@ -120,15 +121,6 @@ _WRAPPER_CASES = [
 ]
 
 
-def _outcome(fn, *args):
-    """The float.hex of fn(*args), which keeps the sign of zero, or the
-    type and message of the exception it raises."""
-    try:
-        return fn(*args).hex()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("branch, x", _WRAPPER_CASES)
 def test_static_branch_wrappers_are_the_record_value(branch, x):
     """lambert_w0 and lambert_wm1 return lambert_w(branch, x).value bit for
@@ -136,8 +128,8 @@ def test_static_branch_wrappers_are_the_record_value(branch, x):
     every breakpoint and its neighbours, the band at -1/e, the edges of the
     double range and, on branch -1, x >= 0."""
     wrapper = lambert_w0 if branch == 0 else lambert_wm1
-    expected = _outcome(lambda: lambert_w(branch, x).value)
-    assert _outcome(wrapper, x) == expected
+    expected = outcome(lambda: lambert_w(branch, x).value)
+    assert outcome(wrapper, x) == expected
     if math.isnan(x) or x <= BELOW_BAND or (branch == -1 and x >= 0.0):
         assert expected[0] is DomainError
     else:

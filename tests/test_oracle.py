@@ -5,11 +5,14 @@ package, so its own tests use only frozen golden values, structural
 checks and mpmath — never the approximation code it is meant to judge.
 """
 
+import contextlib
 import math
 import pathlib
 import random
 import re
+import signal
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from lambertw import Branch, DomainError, default_panels, reference_w
 from lambertw import oracle
 from lambertw.branches import MINUS_INV_E
-from support import branch_point_band
+from support import branch_point_band, outcome
 
 EPS = math.ulp(1.0)
 
@@ -377,6 +380,57 @@ def test_rejects_other_branches():
         reference_w(2, 1.0)
     with pytest.raises(ValueError):
         Branch(1)
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Raise TimeoutError inside the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# x in the shifted zone (-0.3 and -0.2), in the plain zones of both
+# branches, past e and below -1/e, in every real numpy scalar type that
+# holds it.
+_REAL_XS = [-0.3, -0.2, -1e-5, 0.5, 30.0, -1.0]
+_INTEGER_XS = [0, 1, 2, 100, -1]
+NUMERIC_XS = {
+    **{t.__name__: [t(v) for v in _REAL_XS]
+       for t in (np.float16, np.float32, np.float64, np.longdouble)},
+    **{t.__name__: [t(v) for v in _INTEGER_XS] for t in (np.int8, np.int16, np.int32, np.int64)},
+    **{t.__name__: [t(v) for v in _INTEGER_XS if v >= 0]
+       for t in (np.uint8, np.uint16, np.uint32, np.uint64)},
+    "bool_": [np.False_, np.True_],
+    "int": _INTEGER_XS,
+    "bool": [False, True],
+    "Fraction": [Fraction(v) for v in _REAL_XS],
+}
+
+
+@pytest.mark.parametrize("kind", NUMERIC_XS)
+def test_any_real_x_is_solved_at_its_double(kind):
+    """Each x gives what float(x) gives, bit for bit, errors included.
+    A longdouble x in the shifted zone once kept its precision in
+    c = 1 + e*x, left the solve a bracket narrower than one double's ulp
+    and never returned: the time bound makes that a failure."""
+    for x in NUMERIC_XS[kind]:
+        for branch in (0, -1):
+            with _time_bound(5.0):
+                result = outcome(reference_w, branch, x)
+            assert result == outcome(reference_w, branch, float(x)), (branch, x)
+
+
+def test_a_str_x_raises_type_error():
+    with pytest.raises(TypeError):
+        reference_w(0, "0.5")
 
 
 def test_structural_independence():
