@@ -4,7 +4,7 @@ A float evaluation is one seed and one Fritsch step.  ``lambert_w``
 checks the branch and x, picks the region whose initial approximation
 (the seed) serves x by comparison with the breakpoints, and applies
 ``fritsch_step``'s arithmetic inline, except at x = 0 (w = 0), at +inf
-and for x < -1/e + 5e-4, the test ``_w`` makes.  There the branch point
+and for x < -1/e + 5e-4, as ``_w0`` and ``_wm1`` do.  There the branch point
 series, in the exact c = 1 + e*x, is within 0.51 ulp out to 1e-4 from
 -1/e and 5.4 ulp at 5e-4, while on branch 0 one step from it lands
 4e5 ulp off at 1e-12 and 27 ulp at 2.5e-4 (19 ulp past 5e-4).  That
@@ -15,14 +15,14 @@ public seed family, written out in Horner form as the kernels are, and
 ``defining_residual``; the benchmark's tracer times both as layers.
 ``lambert_w_approximation`` is the one seed kernel: the region chain and
 every seed family in Horner form, with ``dispatch_region``'s checks.  It
-serves the sweeps and ``steps_to_converge``; ``_w``, for the physics
-inverses, is it and one inline Fritsch step.  ``_lambert_w_list``, for
-arrays, is its arms in one loop, each followed by ``_w``'s step; floats
-take ``lambert_w``.
-``tests/test_api.py`` pins ``lambert_w``'s regions and errors to
-``dispatch_region``'s and each seed to its public family, and
-``tests/test_array.py`` holds ``_w`` and the list path bit for bit
-equal.
+serves the sweeps and ``steps_to_converge``.  Its arms are written out
+twice more, each followed by ``lambert_w``'s inline step and with the
+same unstepped cases: ``_w0`` and ``_wm1``, one call per W for the
+physics inverses, and the loop of ``_lambert_w_list``, for arrays;
+floats take ``lambert_w``.  ``tests/test_api.py`` pins ``lambert_w``'s
+regions and errors to ``dispatch_region``'s and each seed to its public
+family, and ``tests/test_array.py`` holds ``_w0``, ``_wm1``, the list
+path and ``lambert_w`` bit for bit equal, errors included.
 
 Three call shapes are exposed:
 
@@ -307,17 +307,79 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     raise invalid_branch(branch)
 
 
-def _w(branch: int, x: float) -> float:
-    """``lambert_w(branch, x).value``, bit for bit, with its errors:
-    ``lambert_w_approximation`` and one Fritsch step.
+def _w0(x: float) -> float:
+    """``lambert_w(0, x).value``, bit for bit, with its errors: the
+    branch 0 arms of ``lambert_w_approximation`` and one Fritsch step.
 
     The seed comes back unstepped at x = 0, at x = +inf and for
-    x < -1/e + 5e-4.  The list kernel stays written out: looping this
-    function over 32 elements takes 23.5-23.7 us against its 19.0-19.4.
+    x < -1/e + 5e-4, each in the arm that makes it.  A NaN fails every
+    comparison and reaches the last arm's error.
     """
-    w = lambert_w_approximation(branch, x)
-    if x < _UNSTEPPED_END or w == 0.0 or w == _INF:
-        return w
+    if x < _W0_SERIES_END:
+        if x < _X_MIN:
+            raise _domain_error(x)
+        s = 2.0 * (_E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO))
+        p = _sqrt(s) if s > 0.0 else 0.0
+        w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+            _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
+        if x < _UNSTEPPED_END:
+            return w
+    elif x < _W0_FIT1_END:
+        w = x * ((_F1N0 + x * (_F1N1 + x * (_F1N2 + x * (_F1N3 + x * _F1N4))))
+                 / (_F1D0 + x * (_F1D1 + x * (_F1D2 + x * (_F1D3 + x * _F1D4)))))
+        if w == 0.0:
+            return w
+    elif x < _W0_FIT2_END:
+        w = x * ((_F2N0 + x * (_F2N1 + x * (_F2N2 + x * (_F2N3 + x * _F2N4))))
+                 / (_F2D0 + x * (_F2D1 + x * (_F2D2 + x * (_F2D3 + x * _F2D4)))))
+    elif x < _INF:
+        a = _log(x)
+        b = _log(a)
+        ia = 1.0 / a
+        tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
+        tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
+        tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
+        tail = (-2.0 + b) / 2.0 + ia * tail
+        w = a - b + b * ia * (1.0 + ia * tail)
+    elif x == _INF:
+        return x
+    else:
+        raise _domain_error(x)
+    u = 1.0 + w
+    ratio = x / w
+    if ratio < _SMALLEST_NORMAL:
+        z = _log(abs(x)) - _log(abs(w)) - w
+    else:
+        z = _log(ratio) - w
+    q = 2.0 * u * (u + (2.0 / 3.0) * z)
+    return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
+
+
+def _wm1(x: float) -> float:
+    """``lambert_w(-1, x).value``, bit for bit, with its errors, as
+    ``_w0`` is for branch 0: the seed comes back unstepped only for
+    x < -1/e + 5e-4."""
+    if x < _WM1_SERIES_END:
+        if x < _X_MIN:
+            raise _domain_error(x)
+        s = 2.0 * (_E * ((x - MINUS_INV_E) - _MINUS_INV_E_LO))
+        p = -_sqrt(s) if s > 0.0 else 0.0
+        w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+            _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
+        if x < _UNSTEPPED_END:
+            return w
+    elif x < _WM1_FIT_END:
+        w = ((_MN0 + x * (_MN1 + x * _MN2))
+             / (_MD0 + x * (_MD1 + x * (_MD2 + x * (_MD3 + x * (_MD4 + x * _MD5))))))
+    elif x < 0.0:
+        lx = _log(-x)
+        w = lx - _log(-(lx - _log(-lx)))
+        for bound in _DEPTH_BOUNDS_OUT:
+            if x >= bound:
+                break
+            w = lx - _log(-w)
+    else:
+        raise _domain_error(x)
     u = 1.0 + w
     ratio = x / w
     if ratio < _SMALLEST_NORMAL:
@@ -332,8 +394,11 @@ def _lambert_w_list(branch: int, values: list) -> list:
     """W on ``branch`` (0 or -1) of every float in ``values``, as a list.
 
     Each arm of the loop is ``lambert_w_approximation``'s, with ``w =``
-    for ``return``, followed by ``_w``'s step.  Every value is bit-identical
-    to ``lambert_w(branch, v).value``; the first bad one raises its error.
+    for ``return``, followed by the step of ``_w0`` and ``_wm1``, which
+    hold the same arms (``tests/test_array.py`` ties the three).  Every
+    value is bit-identical to ``lambert_w(branch, v).value``; the first bad
+    one raises its error.  It stays written out: mapping ``_w0`` over a
+    32-element list takes longer than this loop.
     """
     lower = branch == -1
     out = []

@@ -57,3 +57,25 @@ def _domain_error(x: float) -> DomainError:
             f"x = {x!r} is below the branch point bound -1/e = {MINUS_INV_E!r}"
         )
     return DomainError(f"branch -1 requires -1/e <= x < 0, got x = {x!r}")
+
+
+def _as_double(x) -> float:
+    """x as a binary64 float, for code written for one.
+
+    Takes what ``float`` takes through ``__float__`` or ``__index__``, so
+    a str stays a TypeError.  A complex x raises TypeError, numpy's
+    included (``np.complex64`` is no ``complex``, and numpy's
+    ``__float__`` would drop the imaginary part); an int beyond the
+    double range raises DomainError.
+    """
+    # Imported here: at the top it would add ~0.5 ms to importing the package.
+    from numbers import Complex, Real
+
+    kind = type(x)
+    if (isinstance(x, Complex) and not isinstance(x, Real)) or not (
+            hasattr(kind, "__float__") or hasattr(kind, "__index__")):
+        raise TypeError(f"a real number is required, not {kind.__name__!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"a {kind.__name__} x is beyond the double range") from None

@@ -53,7 +53,14 @@ import math
 import struct
 import sys
 
-from .branches import _MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, _domain_error, invalid_branch
+from .branches import (
+    _MINUS_INV_E_LO,
+    _X_MIN,
+    MINUS_INV_E,
+    _as_double,
+    _domain_error,
+    invalid_branch,
+)
 
 # Below this x both branches sit close enough to w = -1 that the shifted
 # formulation is required; above it the plain residual is well conditioned.
@@ -238,7 +245,9 @@ def reference_w(branch: int, x: float) -> float:
         Point to evaluate at.  Branch 0 accepts [-1/e, inf], branch -1
         accepts [-1/e, 0); anything within 4 ulp below -1/e maps to the
         branch point value -1.  Any other real number, such as an int, a
-        ``Fraction`` or a numpy scalar, is evaluated at ``float(x)``.
+        ``Fraction`` or a numpy scalar, is evaluated at ``float(x)``; a
+        complex x raises TypeError, and an int beyond the double range
+        DomainError.
 
     Returns
     -------
@@ -248,12 +257,12 @@ def reference_w(branch: int, x: float) -> float:
     """
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if _isnan(x):  # before the conversion, so that a str raises TypeError
-        raise _domain_error(x)
     if type(x) is not float:
         # The solve is written for binary64: a longdouble c would leave a
         # bracket narrower than one double's ulp, which never closes.
-        x = float(x)
+        x = _as_double(x)
+    if _isnan(x):
+        raise _domain_error(x)
     if x < _X_MIN:
         raise _domain_error(x)
     if x <= _SHIFTED_CUTOFF:

@@ -6,13 +6,16 @@ the principal branch selects the solution on one side of the profile
 maximum, the lower branch the other side.  Where the lower branch's
 argument is not a normal double, both inverses take that root from one
 log-space equation, r - s ln(r/s) = a, which never forms the argument.
+Every function computes in binary64: an int, a ``Fraction`` or a numpy
+scalar argument is taken at its double, and a complex one raises
+TypeError.
 """
 
 import math
 from typing import NamedTuple
 
-from .api import _w
-from .branches import MINUS_INV_E, DomainError
+from .api import _w0, _wm1
+from .branches import MINUS_INV_E, DomainError, _as_double
 from .iteration import _SMALLEST_NORMAL
 
 # Peak value of the Moyal function, attained at x = 0.
@@ -22,8 +25,8 @@ _MOYAL_Y_MAX = MOYAL_PEAK + _MOYAL_PEAK_TOL
 
 MOYAL_SIDES = ("plus", "minus")
 
-# tuple.__new__, bound once: a global is cheaper than an attribute.
-_new = tuple.__new__
+# math.log and tuple.__new__, bound once: a global is cheaper than an attribute.
+_log, _new = math.log, tuple.__new__
 
 
 def _log_space_root(a: float, s: float) -> float:
@@ -35,9 +38,9 @@ def _log_space_root(a: float, s: float) -> float:
     are taken apart because r/s overflows for subnormal s.
     """
     r = a
-    ln_s = math.log(s)
+    ln_s = _log(s)
     for _ in range(6):
-        r = a + s * (math.log(r) - ln_s)
+        r = a + s * (_log(r) - ln_s)
     return r
 
 
@@ -46,6 +49,8 @@ def moyal(x: float) -> float:
 
     A NaN x raises DomainError, as in the inverses and ``gaisser_hillas``.
     """
+    if type(x) is not float:
+        x = _as_double(x)
     if math.isnan(x):
         raise DomainError("moyal is undefined at x = NaN")
     if x < -700.0:
@@ -71,6 +76,8 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     """
     if side != "plus" and side != "minus":
         raise ValueError(f"side must be one of {MOYAL_SIDES}, got {side!r}")
+    if type(y) is not float:
+        y = _as_double(y)
     if not y > 0.0:
         raise DomainError(f"moyal values are positive; y={y!r} is outside (0, {MOYAL_PEAK!r}]")
     if y > _MOYAL_Y_MAX:
@@ -82,12 +89,12 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
     if y > MOYAL_PEAK:
         y = MOYAL_PEAK
     if side == "plus":
-        return _w(0, -y * y) - 2.0 * math.log(y)
+        return _w0(-y * y) - 2.0 * _log(y)
     # With w e^w = -y^2, x = w - 2 ln y equals -ln(-w), which does not
     # cancel w against 2 ln y.
     if y * y < _SMALLEST_NORMAL:
-        return -math.log(_log_space_root(-2.0 * math.log(y), 1.0))
-    return -math.log(-_w(-1, -y * y))
+        return -_log(_log_space_root(-2.0 * _log(y), 1.0))
+    return -_log(-_wm1(-y * y))
 
 
 # 1/(k+2) for k = 26..0, in Horner order: (ln(1+q) - q)/q^2 is the sum
@@ -103,6 +110,10 @@ def gaisser_hillas(x: float, x_max: float) -> float:
     start X0, maximum Xmax and attenuation length lam takes
     x = (X - X0)/lam and x_max = (Xmax - X0)/lam.
     """
+    if type(x) is not float:
+        x = _as_double(x)
+    if type(x_max) is not float:
+        x_max = _as_double(x_max)
     if not 0.0 < x_max < math.inf:
         raise DomainError(f"x_max must be positive and finite, got {x_max!r}")
     if not x >= 0.0:
@@ -122,9 +133,9 @@ def gaisser_hillas(x: float, x_max: float) -> float:
     # As x_max (ln x - ln x_max) + x_max - x where x/x_max overflows (tiny
     # x_max) or is not normal, although the profile is at most 1.
     if not _SMALLEST_NORMAL <= ratio < math.inf:
-        return math.exp(x_max * (math.log(x) - math.log(x_max)) + x_max - x)
+        return math.exp(x_max * (_log(x) - _log(x_max)) + x_max - x)
     # Else with ln(x/x_max) for ln(1+q) where 1 + q < 1/2 is rounded.
-    return math.exp(x_max * ((math.log(ratio) if q < -0.5 else math.log1p(q)) - q))
+    return math.exp(x_max * ((_log(ratio) if q < -0.5 else math.log1p(q)) - q))
 
 
 class GhRoots(NamedTuple):
@@ -146,6 +157,10 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     DomainError
         If y is not in (0, 1] or x_max is not positive and finite.
     """
+    if type(y) is not float:
+        y = _as_double(y)
+    if type(x_max) is not float:
+        x_max = _as_double(x_max)
     if not 0.0 < x_max < math.inf:
         raise DomainError(f"x_max must be positive and finite, got {x_max!r}")
     if not 0.0 < y <= 1.0:
@@ -157,9 +172,9 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     arg = y ** (1.0 / x_max) * MINUS_INV_E
     if -arg < _SMALLEST_NORMAL:
         # right solves right - x_max ln(right/x_max) = x_max - ln y.
-        right = _log_space_root(x_max - math.log(y), x_max)
+        right = _log_space_root(x_max - _log(y), x_max)
     else:
-        right = -x_max * _w(-1, arg)
+        right = -x_max * _wm1(arg)
     # _new builds the record in C, at about half GhRoots(...)'s cost.
-    return _new(GhRoots, (-x_max * _w(0, arg), right))
+    return _new(GhRoots, (-x_max * _w0(arg), right))
 

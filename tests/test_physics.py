@@ -3,6 +3,7 @@
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -518,3 +519,55 @@ def test_gh_forward_check_of_the_roots_where_the_direct_form_underflows():
         _assert_gh_within_input_rounding(root, x_max)
         cond = _gh_exact(root, x_max)[2]
         assert abs(gaisser_hillas(root, x_max) - y) <= 4.0 * sys.float_info.epsilon * cond * y
+
+
+# ----------------------------------------------------------------------
+# Arguments of every kind
+
+
+class _Float(float):
+    pass
+
+
+# One argument of each kind.  A real one is computed at its double; a
+# numpy float16 or float32 was once carried through the arithmetic in its
+# own precision.  A complex or a str raises TypeError, and an int beyond
+# the double range DomainError.
+ARGUMENTS = {
+    "int": 1, "bool": True, "huge int": 10**400, "Fraction": Fraction(3, 10),
+    "float subclass": _Float(0.3), "float16": np.float16(0.3), "float32": np.float32(0.3),
+    "float64": np.float64(0.3), "longdouble": np.longdouble(3) / 10, "int64": np.int64(2),
+    "complex": 0.3 + 0j, "complex64": np.complex64(0.3), "complex128": np.complex128(0.3),
+    "str": "0.3",
+}
+_REJECTED = {"huge int": DomainError, "complex": TypeError, "complex64": TypeError,
+             "complex128": TypeError, "str": TypeError}
+# Each function with the argument v in each of its places.
+CALLS = [
+    moyal, lambda v: moyal_inverse(v, "plus"), lambda v: moyal_inverse(v, "minus"),
+    lambda v: gaisser_hillas(v, 2.0), lambda v: gaisser_hillas(1.5, v),
+    lambda v: gh_inverse(v, 2.0), lambda v: gh_inverse(0.5, v),
+    lambda v: reference_w(0, v), lambda v: reference_w(-1, v),
+]
+
+
+def _typed_bits(fn, v):
+    """Type and float.hex of each value fn(v) returns, or the type and
+    message of the exception it raises."""
+    try:
+        value = fn(v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(part), float(part).hex()) for part in
+            (value if isinstance(value, tuple) else (value,))]
+
+
+@pytest.mark.parametrize("kind", ARGUMENTS)
+def test_every_argument_is_taken_at_its_double(kind):
+    v = ARGUMENTS[kind]
+    for fn in CALLS:
+        if kind in _REJECTED:
+            with pytest.raises(_REJECTED[kind]):
+                fn(v)
+        else:
+            assert _typed_bits(fn, v) == _typed_bits(fn, float(v)), (kind, fn)
