@@ -22,7 +22,9 @@ physics inverses, and the loop of ``_lambert_w_list``, for arrays;
 floats take ``lambert_w``.  ``tests/test_api.py`` pins ``lambert_w``'s
 regions and errors to ``dispatch_region``'s and each seed to its public
 family, and ``tests/test_array.py`` holds ``_w0``, ``_wm1``, the list
-path and ``lambert_w`` bit for bit equal, errors included.
+path and ``lambert_w`` bit for bit equal, errors included.  Near zero
+the physics inverses take branch -1 from ``_wm1_log(ln(-x))`` instead,
+whose seeds ``tests/test_api.py`` pins to the public families.
 
 Three call shapes are exposed:
 
@@ -58,7 +60,8 @@ from .approx import (
     continued_log_recursion_wm1,
     rational_fit_eval,
 )
-from .branches import _MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, Branch, _domain_error, invalid_branch
+from .branches import (_MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, Branch, _as_double, _domain_error,
+                       invalid_branch)
 from .iteration import (
     _SMALLEST_NORMAL,
     SCHEMES,
@@ -173,11 +176,16 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     outside the branch domain (NaN and -inf included), as
     ``dispatch_region`` does.  x = +inf on branch 0 returns +inf with a
     NaN residual, the one place the defining identity cannot be formed.
+    A non-float x is taken at its double: a complex, a str or an array of
+    one or more dimensions raises TypeError, and an int beyond the double
+    range DomainError.
     """
     # dispatch_region and fritsch_step written out, as their checks repeat this
     # one; the seed families stay calls, which the benchmark times as layers.
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
+    if type(x) is not float:
+        x = _as_double(x)
     if _isnan(x):
         raise _domain_error(x)
     # Below -1/e the series family raises dispatch_region's DomainError.
@@ -249,10 +257,11 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     for throughput-critical callers that can live with that accuracy.
     Equal, bit for bit, to the public seed family of ``dispatch_region``'s
     region, which it writes out in Horner form, with the same errors.
-    ``_isnan`` comes first on each branch, as in ``dispatch_region``, so
-    that a non-scalar x raises TypeError.
+    A non-float x is taken at its double, as in ``lambert_w``.
     """
     if branch == 0:
+        if type(x) is not float:
+            x = _as_double(x)
         if _isnan(x):
             raise _domain_error(x)
         if x < _W0_SERIES_END:
@@ -281,6 +290,8 @@ def lambert_w_approximation(branch: int, x: float) -> float:
             return a - b + b * ia * (1.0 + ia * tail)
         return x  # +inf
     if branch == -1:
+        if type(x) is not float:
+            x = _as_double(x)
         if _isnan(x):
             raise _domain_error(x)
         if x < _WM1_SERIES_END:
@@ -386,6 +397,49 @@ def _wm1(x: float) -> float:
         z = _log(abs(x)) - _log(abs(w)) - w
     else:
         z = _log(ratio) - w
+    q = 2.0 * u * (u + (2.0 / 3.0) * z)
+    return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
+
+
+# -x, with lx = ln(-x), up to which _wm1_log serves: the asymptotic series
+# keeps five decimals for x >= -0.01626.
+_WM1_LOG_END = 0.015
+# ln of continued_log_depth's bounds -2.8e-41 (depth 2 at and above it)
+# and -6.4e-12 (depth 3).
+_LN_DEPTH_2, _LN_DEPTH_3 = _log(2.8e-41), _log(6.4e-12)
+# Below this lx the step's q = 2u(u + 2z/3) nears overflow (from |u| ~ 9.5e153),
+# and the depth-2 seed is W to rounding (beyond |lx| ~ 1e6).
+_LX_UNSTEPPED = -1e150
+
+
+def _wm1_log(lx: float) -> float:
+    """W_-1(x) from lx = ln(-x) <= ln 0.015, without forming x, for
+    arguments that are not doubles or would lose bits as one.
+
+    The seed is ``_wm1``'s continued log at depth 2 (lx <= ln 2.8e-41)
+    or 3 (lx <= ln 6.4e-12), else ``asymptotic_series(-1, x)``, both bit
+    for bit at lx = ln(-x).  One Fritsch step follows, with
+    z = lx - ln(-w) - w: no division, and no subnormal operand.  Below
+    lx = -1e150 the seed is returned unstepped.
+    """
+    if lx <= _LN_DEPTH_3:
+        w = lx - _log(-(lx - _log(-lx)))
+        if lx > _LN_DEPTH_2:
+            w = lx - _log(-w)
+        elif lx < _LX_UNSTEPPED:
+            return w
+    else:
+        b = _log(-lx)
+        ia = 1.0 / lx
+        tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
+        tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
+        tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
+        tail = (-2.0 + b) / 2.0 + ia * tail
+        w = lx - b + b * ia * (1.0 + ia * tail)
+    u = 1.0 + w
+    # lx - w is exact (Sterbenz: 0 < ln(-w) < -w/2 for w <= -6), so z carries
+    # the rounding of ln(-w) alone, not that of a log of size |w|.
+    z = (lx - w) - _log(-w)
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
 

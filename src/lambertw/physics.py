@@ -4,17 +4,19 @@ Both the Moyal function and the one-parameter Gaisser-Hillas profile
 can be inverted exactly in terms of the two real Lambert W branches:
 the principal branch selects the solution on one side of the profile
 maximum, the lower branch the other side.  Where the lower branch's
-argument is not a normal double, both inverses take that root from one
-log-space equation, r - s ln(r/s) = a, which never forms the argument.
-Every function computes in binary64: an int, a ``Fraction`` or a numpy
-scalar argument is taken at its double, and a complex one raises
-TypeError.
+argument x lies in [-0.015, 0), both inverses take that root from
+ln(-x), which they form without x: Moyal's as 2 ln y, Gaisser-Hillas's
+as ln(y)/x_max - 1 where x is not a normal double.  So a root whose x
+underflows is as accurate as any other.
+Every function computes in binary64: an int, a ``Fraction``, a numpy
+scalar or a 0-d array argument is taken at its double, and a complex
+one raises TypeError, as does an array of one or more dimensions.
 """
 
 import math
 from typing import NamedTuple
 
-from .api import _w0, _wm1
+from .api import _WM1_LOG_END, _w0, _wm1, _wm1_log
 from .branches import MINUS_INV_E, DomainError, _as_double
 from .iteration import _SMALLEST_NORMAL
 
@@ -27,21 +29,6 @@ MOYAL_SIDES = ("plus", "minus")
 
 # math.log and tuple.__new__, bound once: a global is cheaper than an attribute.
 _log, _new = math.log, tuple.__new__
-
-
-def _log_space_root(a: float, s: float) -> float:
-    """The root r > s of r - s ln(r/s) = a, for a > 708 s.
-
-    That is r = -s W_-1(-e^(-a/s)), solved in log space for where the W
-    argument is not a normal double: r <- a + s (ln r - ln s) contracts
-    by s/r < 1/708, so six steps from r = a reach rounding.  The logs
-    are taken apart because r/s overflows for subnormal s.
-    """
-    r = a
-    ln_s = _log(s)
-    for _ in range(6):
-        r = a + s * (_log(r) - ln_s)
-    return r
 
 
 def moyal(x: float) -> float:
@@ -92,9 +79,9 @@ def moyal_inverse(y: float, side: str = "plus") -> float:
         return _w0(-y * y) - 2.0 * _log(y)
     # With w e^w = -y^2, x = w - 2 ln y equals -ln(-w), which does not
     # cancel w against 2 ln y.
-    if y * y < _SMALLEST_NORMAL:
-        return -_log(_log_space_root(-2.0 * _log(y), 1.0))
-    return -_log(-_wm1(-y * y))
+    if y * y > _WM1_LOG_END:
+        return -_log(-_wm1(-y * y))
+    return -_log(-_wm1_log(2.0 * _log(y)))
 
 
 # 1/(k+2) for k = 26..0, in Horner order: (ln(1+q) - q)/q^2 is the sum
@@ -170,11 +157,20 @@ def gh_inverse(y: float, x_max: float) -> GhRoots:
     # Writing the right side with MINUS_INV_E keeps y = 1 exactly on the
     # branch point, so both roots collapse to x_max with no rounding.
     arg = y ** (1.0 / x_max) * MINUS_INV_E
-    if -arg < _SMALLEST_NORMAL:
-        # right solves right - x_max ln(right/x_max) = x_max - ln y.
-        right = _log_space_root(x_max - _log(y), x_max)
-    else:
+    if -arg > _WM1_LOG_END:
         right = -x_max * _wm1(arg)
+    elif -arg >= _SMALLEST_NORMAL:
+        right = -x_max * _wm1_log(_log(-arg))
+    else:
+        # lx = ln(-arg), formed without arg.  w = W_-1 solves w + ln(-w) = lx,
+        # so right = -x_max w = x_max - ln y + x_max ln(-w), whose first terms
+        # keep the bits that rounding lx drops; where lx overflows, the last
+        # term is below rounding.
+        ln_y = _log(y)
+        lx = ln_y / x_max - 1.0
+        right = x_max - ln_y
+        if lx > -math.inf:
+            right += x_max * _log(-_wm1_log(lx))
     # _new builds the record in C, at about half GhRoots(...)'s cost.
     return _new(GhRoots, (-x_max * _w0(arg), right))
 

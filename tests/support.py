@@ -6,12 +6,15 @@ grid is one diff.  ``perfbench/workloads.py`` keeps its own copy of the
 region grid: the benchmark's files change only with the benchmark.
 """
 
+import contextlib
 import math
+import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lambertw import MINUS_INV_E
+from lambertw import MINUS_INV_E, DomainError
 from lambertw.approx import CONTINUED_LOG_DEPTH_BOUNDS
 
 # The delta below which a step's result counts as deficient rather than
@@ -68,6 +71,60 @@ def outcome(fn, *args):
         return fn(*args).hex()
     except Exception as exc:
         return type(exc), str(exc)
+
+
+class FloatSubclass(float):
+    pass
+
+
+# One argument of each kind.  A real one is computed at its double; a
+# numpy float16 or float32 was once carried through the arithmetic in its
+# own precision.  A complex or a str raises TypeError, and an int beyond
+# the double range DomainError: REJECTED names each one's error.
+ARGUMENTS = {
+    "int": 1, "bool": True, "huge int": 10**400, "Fraction": Fraction(3, 10),
+    "float subclass": FloatSubclass(0.3), "float16": np.float16(0.3),
+    "float32": np.float32(0.3), "float64": np.float64(0.3),
+    "longdouble": np.longdouble(3) / 10, "int64": np.int64(2),
+    "complex": 0.3 + 0j, "complex64": np.complex64(0.3), "complex128": np.complex128(0.3),
+    "str": "0.3",
+}
+REJECTED = {"huge int": DomainError, "complex": TypeError, "complex64": TypeError,
+            "complex128": TypeError, "str": TypeError}
+
+
+def negated(v):
+    """v with its sign flipped, in its own kind: a str gains a "-", and a
+    float subclass stays one."""
+    if isinstance(v, str):
+        return "-" + v
+    return FloatSubclass(-v) if type(v) is FloatSubclass else -v
+
+
+def typed_bits(fn, v):
+    """Type and float.hex of each value fn(v) returns (of each field of a
+    tuple), or the type and message of the exception it raises."""
+    try:
+        value = fn(v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(part), float(part).hex() if isinstance(part, float) else part)
+            for part in (value if isinstance(value, tuple) else (value,))]
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError inside the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def raised(fn, *args) -> tuple[type, str]:

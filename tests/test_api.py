@@ -1,10 +1,13 @@
 """Tests for the public evaluation entry points and region dispatch."""
 
+import inspect
 import math
 import pickle
 import re
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,15 +36,21 @@ from lambertw import (
     reference_w,
     steps_to_converge,
 )
+from lambertw import api
 from lambertw.approx import continued_log_depth
 from support import (
+    ARGUMENTS,
     BELOW_BAND,
+    REJECTED,
     branch_point_band,
     breakpoints,
     depth_bounds,
+    negated,
     outcome,
     raised,
     region_span,
+    time_bound,
+    typed_bits,
     ulps_around,
 )
 
@@ -528,3 +537,118 @@ def test_steps_to_converge_rejects_unknown_scheme():
 def test_no_steps_at_infinity(scheme):
     assert lambert_w(0, math.inf).refinement_steps == 0
     assert steps_to_converge(0, math.inf, scheme) == 0
+
+
+# ----------------------------------------------------------------------
+# arguments of every kind
+
+# Each entry point with v on branch 0 and -v on branch -1 (v > 0).
+W_CALLS = [
+    lambda v: lambert_w(0, v), lambda v: lambert_w(-1, negated(v)),
+    lambda v: lambert_w_approximation(0, v),
+    lambda v: lambert_w_approximation(-1, negated(v)),
+    lambert_w0, lambda v: lambert_wm1(negated(v)),
+]
+
+
+@pytest.mark.parametrize("kind", ARGUMENTS)
+def test_every_argument_is_taken_at_its_double(kind):
+    """Each x gives what float(x) gives, bit for bit and of the same
+    types, errors included; a complex, a str or an int beyond the double
+    range raises.  The time bound makes a hang a failure."""
+    v = ARGUMENTS[kind]
+    for fn in W_CALLS:
+        with time_bound(5.0):
+            if kind in REJECTED:
+                with pytest.raises(REJECTED[kind]):
+                    fn(v)
+            else:
+                assert typed_bits(fn, v) == typed_bits(fn, float(v)), (kind, fn)
+
+
+def test_a_numpy_scalar_is_not_carried_in_its_own_type():
+    """W(0.5 + 1j) = 0.5165 + 0.4221j: the real path once stepped the
+    complex to 0.5394 + 0.2504j.  A float16 once came back as float16
+    0.3516, and a huge int raised OverflowError."""
+    with pytest.raises(TypeError):
+        lambert_w(0, np.complex128(0.5 + 1j))
+    assert lambert_w(0, np.float16(0.5)) == lambert_w(0, 0.5)
+    assert type(lambert_w(0, np.float16(0.5)).value) is float
+    with pytest.raises(DomainError):
+        lambert_w(0, 10**400)
+
+
+# ----------------------------------------------------------------------
+# the log-argument kernel _wm1_log
+
+# The line of _wm1_log where the step starts, with the seed in w.
+_STEP_LINE = api._wm1_log.__code__.co_firstlineno + next(
+    i for i, line in enumerate(inspect.getsource(api._wm1_log).splitlines())
+    if line.strip() == "u = 1.0 + w")
+
+
+def _kernel_seed(lx: float) -> float:
+    """The seed of _wm1_log(lx): its w as the step's first line runs, or
+    the value where the seed is returned unstepped.  A one-ulp change in
+    a seed rarely survives the step, so the seed is read, not inferred."""
+    seen = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not api._wm1_log.__code__:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == _STEP_LINE:
+                seen.append(frame.f_locals["w"])
+            return line
+        return line
+
+    sys.settrace(trace)
+    try:
+        value = api._wm1_log(lx)
+    finally:
+        sys.settrace(None)
+    return seen[0] if seen else value
+
+
+def _away_from(bounds, n=4):
+    """A predicate: x is more than n doubles from every bound."""
+    near = {y for b in bounds for y in ulps_around(b, n)}
+    return lambda x: x not in near
+
+
+def test_log_kernel_seeds_are_the_public_families_bit_for_bit():
+    """At lx = ln(-x), the seed is the continued log that _wm1 walks to
+    x's depth (2 or 3, from 2.8e-41 and 6.4e-12 in) and elsewhere
+    asymptotic_series(-1, x).  Doubles next to the two handoffs are left
+    out: ln rounds several of them to ln of the bound."""
+    ends = [api._WM1_LOG_END, 6.4e-12, 2.8e-41, 5e-324]
+    xs = [-float(t) for a, b in zip(ends, ends[1:]) for t in np.geomspace(a, b, 1000)]
+    xs += [-api._WM1_LOG_END, -6.4e-12, -2.8e-41, -1e-300, -2.2250738585072014e-308]
+    away = _away_from([-6.4e-12, -2.8e-41])
+    checked = {2: 0, 3: 0, "asymptotic": 0}
+    for x in filter(away, xs):
+        depth = continued_log_depth(x)
+        seed = lambert_w_approximation(-1, x) if depth <= 3 else asymptotic_series(-1, x)
+        assert _kernel_seed(math.log(-x)).hex() == seed.hex(), x
+        checked[depth if depth <= 3 else "asymptotic"] += 1
+    assert min(checked.values()) > 900, checked
+
+
+def _wm1_of_log(lx: float) -> float:
+    """W_-1(-e^lx) by mpmath at 40 digits, rounded once."""
+    with mpmath.workdps(40):
+        return float(mpmath.lambertw(-mpmath.exp(mpmath.mpf(lx)), -1).real)
+
+
+def test_log_kernel_against_mpmath_down_to_lx_of_minus_1e300():
+    """Within 1 ulp from lx = ln 0.015 to -1e300, over the asymptotic
+    arm, depths 3 and 2 and, below lx = -1e150, the unstepped seed.  Below
+    lx ~ -745 the argument -e^lx is not a double at all."""
+    lxs = [-float(t) for t in np.geomspace(-math.log(api._WM1_LOG_END), 1e300, 1500)]
+    lxs += [lx for b in (api._LN_DEPTH_3, api._LN_DEPTH_2, api._LX_UNSTEPPED)
+            for lx in ulps_around(b, 2)]
+    lxs += [math.log(api._WM1_LOG_END), -sys.float_info.max]
+    for lx in lxs:
+        expected = _wm1_of_log(lx)
+        assert abs(api._wm1_log(lx) - expected) <= math.ulp(expected), lx

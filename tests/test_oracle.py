@@ -5,12 +5,10 @@ package, so its own tests use only frozen golden values, structural
 checks and mpmath — never the approximation code it is meant to judge.
 """
 
-import contextlib
 import math
 import pathlib
 import random
 import re
-import signal
 import sys
 from fractions import Fraction
 
@@ -21,7 +19,7 @@ import pytest
 from lambertw import Branch, DomainError, default_panels, reference_w
 from lambertw import oracle
 from lambertw.branches import MINUS_INV_E
-from support import branch_point_band, outcome
+from support import branch_point_band, outcome, time_bound
 
 EPS = math.ulp(1.0)
 
@@ -382,21 +380,6 @@ def test_rejects_other_branches():
         Branch(1)
 
 
-@contextlib.contextmanager
-def _time_bound(seconds):
-    """Raise TimeoutError inside the block once ``seconds`` have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # x in the shifted zone (-0.3 and -0.2), in the plain zones of both
 # branches, past e and below -1/e, in every real numpy scalar type that
 # holds it.
@@ -423,7 +406,7 @@ def test_any_real_x_is_solved_at_its_double(kind):
     and never returned: the time bound makes that a failure."""
     for x in NUMERIC_XS[kind]:
         for branch in (0, -1):
-            with _time_bound(5.0):
+            with time_bound(5.0):
                 result = outcome(reference_w, branch, x)
             assert result == outcome(reference_w, branch, float(x)), (branch, x)
 

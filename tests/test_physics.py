@@ -3,7 +3,6 @@
 import math
 import pickle
 import sys
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 from lambertw import (
     DomainError,
     GhRoots,
+    MINUS_INV_E,
     MOYAL_PEAK,
     gaisser_hillas,
     gh_inverse,
@@ -20,8 +20,8 @@ from lambertw import (
     moyal_inverse,
     reference_w,
 )
-from lambertw import physics
-from support import ulps_around
+from lambertw.api import _WM1_LOG_END as WM1_LOG_END
+from support import ARGUMENTS, REJECTED, typed_bits, ulps_around
 
 
 def _profile_values(top: float, near_top: list[float], n: int = 400) -> list[float]:
@@ -77,28 +77,6 @@ def test_moyal_inverse_minus_below_sqrt_of_smallest_normal(y, expected):
     assert abs(moyal_inverse(y, "minus") - expected) <= 4 * math.ulp(expected)
 
 
-def test_six_log_space_steps_give_the_bits_of_eight():
-    """r <- a + s (ln r - ln s) from r = a has reached its double after
-    six steps, for a = s c over unit steps of c from 708 and log-uniform
-    c up to the largest double; five steps are short of it at some of
-    these a.  s = 1 is Moyal's t - ln t = c; the other s are
-    Gaisser-Hillas x_max on both sides of 1 and a subnormal one."""
-    cs = [708.0 + k for k in range(2000)]
-    cs += [math.exp(t) for t in np.linspace(math.log(708.0), math.log(sys.float_info.max), 20000)]
-
-    def eight_steps(a, s):
-        r = a
-        for _ in range(8):
-            r = a + s * (math.log(r) - math.log(s))
-        return r
-
-    for s in (1.0, 1e-310, 0.5, 1.05):
-        avals = [a for a in (s * c for c in cs) if a < math.inf]
-        assert [physics._log_space_root(a, s) for a in avals] == [
-            eight_steps(a, s) for a in avals
-        ], s
-
-
 @pytest.mark.parametrize(
     "y, expected",
     # mpmath at 40 digits.  Forming w - 2 ln y cancels two nearly equal
@@ -132,9 +110,11 @@ def test_moyal_inverse_side_ordering():
 
 
 def test_moyal_inverse_is_the_w_formula_bit_for_bit():
-    # The inverses take W from their own kernel; this pins them to the
-    # public float path.  Up to 4 ulp above the peak is accepted and
-    # clamped; beyond, y is outside the domain.
+    # The inverses take W from their own kernels; this pins them to the
+    # public float path wherever _w0 and _wm1 serve: every plus root, and
+    # the minus roots whose W argument -y^2 lies below -0.015 (nearer 0,
+    # _wm1_log takes the root from 2 ln y).  Up to 4 ulp above the peak
+    # is accepted and clamped; beyond, y is outside the domain.
     for y in _profile_values(MOYAL_PEAK, ulps_around(MOYAL_PEAK, 8)):
         if y > MOYAL_PEAK + 4.0 * math.ulp(MOYAL_PEAK):
             for side in ("plus", "minus"):
@@ -144,7 +124,7 @@ def test_moyal_inverse_is_the_w_formula_bit_for_bit():
         clamped = min(y, MOYAL_PEAK)
         plus = lambert_w(0, -clamped * clamped).value - 2.0 * math.log(clamped)
         assert moyal_inverse(y, "plus") == plus, y
-        if clamped * clamped >= sys.float_info.min:
+        if clamped * clamped > WM1_LOG_END:
             minus = -math.log(-lambert_w(-1, -clamped * clamped).value)
             assert moyal_inverse(y, "minus") == minus, y
 
@@ -268,8 +248,91 @@ def test_gh_inverse_is_the_w_formula_bit_for_bit():
             arg = -(y ** (1.0 / x_max)) * math.exp(-1.0)
             left, right = gh_inverse(y, x_max)
             assert left == -x_max * lambert_w(0, arg).value, (y, x_max)
-            if -arg >= sys.float_info.min:
+            # Nearer 0 than -0.015, _wm1_log takes the right root.
+            if -arg > WM1_LOG_END:
                 assert right == -x_max * lambert_w(-1, arg).value, (y, x_max)
+
+
+# ----------------------------------------------------------------------
+# The lower root near zero, against mpmath
+
+# Where _wm1_log takes W_-1(x), as a range of ln|x| per arm of its seed:
+# the asymptotic series, the continued log at depths 3 and 2, and x
+# below the normal doubles (subnormal, or underflowed to -0.0).
+KERNEL_BANDS = {
+    "asymptotic": (math.log(6.4e-12), math.log(WM1_LOG_END)),
+    "depth 3": (math.log(2.8e-41), math.log(6.4e-12)),
+    "depth 2": (math.log(sys.float_info.min), math.log(2.8e-41)),
+    "not normal": (2.0 * math.log(5e-324), math.log(sys.float_info.min)),
+}
+_X_MAXES = (0.05, 0.3, 1.0, 4.2, 23.0, 700.0)
+
+
+def _band_lxs(band: str, n: int = 300) -> list[float]:
+    lo, hi = KERNEL_BANDS[band]
+    return [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
+
+
+def _moyal_minus_exact(y: float) -> float:
+    with mpmath.workdps(40):
+        return float(-mpmath.log(-mpmath.lambertw(-mpmath.mpf(y) ** 2, -1).real))
+
+
+def _gh_right_exact(y: float, x_max: float) -> float:
+    """-x_max W_-1(-y^(1/x_max)/e) at the doubles y, x_max, by mpmath at
+    40 digits: no rounded W argument."""
+    with mpmath.workdps(40):
+        lx = mpmath.log(y) / x_max - 1
+        return float(-x_max * mpmath.lambertw(-mpmath.exp(lx), -1).real)
+
+
+@pytest.mark.parametrize("band", KERNEL_BANDS)
+def test_moyal_minus_root_near_zero_within_one_ulp(band):
+    """y with ln(y^2) spread over the band; the root is -ln(-W_-1(-y^2))."""
+    for lx in _band_lxs(band):
+        y = math.exp(0.5 * lx)
+        expected = _moyal_minus_exact(y)
+        assert abs(moyal_inverse(y, "minus") - expected) <= math.ulp(expected), y
+
+
+def _assert_gh_right_root(y: float, x_max: float) -> None:
+    # Where the W argument is a normal double, forming it rounds 1/x_max
+    # and y^(1/x_max), about one ulp of ln(-arg) in all, which the root
+    # carries on top of its own rounding; below, ln(-arg) is formed as
+    # ln(y)/x_max - 1 and the root as x_max - ln y plus a small term.
+    expected = _gh_right_exact(y, x_max)
+    normal = -(y ** (1.0 / x_max)) * MINUS_INV_E >= sys.float_info.min
+    ulps = 3.0 if normal else 1.5
+    assert abs(gh_inverse(y, x_max).right - expected) <= ulps * math.ulp(expected), (y, x_max)
+
+
+@pytest.mark.parametrize("band", KERNEL_BANDS)
+def test_gh_right_root_near_zero_against_mpmath(band):
+    """ln(-arg) = ln(y)/x_max - 1 spread over the band, x_max in turn from
+    0.05 to 700, where y = e^(x_max (ln(-arg) + 1)) is a positive double."""
+    checked = 0
+    for i, lx in enumerate(_band_lxs(band)):
+        x_max = _X_MAXES[i % len(_X_MAXES)]
+        y = math.exp(x_max * (lx + 1.0))
+        if y > 0.0:
+            _assert_gh_right_root(y, x_max)
+            checked += 1
+    assert checked >= 100
+
+
+def test_gh_right_root_near_zero_from_the_smallest_x_max():
+    """x_max log-spaced from 5e-324 to 1e3 at four y, wherever the W
+    argument is -0.015 or nearer 0: it underflows for every x_max below
+    about 1e-3 here, and ln(y)/x_max overflows below 3.9e-309 (y = 0.5)
+    to 4.1e-306 (y = 5e-324)."""
+    checked = 0
+    for x_max in np.geomspace(5e-324, 1e3, 300):
+        x_max = float(x_max)
+        for y in (0.5, 1e-5, 1e-100, 5e-324):
+            if -(y ** (1.0 / x_max)) * MINUS_INV_E <= WM1_LOG_END:
+                _assert_gh_right_root(y, x_max)
+                checked += 1
+    assert checked >= 900
 
 
 @pytest.mark.parametrize("x_max", [math.inf, math.nan])
@@ -525,23 +588,6 @@ def test_gh_forward_check_of_the_roots_where_the_direct_form_underflows():
 # Arguments of every kind
 
 
-class _Float(float):
-    pass
-
-
-# One argument of each kind.  A real one is computed at its double; a
-# numpy float16 or float32 was once carried through the arithmetic in its
-# own precision.  A complex or a str raises TypeError, and an int beyond
-# the double range DomainError.
-ARGUMENTS = {
-    "int": 1, "bool": True, "huge int": 10**400, "Fraction": Fraction(3, 10),
-    "float subclass": _Float(0.3), "float16": np.float16(0.3), "float32": np.float32(0.3),
-    "float64": np.float64(0.3), "longdouble": np.longdouble(3) / 10, "int64": np.int64(2),
-    "complex": 0.3 + 0j, "complex64": np.complex64(0.3), "complex128": np.complex128(0.3),
-    "str": "0.3",
-}
-_REJECTED = {"huge int": DomainError, "complex": TypeError, "complex64": TypeError,
-             "complex128": TypeError, "str": TypeError}
 # Each function with the argument v in each of its places.
 CALLS = [
     moyal, lambda v: moyal_inverse(v, "plus"), lambda v: moyal_inverse(v, "minus"),
@@ -551,23 +597,23 @@ CALLS = [
 ]
 
 
-def _typed_bits(fn, v):
-    """Type and float.hex of each value fn(v) returns, or the type and
-    message of the exception it raises."""
-    try:
-        value = fn(v)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return [(type(part), float(part).hex()) for part in
-            (value if isinstance(value, tuple) else (value,))]
-
-
 @pytest.mark.parametrize("kind", ARGUMENTS)
 def test_every_argument_is_taken_at_its_double(kind):
     v = ARGUMENTS[kind]
     for fn in CALLS:
-        if kind in _REJECTED:
-            with pytest.raises(_REJECTED[kind]):
+        if kind in REJECTED:
+            with pytest.raises(REJECTED[kind]):
                 fn(v)
         else:
-            assert _typed_bits(fn, v) == _typed_bits(fn, float(v)), (kind, fn)
+            assert typed_bits(fn, v) == typed_bits(fn, float(v)), (kind, fn)
+
+
+@pytest.mark.parametrize("fn", CALLS[:7])
+def test_an_array_is_taken_at_its_double_only_when_0_d(fn):
+    """A 0-d array is a scalar; an array of two or more elements raises
+    numpy's TypeError (so does a one-element 1-d array, from numpy 2.x on
+    where that conversion is retired)."""
+    assert typed_bits(fn, np.array(0.3)) == typed_bits(fn, 0.3)
+    for array in (np.array([0.3, 0.4]), np.full((2, 2), 0.3)):
+        with pytest.raises(TypeError):
+            fn(array)
