@@ -184,10 +184,11 @@ def lambert_w(branch: int, x: float) -> EvalResult:
     # one; the seed families stay calls, which the benchmark times as layers.
     if branch != 0 and branch != -1:
         raise invalid_branch(branch)
-    if type(x) is not float:
+    # x != x is the NaN test for a float: cheaper than math.isnan's call.
+    if type(x) is not float or x != x:
         x = _as_double(x)
-    if _isnan(x):
-        raise _domain_error(x)
+        if _isnan(x):
+            raise _domain_error(x)
     # Below -1/e the series family raises dispatch_region's DomainError.
     if branch == 0:
         if x < _W0_SERIES_END:
@@ -260,10 +261,10 @@ def lambert_w_approximation(branch: int, x: float) -> float:
     A non-float x is taken at its double, as in ``lambert_w``.
     """
     if branch == 0:
-        if type(x) is not float:
+        if type(x) is not float or x != x:
             x = _as_double(x)
-        if _isnan(x):
-            raise _domain_error(x)
+            if _isnan(x):
+                raise _domain_error(x)
         if x < _W0_SERIES_END:
             if x < _X_MIN:
                 raise _domain_error(x)
@@ -290,10 +291,10 @@ def lambert_w_approximation(branch: int, x: float) -> float:
             return a - b + b * ia * (1.0 + ia * tail)
         return x  # +inf
     if branch == -1:
-        if type(x) is not float:
+        if type(x) is not float or x != x:
             x = _as_double(x)
-        if _isnan(x):
-            raise _domain_error(x)
+            if _isnan(x):
+                raise _domain_error(x)
         if x < _WM1_SERIES_END:
             if x < _X_MIN:
                 raise _domain_error(x)
@@ -437,8 +438,8 @@ def _wm1_log(lx: float) -> float:
         tail = (-2.0 + b) / 2.0 + ia * tail
         w = lx - b + b * ia * (1.0 + ia * tail)
     u = 1.0 + w
-    # lx - w is exact (Sterbenz: 0 < ln(-w) < -w/2 for w <= -6), so z carries
-    # the rounding of ln(-w) alone, not that of a log of size |w|.
+    # lx - w is exact (Sterbenz: lx ~ w + ln(-w), and 0 < ln(-w) < -w/2), so z
+    # carries the rounding of ln(-w) alone, not that of a log of size |w|.
     z = (lx - w) - _log(-w)
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
