@@ -402,8 +402,8 @@ def _wm1(x: float) -> float:
     return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
 
 
-# -x, with lx = ln(-x), up to which _wm1_log serves: the asymptotic series
-# keeps five decimals for x >= -0.01626.
+# _wm1_log serves -x up to this (lx <= ln 0.015): its asymptotic seed keeps
+# five decimals for x >= -0.01626.
 _WM1_LOG_END = 0.015
 # ln of continued_log_depth's bounds -2.8e-41 (depth 2 at and above it)
 # and -6.4e-12 (depth 3).
@@ -414,14 +414,14 @@ _LX_UNSTEPPED = -1e150
 
 
 def _wm1_log(lx: float) -> float:
-    """W_-1(x) from lx = ln(-x) <= ln 0.015, without forming x, for
-    arguments that are not doubles or would lose bits as one.
+    """W_-1(x) from lx = ln(-x) <= ln 0.015, without forming x, which
+    may underflow.
 
     The seed is ``_wm1``'s continued log at depth 2 (lx <= ln 2.8e-41)
     or 3 (lx <= ln 6.4e-12), else ``asymptotic_series(-1, x)``, both bit
     for bit at lx = ln(-x).  One Fritsch step follows, with
-    z = lx - ln(-w) - w: no division, and no subnormal operand.  Below
-    lx = -1e150 the seed is returned unstepped.
+    z = (lx - w) - ln(-w): no division, and no subnormal operand.  Below
+    lx = -1e150 the seed, W to rounding, is returned unstepped.
     """
     if lx <= _LN_DEPTH_3:
         w = lx - _log(-(lx - _log(-lx)))

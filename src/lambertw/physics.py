@@ -5,8 +5,8 @@ can be inverted exactly in terms of the two real Lambert W branches:
 the principal branch selects the solution on one side of the profile
 maximum, the lower branch the other side.  Where the lower branch's
 argument x lies in [-0.015, 0), both inverses take that root from
-ln(-x), which they form without x: Moyal's as 2 ln y, Gaisser-Hillas's
-as ln(y)/x_max - 1 where x is not a normal double.  So a root whose x
+ln(-x): Moyal's as 2 ln y, Gaisser-Hillas's as ln(-x), or as
+ln(y)/x_max - 1 where x is not a normal double.  So a root whose x
 underflows is as accurate as any other.
 Every function computes in binary64: an int, a ``Fraction``, a numpy
 scalar or a 0-d array argument is taken at its double, and a complex
