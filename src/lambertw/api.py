@@ -405,9 +405,9 @@ def _wm1(x: float) -> float:
 # _wm1_log serves -x up to this (lx <= ln 0.015): its asymptotic seed keeps
 # five decimals for x >= -0.01626.
 _WM1_LOG_END = 0.015
-# ln of continued_log_depth's bounds -2.8e-41 (depth 2 at and above it)
-# and -6.4e-12 (depth 3).
-_LN_DEPTH_2, _LN_DEPTH_3 = _log(2.8e-41), _log(6.4e-12)
+# ln(-x) at the continued log's two innermost depth bounds, -2.8e-41 (depth 2
+# at and above it) and -6.4e-12 (depth 3).
+_LN_DEPTH_2, _LN_DEPTH_3 = (_log(-bound) for bound in _DEPTH_BOUNDS_OUT[:2])
 # Below this lx the step's q = 2u(u + 2z/3) nears overflow (from |u| ~ 9.5e153),
 # and the depth-2 seed is W to rounding (beyond |lx| ~ 1e6).
 _LX_UNSTEPPED = -1e150
