@@ -3,8 +3,10 @@
 A float evaluation is one seed and one Fritsch step.  ``lambert_w``
 checks the branch and x, picks the region whose initial approximation
 (the seed) serves x by comparison with the breakpoints, and applies
-``fritsch_step``'s arithmetic inline, except at x = 0 (w = 0), at +inf
-and for x < -1/e + 5e-4, as ``_w0`` and ``_wm1`` do.  There the branch point
+``fritsch_step``'s arithmetic inline, with z = ln(x/w) - w, or in the
+continued-log arm, where x/w = e^w can be subnormal, z = (ln(-x) - w) -
+ln(-w); except at x = 0 (w = 0), at +inf and for x < -1/e + 5e-4, as
+``_w0`` and ``_wm1`` do.  There the branch point
 series, in the exact c = 1 + e*x, is within 0.51 ulp out to 1e-4 from
 -1/e and 5.4 ulp at 5e-4, while on branch 0 one step from it lands
 4e5 ulp off at 1e-12 and 27 ulp at 2.5e-4 (19 ulp past 5e-4).  That
@@ -24,7 +26,8 @@ regions and errors to ``dispatch_region``'s and each seed to its public
 family, and ``tests/test_array.py`` holds ``_w0``, ``_wm1``, the list
 path and ``lambert_w`` bit for bit equal, errors included.  Near zero
 the physics inverses take branch -1 from ``_wm1_log(ln(-x))`` instead,
-whose seeds ``tests/test_api.py`` pins to the public families.
+whose seeds ``tests/test_api.py`` pins to the public families, and whose
+value at a normal x of continued-log depth 2 or 3 is ``_wm1``'s bits.
 
 Three call shapes are exposed:
 
@@ -62,13 +65,7 @@ from .approx import (
 )
 from .branches import (_MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, Branch, _as_double, _domain_error,
                        invalid_branch)
-from .iteration import (
-    _SMALLEST_NORMAL,
-    SCHEMES,
-    defining_residual,
-    fritsch_step,
-    halley_step,
-)
+from .iteration import SCHEMES, defining_residual, fritsch_step, halley_step
 
 # Residual tolerance scale of the stopping rule in steps_to_converge.
 RESIDUAL_TOL = 1e-14
@@ -199,25 +196,26 @@ def lambert_w(branch: int, x: float) -> EvalResult:
             kind, w = "rational-fit-2", rational_fit_eval(W0_FIT_2, x)
         else:
             kind, w = "asymptotic", asymptotic_series(0, x)
+        # _new (tuple.__new__) builds the result in C, at a tenth of EvalResult(...)'s cost.
+        if x < _UNSTEPPED_END or w == 0.0 or w == _INF:
+            return _new(EvalResult, (w, kind, 0, defining_residual(x, w)))
+        z = _log(x / w) - w
     elif x < _WM1_SERIES_END:
         kind, w = "branch-point-series", branch_point_series(-1, x, 11)
+        if x < _UNSTEPPED_END:
+            return _new(EvalResult, (w, kind, 0, defining_residual(x, w)))
+        z = _log(x / w) - w
     elif x < _WM1_FIT_END:
         kind, w = "rational-fit-1", rational_fit_eval(WM1_FIT, x)
+        z = _log(x / w) - w
     elif x < 0.0:
         kind, w = "continued-log", continued_log_recursion_wm1(x, continued_log_depth(x))
+        z = (_log(-x) - w) - _log(-w)  # the traced seed call keeps its ln(-x)
     else:
         raise _domain_error(x)
-    # _new (tuple.__new__) builds the result in C, at a tenth of EvalResult(...)'s cost.
-    if x < _UNSTEPPED_END or w == 0.0 or w == _INF:
-        return _new(EvalResult, (w, kind, 0, defining_residual(x, w)))
+    # fritsch_step's arithmetic from the arm's z; its checks cannot fire on
+    # these seeds (see _lambert_w_list).
     u = 1.0 + w
-    # fritsch_step's arithmetic; its checks cannot fire on these seeds
-    # (see _lambert_w_list).
-    ratio = x / w
-    if ratio < _SMALLEST_NORMAL:
-        z = _log(abs(x)) - _log(abs(w)) - w
-    else:
-        z = _log(ratio) - w
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     w = w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
     return _new(EvalResult, (w, kind, 1, defining_residual(x, w)))
@@ -358,11 +356,7 @@ def _w0(x: float) -> float:
     else:
         raise _domain_error(x)
     u = 1.0 + w
-    ratio = x / w
-    if ratio < _SMALLEST_NORMAL:
-        z = _log(abs(x)) - _log(abs(w)) - w
-    else:
-        z = _log(ratio) - w
+    z = _log(x / w) - w
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
 
@@ -370,7 +364,7 @@ def _w0(x: float) -> float:
 def _wm1(x: float) -> float:
     """``lambert_w(-1, x).value``, bit for bit, with its errors, as
     ``_w0`` is for branch 0: the seed comes back unstepped only for
-    x < -1/e + 5e-4."""
+    x < -1/e + 5e-4, and the continued-log arm steps as ``_wm1_log``."""
     if x < _WM1_SERIES_END:
         if x < _X_MIN:
             raise _domain_error(x)
@@ -380,9 +374,11 @@ def _wm1(x: float) -> float:
             _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
         if x < _UNSTEPPED_END:
             return w
+        z = _log(x / w) - w
     elif x < _WM1_FIT_END:
         w = ((_MN0 + x * (_MN1 + x * _MN2))
              / (_MD0 + x * (_MD1 + x * (_MD2 + x * (_MD3 + x * (_MD4 + x * _MD5))))))
+        z = _log(x / w) - w
     elif x < 0.0:
         lx = _log(-x)
         w = lx - _log(-(lx - _log(-lx)))
@@ -390,14 +386,11 @@ def _wm1(x: float) -> float:
             if x >= bound:
                 break
             w = lx - _log(-w)
+        # x/w = e^w is subnormal below w = -708.4: z from the seed's ln(-x).
+        z = (lx - w) - _log(-w)
     else:
         raise _domain_error(x)
     u = 1.0 + w
-    ratio = x / w
-    if ratio < _SMALLEST_NORMAL:
-        z = _log(abs(x)) - _log(abs(w)) - w
-    else:
-        z = _log(ratio) - w
     q = 2.0 * u * (u + (2.0 / 3.0) * z)
     return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
 
@@ -421,7 +414,8 @@ def _wm1_log(lx: float) -> float:
     or 3 (lx <= ln 6.4e-12), else ``asymptotic_series(-1, x)``, both bit
     for bit at lx = ln(-x).  One Fritsch step follows, with
     z = (lx - w) - ln(-w): no division, and no subnormal operand.  Below
-    lx = -1e150 the seed, W to rounding, is returned unstepped.
+    lx = -1e150 the seed, W to rounding, is returned unstepped.  At
+    normal x of depth 2 or 3 it is ``_wm1(x)`` to the bit.
     """
     if lx <= _LN_DEPTH_3:
         w = lx - _log(-(lx - _log(-lx)))
@@ -449,8 +443,8 @@ def _lambert_w_list(branch: int, values: list) -> list:
     """W on ``branch`` (0 or -1) of every float in ``values``, as a list.
 
     Each arm of the loop is ``lambert_w_approximation``'s, with ``w =``
-    for ``return``, followed by the step of ``_w0`` and ``_wm1``, which
-    hold the same arms (``tests/test_array.py`` ties the three).  Every
+    for ``return``, and the arm's z and unstepped seed and the step are
+    ``_w0``'s and ``_wm1``'s (``tests/test_array.py`` ties the three).  Every
     value is bit-identical to ``lambert_w(branch, v).value``; the first bad
     one raises its error.  It stays written out: mapping ``_w0`` over a
     32-element list takes longer than this loop.
@@ -458,7 +452,7 @@ def _lambert_w_list(branch: int, values: list) -> list:
     lower = branch == -1
     out = []
     for v in values:
-        # Seed: dispatch_region's tests, then lambert_w_approximation's family.
+        # Seed and z: dispatch_region's tests, then lambert_w_approximation's family.
         if lower:
             if v < _WM1_SERIES_END:
                 if v < _X_MIN:
@@ -467,9 +461,14 @@ def _lambert_w_list(branch: int, values: list) -> list:
                 p = -_sqrt(s) if s > 0.0 else 0.0
                 w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
                     _B6 + p * (_B7 + p * (_B8 + p * (_B9 + p * (_B10 + p * _B11))))))))))
+                if v < _UNSTEPPED_END:
+                    out.append(w)
+                    continue
+                z = _log(v / w) - w
             elif v < _WM1_FIT_END:
                 w = ((_MN0 + v * (_MN1 + v * _MN2))
                      / (_MD0 + v * (_MD1 + v * (_MD2 + v * (_MD3 + v * (_MD4 + v * _MD5))))))
+                z = _log(v / w) - w
             elif v < 0.0:
                 lx = _log(-v)
                 w = lx - _log(-(lx - _log(-lx)))
@@ -477,47 +476,47 @@ def _lambert_w_list(branch: int, values: list) -> list:
                     if v >= bound:
                         break
                     w = lx - _log(-w)
+                z = (lx - w) - _log(-w)
             else:
                 raise _domain_error(v)
-        elif v < _W0_SERIES_END:
-            if v < _X_MIN:
+        else:
+            if v < _W0_SERIES_END:
+                if v < _X_MIN:
+                    raise _domain_error(v)
+                s = 2.0 * (_E * ((v - MINUS_INV_E) - _MINUS_INV_E_LO))
+                p = _sqrt(s) if s > 0.0 else 0.0
+                w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
+                    _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
+                if v < _UNSTEPPED_END:
+                    out.append(w)
+                    continue
+            elif v < _W0_FIT1_END:
+                w = v * ((_F1N0 + v * (_F1N1 + v * (_F1N2 + v * (_F1N3 + v * _F1N4))))
+                         / (_F1D0 + v * (_F1D1 + v * (_F1D2 + v * (_F1D3 + v * _F1D4)))))
+                if w == 0.0:
+                    out.append(w)
+                    continue
+            elif v < _W0_FIT2_END:
+                w = v * ((_F2N0 + v * (_F2N1 + v * (_F2N2 + v * (_F2N3 + v * _F2N4))))
+                         / (_F2D0 + v * (_F2D1 + v * (_F2D2 + v * (_F2D3 + v * _F2D4)))))
+            elif v < _INF:
+                a = _log(v)
+                b = _log(a)
+                ia = 1.0 / a
+                tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
+                tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
+                tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
+                tail = (-2.0 + b) / 2.0 + ia * tail
+                w = a - b + b * ia * (1.0 + ia * tail)
+            elif v == _INF:
+                out.append(v)
+                continue
+            else:
                 raise _domain_error(v)
-            s = 2.0 * (_E * ((v - MINUS_INV_E) - _MINUS_INV_E_LO))
-            p = _sqrt(s) if s > 0.0 else 0.0
-            w = _B0 + p * (_B1 + p * (_B2 + p * (_B3 + p * (_B4 + p * (_B5 + p * (
-                _B6 + p * (_B7 + p * (_B8 + p * _B9))))))))
-        elif v < _W0_FIT1_END:
-            w = v * ((_F1N0 + v * (_F1N1 + v * (_F1N2 + v * (_F1N3 + v * _F1N4))))
-                     / (_F1D0 + v * (_F1D1 + v * (_F1D2 + v * (_F1D3 + v * _F1D4)))))
-        elif v < _W0_FIT2_END:
-            w = v * ((_F2N0 + v * (_F2N1 + v * (_F2N2 + v * (_F2N3 + v * _F2N4))))
-                     / (_F2D0 + v * (_F2D1 + v * (_F2D2 + v * (_F2D3 + v * _F2D4)))))
-        elif v < _INF:
-            a = _log(v)
-            b = _log(a)
-            ia = 1.0 / a
-            tail = (60.0 + b * (-300.0 + b * (350.0 + b * (-125.0 + b * 12.0)))) / 60.0
-            tail = (-12.0 + b * (36.0 + b * (-22.0 + b * 3.0))) / 12.0 + ia * tail
-            tail = (6.0 + b * (-9.0 + b * 2.0)) / 6.0 + ia * tail
-            tail = (-2.0 + b) / 2.0 + ia * tail
-            w = a - b + b * ia * (1.0 + ia * tail)
-        elif v == _INF:
-            out.append(v)
-            continue
-        else:
-            raise _domain_error(v)
-        # Step: skip the unstepped seeds, then fritsch_step.
-        if v < _UNSTEPPED_END or w == 0.0:
-            out.append(w)
-            continue
-        u = 1.0 + w
-        # fritsch_step's own checks cannot fire here: every seed has x's
+            z = _log(v / w) - w
+        # fritsch_step's own checks cannot fire here: every stepped seed has x's
         # sign and keeps |1 + w| and |q - 2z| far from 0 (tests/test_array.py).
-        ratio = v / w
-        if ratio < _SMALLEST_NORMAL:
-            z = _log(abs(v)) - _log(abs(w)) - w
-        else:
-            z = _log(ratio) - w
+        u = 1.0 + w
         q = 2.0 * u * (u + (2.0 / 3.0) * z)
         out.append(w + w * ((z / u) * ((q - z) / (q - 2.0 * z))))
     return out

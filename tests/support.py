@@ -53,6 +53,17 @@ def depth_bounds(n: int = 2) -> list[float]:
     return [y for b in CONTINUED_LOG_DEPTH_BOUNDS for y in ulps_around(b, n)]
 
 
+def log_form_step(x: float, w: float) -> float:
+    """One Fritsch step from w as the continued-log region takes it: z =
+    (ln(-x) - w) - ln(-w), the spelling of ``fritsch_step``'s ln(x/w) - w
+    that never forms x/w, which is subnormal for w < -708.4."""
+    lx = math.log(-x)
+    z = (lx - w) - math.log(-w)
+    u = 1.0 + w
+    q = 2.0 * u * (u + (2.0 / 3.0) * z)
+    return w + w * ((z / u) * ((q - z) / (q - 2.0 * z)))
+
+
 def branch_point_band(ks) -> list[float]:
     """-1/e + k ulp for each k in ``ks``: one ulp is the same on both
     sides of -1/e, so consecutive k are consecutive doubles."""

@@ -45,6 +45,7 @@ from support import (
     branch_point_band,
     breakpoints,
     depth_bounds,
+    log_form_step,
     negated,
     outcome,
     raised,
@@ -472,6 +473,8 @@ def test_lambert_w_is_one_fritsch_step_from_the_seed():
     """The value is one Fritsch step from the seed, bit for bit, or the
     seed itself at x = 0 and for x < -1/e + 5e-4, where the series seed
     in the exact 1 + e*x is closer to W than one step would leave it.
+    The continued-log region takes the step with z from ln(-x), which
+    its seed forms, in place of ln(x/w).
 
     Past x ~ 5.6e29 the residual tolerance sits below the rounding floor
     of the residual itself, so a residual-gated loop would take more
@@ -483,7 +486,8 @@ def test_lambert_w_is_one_fritsch_step_from_the_seed():
         result = lambert_w(branch, x)
         assert result.region == dispatch_region(branch, x).kind, (branch, x)
         unstepped = seed == 0.0 or x < MINUS_INV_E + 5e-4
-        assert result.value == (seed if unstepped else fritsch_step(x, seed)), (branch, x)
+        step = log_form_step if result.region == "continued-log" else fritsch_step
+        assert result.value == (seed if unstepped else step(x, seed)), (branch, x)
         assert result.refinement_steps == (0 if unstepped else 1), (branch, x)
 
 
@@ -652,3 +656,19 @@ def test_log_kernel_against_mpmath_down_to_lx_of_minus_1e300():
     for lx in lxs:
         expected = _wm1_of_log(lx)
         assert abs(api._wm1_log(lx) - expected) <= math.ulp(expected), lx
+
+
+def test_library_continued_log_at_depths_2_and_3_is_the_log_kernel_bit_for_bit():
+    """At a normal x whose continued log stops at depth 2 or 3, every
+    branch -1 kernel steps from the seed's ln(-x) as _wm1_log does, so
+    the values agree to the bit, at the depth bounds' neighbours too,
+    where ln rounds some x to ln of the bound and the two seeds differ
+    by a level."""
+    xs = (-np.geomspace(6.4e-12, sys.float_info.min, 3000)).tolist()
+    xs += [x for x in depth_bounds() if continued_log_depth(x) <= 3]
+    assert {continued_log_depth(x) for x in xs} == {2, 3}
+    for x in xs:
+        expected = api._wm1_log(math.log(-x)).hex()
+        assert lambert_wm1(x).hex() == expected, x
+        assert api._wm1(x).hex() == expected, x
+        assert api._lambert_w_list(-1, [x])[0].hex() == expected, x
