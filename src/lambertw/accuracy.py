@@ -14,8 +14,9 @@ an open text file as plain-text data suitable for plotting.
 """
 
 import math
+from collections import namedtuple
+from io import TextIOBase
 from operator import index as _index
-from typing import NamedTuple, TextIO
 
 from .api import dispatch_region, lambert_w_approximation
 from .branches import MINUS_INV_E, Branch
@@ -56,14 +57,7 @@ def delta_accuracy(approx: float, exact: float) -> float:
     return _log10(abs(exact)) - _log10(abs(approx - exact))
 
 
-class _GridSpecFields(NamedTuple):
-    kind: str
-    start: float
-    stop: float
-    count: int
-
-
-class GridSpec(_GridSpecFields):
+class GridSpec(namedtuple("GridSpec", "kind start stop count")):
     """Sampling grid: ``kind`` is ``"linear"`` or ``"log"``.
 
     Log grids require ``start`` and ``stop`` of the same nonzero sign;
@@ -73,6 +67,10 @@ class GridSpec(_GridSpecFields):
     """
 
     __slots__ = ()
+    kind: str
+    start: float
+    stop: float
+    count: int
 
     def __new__(cls, kind: str, start: float, stop: float, count: int) -> "GridSpec":
         if kind not in ("linear", "log"):
@@ -118,10 +116,11 @@ class GridSpec(_GridSpecFields):
         return f"{self.kind}[{self.start:.17g}, {self.stop:.17g}, {self.count}]"
 
 
-class AccuracyReport(NamedTuple):
+class AccuracyReport(namedtuple("AccuracyReport", "branch stage grid samples")):
     """Per-point deltas for one branch/stage/grid combination (an
     immutable named tuple)."""
 
+    __slots__ = ()
     branch: Branch
     stage: str
     grid: GridSpec
@@ -209,7 +208,7 @@ def accuracy_sweep(branch: int, stage: str, grid: GridSpec) -> AccuracyReport:
     return _new(AccuracyReport, (b, stage, grid, tuple(samples)))
 
 
-def write_report(report: AccuracyReport, destination: TextIO) -> None:
+def write_report(report: AccuracyReport, destination: TextIOBase) -> None:
     """Write a report to the open text file ``destination``: a ``#``
     header, then x/delta/region rows at full (round-trippable) precision.
     """

@@ -48,7 +48,7 @@ two schemes.
 import math
 import sys
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from .approx import (
     BRANCH_POINT_COEFFICIENTS,
@@ -107,7 +107,7 @@ _W0_BREAKS = tuple(region.upper for region in W0_REGIONS[:-1])
 _WM1_BREAKS = tuple(region.upper for region in WM1_REGIONS[:-1])
 
 
-class EvalResult(NamedTuple):
+class EvalResult(namedtuple("EvalResult", "value region refinement_steps residual")):
     """Refined evaluation with diagnostics (an immutable named tuple).
 
     value : the branch value W(x)
@@ -118,6 +118,7 @@ class EvalResult(NamedTuple):
     residual : |value * exp(value) - x| of the returned value
     """
 
+    __slots__ = ()
     value: float
     region: str
     refinement_steps: int

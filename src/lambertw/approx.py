@@ -22,7 +22,7 @@ the library ships (5/5 and 3/6 coefficients); other fits take a loop.
 
 import math
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from .branches import (_MINUS_INV_E_LO, _X_MIN, MINUS_INV_E, Branch, DomainError,
                        _domain_error, invalid_branch)
@@ -135,17 +135,19 @@ def asymptotic_series(branch: int, x: float) -> float:
 # Rational fits
 # ---------------------------------------------------------------------------
 
-class RationalFit(NamedTuple):
+class RationalFit(namedtuple("RationalFit", "numerator denominator leading_factor_x",
+                             defaults=(False,))):
     """Rational approximation N(x)/D(x), optionally times a leading x
-    (an immutable named tuple).
+    (an immutable named tuple; ``leading_factor_x`` defaults to False).
 
     Coefficients are stored lowest order first; the denominator is
     normalized to D(0) = 1 so the representation is unique.
     """
 
+    __slots__ = ()
     numerator: tuple[float, ...]
     denominator: tuple[float, ...]
-    leading_factor_x: bool = False
+    leading_factor_x: bool
 
 
 def rational_fit_eval(fit: RationalFit, x: float) -> float:
@@ -252,10 +254,11 @@ def continued_log_recursion_wm1(x: float, depth: int = 9) -> float:
 # Dispatch metadata
 # ---------------------------------------------------------------------------
 
-class ApproximationRegion(NamedTuple):
+class ApproximationRegion(namedtuple("ApproximationRegion", "branch lower upper kind")):
     """Half-open interval [lower, upper) served by one approximation
     (an immutable named tuple)."""
 
+    __slots__ = ()
     branch: Branch
     lower: float
     upper: float

@@ -31,7 +31,7 @@ every other seed keeps |1 + w| >= 1e-8.
 import math
 import sys
 
-from .branches import DomainError, SingularityError
+from .branches import DomainError, SingularityError, _as_double
 
 # Estimates closer to w = -1 than this are considered to sit on the
 # branch point singularity; the public steps refuse to refine them.
@@ -55,9 +55,12 @@ def halley_step(x: float, w: float) -> float:
 
     Uses t = w*e^w - x, s = (w+2)/(2*(w+1)), u = (w+1)*e^w and updates
     w <- w + t/(t*s - u).  Where e^w is subnormal or 0 and x < 0, t and u
-    are divided by e^w, with x*e^-w = -exp(ln(-x) - w).  A NaN x or w
-    raises DomainError, as in ``fritsch_step``.
+    are divided by e^w, with x*e^-w = -exp(ln(-x) - w).  As in
+    ``fritsch_step``, x and w are taken at their doubles, and a NaN x or
+    w raises DomainError.
     """
+    if type(x) is not float or type(w) is not float:
+        x, w = _as_double(x), _as_double(w)
     if x != x or w != w:
         raise DomainError(f"halley step got NaN: x = {x!r}, w = {w!r}")
     if -SINGULARITY_GUARD < w + 1.0 < SINGULARITY_GUARD:
@@ -84,7 +87,12 @@ def fritsch_step(x: float, w: float) -> float:
     docstring).  Requires x and w of the same strict sign (true for every
     in-branch estimate except the removable point x = w = 0, which callers
     short-circuit); zeros, mixed signs and NaN raise DomainError.
+    A non-float x or w is taken at its double, as in ``lambert_w``: a
+    complex or a str raises TypeError, and an int beyond the double
+    range DomainError.
     """
+    if type(x) is not float or type(w) is not float:
+        x, w = _as_double(x), _as_double(w)
     u = 1.0 + w
     if -SINGULARITY_GUARD < u < SINGULARITY_GUARD:
         raise SingularityError(

@@ -14,7 +14,7 @@ one raises TypeError, as does an array of one or more dimensions.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .api import _WM1_LOG_END, _w0, _wm1, _wm1_log
 from .branches import MINUS_INV_E, DomainError, _as_double
@@ -125,9 +125,10 @@ def gaisser_hillas(x: float, x_max: float) -> float:
     return math.exp(x_max * ((_log(ratio) if q < -0.5 else math.log1p(q)) - q))
 
 
-class GhRoots(NamedTuple):
+class GhRoots(namedtuple("GhRoots", "left right")):
     """The two depths at which a Gaisser-Hillas profile attains a value."""
 
+    __slots__ = ()
     left: float
     right: float
 

@@ -28,6 +28,7 @@ from lambertw import (
     defining_residual,
     dispatch_region,
     fritsch_step,
+    halley_step,
     lambert_w,
     lambert_w0,
     lambert_wm1,
@@ -553,15 +554,21 @@ W_CALLS = [
     lambda v: lambert_w_approximation(-1, negated(v)),
     lambert_w0, lambda v: lambert_wm1(negated(v)),
 ]
+# Each step with v as x, then as w, beside a float of the same sign.
+STEP_CALLS = [
+    lambda v: fritsch_step(v, 0.25), lambda v: fritsch_step(0.3, v),
+    lambda v: halley_step(v, 0.25), lambda v: halley_step(0.3, v),
+]
 
 
 @pytest.mark.parametrize("kind", ARGUMENTS)
 def test_every_argument_is_taken_at_its_double(kind):
-    """Each x gives what float(x) gives, bit for bit and of the same
-    types, errors included; a complex, a str or an int beyond the double
-    range raises.  The time bound makes a hang a failure."""
+    """Each x, and each step's x or w, gives what its float gives, bit
+    for bit and of the same types, errors included; a complex, a str or
+    an int beyond the double range raises.  The time bound makes a hang
+    a failure."""
     v = ARGUMENTS[kind]
-    for fn in W_CALLS:
+    for fn in W_CALLS + STEP_CALLS:
         with time_bound(5.0):
             if kind in REJECTED:
                 with pytest.raises(REJECTED[kind]):

@@ -1,12 +1,15 @@
 """The package's records: immutable named tuples, cheap to import.
 
-Every record type is a ``typing.NamedTuple``; ``GridSpec``, the one
-that checks its fields, does so in ``__new__`` and routes ``_make`` (and
-so ``_replace``) through it.  Importing the package loads none of
-``dataclasses``, ``inspect`` or ``fractions``, whose import would cost
-more than thousands of evaluations, and a scalar evaluation loads only
-the submodules it runs: each public name loads with its submodule on
-first use.
+Every record type is a subclass of a ``collections.namedtuple`` that
+adds its docstring, its field annotations and empty ``__slots__``;
+``GridSpec``, the one that checks its fields, does so in ``__new__`` and
+routes ``_make`` (and so ``_replace``) through it.  Importing the package
+loads none of ``dataclasses``, ``inspect`` or ``fractions``, whose import
+would cost more than thousands of evaluations, and no call loads
+``typing``, which was the largest import of a bare interpreter's first
+call.  A
+scalar evaluation loads only the submodules it runs: each public name
+loads with its submodule on first use.
 """
 
 import inspect
@@ -83,20 +86,21 @@ def test_record_invariants(cls, fields, invalid):
         assert str(caught.value) == str(from_constructor.value)
 
 
-def _fresh(code: str) -> str:
-    """The last line that ``code`` prints in a fresh isolated interpreter
-    with this checkout's ``src`` first on the path."""
+def _fresh(code: str, *flags: str) -> str:
+    """The last line that ``code`` prints in a fresh isolated interpreter,
+    started with ``flags`` besides ``-I``, with this checkout's ``src``
+    first on the path."""
     script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True,
+    proc = subprocess.run([sys.executable, "-I", *flags, "-c", script], capture_output=True,
                           text=True, timeout=60, check=True)
     return proc.stdout.splitlines()[-1]
 
 
-def _newly_loaded(code: str) -> set[str]:
+def _newly_loaded(code: str, *flags: str) -> set[str]:
     """Modules that ``code`` loads in a fresh isolated interpreter."""
     return set(_fresh("before = set(sys.modules)\n"
                       f"{code}\n"
-                      "print(' '.join(sorted(set(sys.modules) - before)))").split())
+                      "print(' '.join(sorted(set(sys.modules) - before)))", *flags).split())
 
 
 _HEAVY = {"dataclasses", "inspect", "ast", "dis", "fractions", "decimal", "numpy"}
@@ -115,6 +119,22 @@ def test_no_cli_form_loads_argparse(argv):
     loaded = _newly_loaded(f"from lambertw.cli import run_cli\nrun_cli({argv!r})")
     assert "lambertw.cli" in loaded
     assert not loaded & (_HEAVY | {"argparse"}), sorted(loaded & (_HEAVY | {"argparse"}))
+
+
+@pytest.mark.parametrize("code", [
+    "from lambertw import lambert_w0\nlambert_w0(0.5)",
+    "from lambertw import gh_inverse\ngh_inverse(0.5, 2.0)",
+    "from lambertw import GridSpec, accuracy_sweep\n"
+    "accuracy_sweep(0, 'one-fritsch', GridSpec('linear', 0.1, 1.0, 3))",
+    "from lambertw.cli import run_cli\nrun_cli(['0.5'])",
+], ids=["lambert_w0", "gh_inverse", "accuracy_sweep", "cli"])
+def test_no_path_loads_typing(code):
+    """Without ``site`` (``-S``): a ``.pth`` file in site-packages can
+    preload ``typing``, which would hide its import here.  That the run
+    loads ``enum`` shows that nothing preloaded the standard library."""
+    loaded = _newly_loaded(code, "-S")
+    assert {"lambertw.api", "enum"} <= loaded, sorted(loaded)
+    assert "typing" not in loaded
 
 
 # The package's public names by defining submodule.
