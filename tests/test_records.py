@@ -6,14 +6,14 @@ adds its docstring, its field annotations and empty ``__slots__``;
 routes ``_make`` (and so ``_replace``) through it.  Importing the package
 loads none of ``dataclasses``, ``inspect`` or ``fractions``, whose import
 would cost more than thousands of evaluations, and no call loads
-``typing``, which was the largest import of a bare interpreter's first
-call.  A
-scalar evaluation loads only the submodules it runs: each public name
-loads with its submodule on first use.
+``typing``, which would be the largest import of a bare interpreter's
+first call.  A scalar evaluation loads only the submodules it runs: each
+public name loads with its submodule on first use.
 """
 
 import inspect
 import json
+import pickle
 import subprocess
 import sys
 import typing
@@ -75,6 +75,10 @@ def test_record_invariants(cls, fields, invalid):
     assert twin == record and hash(twin) == hash(record)
     assert record == tuple(fields.values())
     assert record._replace() == record
+    assert record._fields == tuple(fields) and record._asdict() == fields
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    again = pickle.loads(pickle.dumps(record))
+    assert again == record and type(again) is cls
     if invalid is None:
         return
     with pytest.raises(ValueError) as from_constructor:
@@ -84,6 +88,11 @@ def test_record_invariants(cls, fields, invalid):
         with pytest.raises(type(from_constructor.value)) as caught:
             build()
         assert str(caught.value) == str(from_constructor.value)
+
+
+def test_rational_fit_has_no_leading_factor_by_default():
+    assert RationalFit((1.0,), (1.0,)) == ((1.0,), (1.0,), False)
+    assert RationalFit._field_defaults == {"leading_factor_x": False}
 
 
 def _fresh(code: str, *flags: str) -> str:
